@@ -49,9 +49,7 @@ from .transforms import (
     AsymptoticReport,
     EigenCheck,
     InversionResult,
-    JeftField,
     PlancherelReport,
-    TransformField,
     TransformUsageError,
     asymptotic_limit_residual,
     boundary_slices,
@@ -61,18 +59,14 @@ from .transforms import (
     helgason_e_mismatch,
     helgason_forward,
     invert,
-    invert_many,
     jeft,
     jeft_direct,
-    jeft_field,
-    jeft_many,
-    jeft_spectrum,
+    jeft_grid,
     kaverage_bridge_residual,
     laplace_beltrami_residual,
     plancherel_residual,
     poisson,
     spherical_transform,
-    transform_field,
 )
 from .paley_wiener import holomorphy_circle_residual
 from .paley_wiener import (

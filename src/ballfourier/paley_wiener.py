@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import busemann_field, half_root_sum, sphere_area, _as_coords
 from .grids import BoundaryGrid, RadialGrid, SampledFunction, SpectralGrid, integrate_B
 from .spectral import spherical_phi
-from .transforms import boundary_slices, eigen_equation_residual, helgason_forward
+from .transforms import boundary_slices, helgason_forward, laplace_beltrami_residual, poisson
 
 # Largest allowed |Im lam| * support_radius: keeps the kernel below ~e^40.
 OVERFLOW_EXPONENT = 40.0
@@ -300,7 +300,7 @@ def pw_membership_report(
     probe_dir = np.zeros(f.dim)
     probe_dir[0] = 1.0
     x = np.tanh(0.5) * probe_dir  # radius 1 probe point
-    chk = eigen_equation_residual(f, lam, x)
+    chk = laplace_beltrami_residual(lambda pts: poisson(sl, f.boundary, lam, pts), f.dim, lam, x)
     eigen_ok = chk.skipped or chk.residual <= eigen_tol
     est = estimate_type(f)
     declared = float(f.support_radius)

@@ -24,21 +24,19 @@ from .grids import (
     sample_bump,
 )
 from .paley_wiener import decay_report, estimate_type, holomorphy_circle_residual
-from .spectral import FitConditioningError, c_function, plancherel_density_table
+from .spectral import FitConditioningError, c_function
 from .transforms import (
-    KAPPA_D3,
+    KAPPA,
     asymptotic_limit_residual,
-    boundary_slices,
     calibrate_kappa,
     eigen_equation_residual,
     functional_equation_residual,
-    invert_many,
+    invert,
     jeft_direct,
-    jeft_many,
+    jeft_grid,
     kaverage_bridge_residual,
     laplace_beltrami_residual,
     plancherel_residual,
-    spherical_transform,
 )
 from . import serialize
 
@@ -111,9 +109,8 @@ def scenario_jeft_equivalence(cfg: ScenarioConfig, rng):
     xs = _random_interior_points(rng, cfg.dim, 5, 0.1, 1.5)
     rows = []
     worst = 0.0
-    for lam in lams:
+    for lam, composed in zip(lams, jeft_grid(f, lams, xs)):
         direct = jeft_direct(f, lam, xs)
-        composed = jeft_many(f, lam, xs)
         for j in range(len(xs)):
             rel = _rel(composed[j], direct[j])
             worst = max(worst, rel)
@@ -162,7 +159,7 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
         boundary = BoundaryGrid.disk(nb) if cfg.dim == 2 else BoundaryGrid.sphere(nt, nph)
         f = sample_bump(spec, radial, boundary)
         sgrid = SpectralGrid.gauss_legendre(ns, lmax)
-        results = invert_many(f, pts, sgrid)
+        results = invert(f, pts, sgrid)
         errs = [_rel(r.value, t) for r, t in zip(results, truths)]
         level_errs.append(max(errs))
         tail = max(r.tail_fraction for r in results)
@@ -191,12 +188,7 @@ def scenario_plancherel(cfg: ScenarioConfig, rng):
         CheckResult("kappa_consistency", kappa_dev, 1e-2, kappa_dev <= 1e-2,
                     note=f"kappa={rep.kappa!r} implied={rep.kappa_implied!r}"),
     ]
-    dens = plancherel_density_table(f.dim, sgrid.nodes)
-    if f.is_radial():
-        norms = np.abs(spherical_transform(f, sgrid.nodes)) ** 2
-    else:
-        norms = (np.abs(boundary_slices(f, sgrid.nodes)) ** 2) @ f.boundary.weights
-    rows = [(float(l), float(d), float(n)) for l, d, n in zip(sgrid.nodes, dens, norms)]
+    rows = [(float(l), float(d), float(n)) for l, d, n in zip(sgrid.nodes, rep.density, rep.slice_norms)]
     csv = serialize._csv(rows, ["lambda", "plancherel_density", "slice_norm_sq"])
     return checks, {"plancherel_spectrum.csv": csv}
 
@@ -383,8 +375,8 @@ def scenario_c_table(cfg: ScenarioConfig, rng):
 
 def scenario_calibrate(cfg: ScenarioConfig, rng):
     kappa2 = calibrate_kappa(2)
-    rows = [(2, kappa2), (3, KAPPA_D3)]
-    dev_analytic = abs(kappa2 - KAPPA_D3) / KAPPA_D3
+    rows = [(2, kappa2), (3, KAPPA)]
+    dev_analytic = abs(kappa2 - KAPPA) / KAPPA
     # held-out spread: kappa implied by inversion of an independent bump at
     # independent points must match the calibrated value
     spec = BumpSpec(dim=2, radius=2.0, center=Isometry.translation([np.tanh(0.25), 0.0]))
@@ -396,7 +388,7 @@ def scenario_calibrate(cfg: ScenarioConfig, rng):
     )
     truths = spec(pts)
     implied = []
-    for res, truth in zip(invert_many(f, pts, sgrid, kappa=1.0), truths):
+    for res, truth in zip(invert(f, pts, sgrid, kappa=1.0), truths):
         implied.append(truth / res.value.real)
     spread = (max(implied) - min(implied)) / kappa2
     dev_heldout = max(abs(k - kappa2) / kappa2 for k in implied)
@@ -407,7 +399,7 @@ def scenario_calibrate(cfg: ScenarioConfig, rng):
         CheckResult("kappa2_heldout_deviation", dev_heldout, 1e-2, dev_heldout <= 1e-2),
         CheckResult("kappa2_vs_plancherel", dev_planch, 1e-2, dev_planch <= 1e-2),
         CheckResult("kappa2_vs_analytic", dev_analytic, 1e-2, dev_analytic <= 1e-2,
-                    note=f"kappa2={kappa2!r}, 1/(2 pi^2)={KAPPA_D3!r}"),
+                    note=f"kappa2={kappa2!r}, 1/(2 pi^2)={KAPPA!r}"),
     ]
     csv = serialize._csv(rows, ["dim", "kappa"])
     return checks, {"kappa.csv": csv}

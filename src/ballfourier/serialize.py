@@ -1,4 +1,4 @@
-"""Byte-stable CSV/JSON serialization of fields, reports and run results.
+"""Byte-stable CSV/JSON serialization of reports and run results.
 
 CSV output follows RFC 4180 (CRLF line endings, header row, decimal point,
 UTF-8).  Floats are rendered with repr (shortest round-trip), so identical
@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-
-from .transforms import JeftField, TransformField
 
 
 def _num(x) -> str:
@@ -25,50 +23,6 @@ def _csv(rows, header) -> str:
     for row in rows:
         lines.append(",".join(_num(v) if isinstance(v, (float, np.floating)) else str(v) for v in row))
     return "\r\n".join(lines) + "\r\n"
-
-
-def transform_field_to_csv(field: TransformField) -> str:
-    rows = []
-    for k, lam in enumerate(field.sgrid.nodes):
-        for j in range(field.values.shape[1]):
-            v = field.values[k, j]
-            rows.append((float(lam), j, float(v.real), float(v.imag)))
-    return _csv(rows, ["lambda", "b_index", "re", "im"])
-
-
-def jeft_field_to_csv(field: JeftField) -> str:
-    rows = []
-    for k, lam in enumerate(field.sgrid.nodes):
-        for j in range(field.values.shape[1]):
-            v = field.values[k, j]
-            rows.append((float(lam), j, float(v.real), float(v.imag)))
-    return _csv(rows, ["lambda", "x_index", "re", "im"])
-
-
-def _grid_dict(field) -> dict:
-    out = {
-        "spectral_nodes": field.sgrid.nodes.tolist(),
-        "spectral_weights": field.sgrid.weights.tolist(),
-        "lambda_max": field.sgrid.lam_max,
-    }
-    if isinstance(field, TransformField):
-        out["boundary_directions"] = field.boundary.directions.tolist()
-        out["boundary_weights"] = field.boundary.weights.tolist()
-    else:
-        out["points"] = field.points.tolist()
-    return out
-
-
-def field_to_json(field) -> str:
-    doc = {
-        "kind": "transform_field" if isinstance(field, TransformField) else "jeft_field",
-        "dim": field.dim,
-        "grids": _grid_dict(field),
-        "values_re": np.real(field.values).tolist(),
-        "values_im": np.imag(field.values).tolist(),
-        "provenance": field.provenance,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def type_estimate_to_csv(est) -> str:

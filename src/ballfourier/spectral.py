@@ -174,29 +174,31 @@ def c_function(
     raise ValueError(f"unknown c-function method {method!r}")
 
 
-def plancherel_density(dim: int, lam: float, **kwargs) -> float:
-    """|c(lam)|^{-2} for real lam > 0: the spectral measure of the inversion formula."""
+def plancherel_density(dim: int, lam: float) -> float:
+    """|c(lam)|^{-2} from the c-function fit, for real lam > 0.
+
+    The oracle that plancherel_density_table's closed forms are tested against.
+    """
     lam = float(lam)
     if lam <= 0:
         raise ValueError("plancherel_density requires real lam > 0")
-    c = c_function(dim, lam, **kwargs).c
+    c = c_function(dim, lam).c
     return 1.0 / abs(c) ** 2
 
 
-_DENSITY_CACHE: dict = {}
+def plancherel_density_table(dim: int, lams) -> np.ndarray:
+    """|c(lam)|^{-2} over a grid of positive reals, in closed form.
 
-
-def plancherel_density_table(dim: int, lams: np.ndarray, **kwargs) -> np.ndarray:
-    """Vector of |c(lam)|^{-2} over a grid of positive reals (fit results cached)."""
+    lam^2 for d = 3 and pi lam tanh(pi lam) for d = 2, the density of
+    c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)); this is the
+    spectral measure of the inversion and Plancherel formulas.
+    """
     lams = np.asarray(lams, dtype=float)
     if dim == 3:
         return lams**2
-    key = (dim, lams.tobytes(), tuple(sorted(kwargs.items())))
-    if key not in _DENSITY_CACHE:
-        _DENSITY_CACHE[key] = np.array(
-            [plancherel_density(dim, lam, **kwargs) for lam in lams]
-        )
-    return _DENSITY_CACHE[key]
+    if dim == 2:
+        return np.pi * lams * np.tanh(np.pi * lams)
+    raise GeometryError(f"dimension must be 2 or 3, got {dim}")
 
 
 def eigenvalue_of(dim: int, lam: complex) -> complex:

@@ -35,16 +35,22 @@ from .grids import (
     integrate_spectrum,
     k_average_profile,
 )
-from .spectral import c_function, eigenvalue_of, plancherel_density_table, spherical_phi
+from .spectral import (
+    c_function,
+    eigenvalue_of,
+    plancherel_density,
+    plancherel_density_table,
+    spherical_phi,
+)
 
 # Beyond these radii the product boundary grid cannot resolve the Poisson
 # kernel peak and the graded rule takes over.
 FAR_RADIUS = {2: 3.2, 3: 2.2}
 
-# Derived analytically for d = 3 by reducing the radial inversion to a sine
-# transform; the d = 2 value is calibrated at runtime (calibrate_kappa) and
-# lands on the same number.
-KAPPA_D3 = 1.0 / (2.0 * np.pi**2)
+# Normalization of the inversion and Plancherel formulas against |c(lam)|^-2,
+# the same in both dimensions (Helgason, Geometric Analysis on Symmetric
+# Spaces, Fourier analysis on H^n); calibrate_kappa cross-checks it for d = 2.
+KAPPA = 1.0 / (2.0 * np.pi**2)
 
 _CHUNK = 4_000_000
 
@@ -66,16 +72,9 @@ def helgason_forward(f: SampledFunction, lam: complex, b):
     ``b`` may be a single boundary point or an (m, d) array of unit vectors;
     lam may be complex (the integrand is entire in lam).
     """
-    bs = np.atleast_2d(_as_coords(b, f.dim))
-    pts, wv = _support_data(f)
-    rho = half_root_sum(f.dim)
-    s = -1j * complex(lam) + rho
-    out = np.empty(len(bs), dtype=complex)
-    step = max(1, _CHUNK // max(len(pts), 1))
-    for i in range(0, len(bs), step):
-        B = busemann_field(pts, bs[i : i + step])
-        out[i : i + step] = wv @ np.exp(s * B)
-    return out[0] if np.ndim(_as_coords(b, f.dim)) == 1 else out
+    coords = _as_coords(b, f.dim)
+    out = boundary_slices(f, [lam], np.atleast_2d(coords))[0]
+    return out[0] if coords.ndim == 1 else out
 
 
 def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
@@ -221,19 +220,6 @@ def jeft(f: SampledFunction, lam: complex, x):
     )
 
 
-def jeft_many(f: SampledFunction, lam: complex, xs) -> np.ndarray:
-    """jeft at several points sharing one boundary slice."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    radii = np.array([dist(np.zeros(f.dim), p) for p in xs])
-    out = np.empty(len(xs), dtype=complex)
-    near = radii <= FAR_RADIUS[f.dim]
-    if np.any(near):
-        out[near] = poisson(boundary_slices(f, [lam])[0], f.boundary, lam, xs[near])
-    for i in np.nonzero(~near)[0]:
-        out[i] = jeft(f, lam, xs[i])
-    return out
-
-
 def jeft_direct(f: SampledFunction, lam: complex, x):
     """Convolution oracle: quadrature of f(y) phi_lam(dist(x, y)) over dmu(y).
 
@@ -249,34 +235,32 @@ def jeft_direct(f: SampledFunction, lam: complex, x):
     return vals[0] if np.ndim(_as_coords(x, f.dim)) == 1 else vals
 
 
-def jeft_spectrum_many(f: SampledFunction, sgrid: SpectralGrid, xs) -> np.ndarray:
-    """jeft(f, lam_k, x_j) over the spectral grid, shape (n_lam, n_x).
+def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
+    """jeft(f, lam_k, x_j) for every spectral value and point, shape (n_lam, n_x).
 
     The boundary slices are computed once and shared across evaluation
-    points; radial inputs use the exact spherical-transform shortcut.
+    points; points beyond FAR_RADIUS take the graded route of jeft.  Radial
+    inputs use the exact spherical-transform shortcut: their slice is
+    constant in b, so this is still the factorization.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    lams = np.atleast_1d(lams)
+    xs = np.atleast_2d(_as_coords(xs, f.dim))
     radii = np.array([dist(np.zeros(f.dim), p) for p in xs])
     if f.is_radial():
-        ft = spherical_transform(f, sgrid.nodes)
-        phis = np.array([spherical_phi(f.dim, lam, radii) for lam in sgrid.nodes])
+        ft = spherical_transform(f, lams)
+        phis = np.array([spherical_phi(f.dim, lam, radii) for lam in lams])
         return ft[:, None] * phis
-    out = np.empty((len(sgrid), len(xs)), dtype=complex)
+    out = np.empty((len(lams), len(xs)), dtype=complex)
     near = radii <= FAR_RADIUS[f.dim]
     if np.any(near):
-        slices = boundary_slices(f, sgrid.nodes)
+        slices = boundary_slices(f, lams)
         rho = half_root_sum(f.dim)
         B = busemann_field(xs[near], f.boundary.directions)
-        for k, lam in enumerate(sgrid.nodes):
+        for k, lam in enumerate(lams):
             out[k, near] = np.exp((1j * lam + rho) * B) @ (f.boundary.weights * slices[k])
     for j in np.nonzero(~near)[0]:
-        out[:, j] = [jeft(f, lam, xs[j]) for lam in sgrid.nodes]
+        out[:, j] = [jeft(f, lam, xs[j]) for lam in lams]
     return out
-
-
-def jeft_spectrum(f: SampledFunction, sgrid: SpectralGrid, x) -> np.ndarray:
-    """jeft(f, lam_k, x) over the spectral grid; radial inputs use the exact shortcut."""
-    return jeft_spectrum_many(f, sgrid, np.atleast_2d(_as_coords(x, f.dim)))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -287,19 +271,16 @@ class InversionResult:
     kappa: float
 
 
-_KAPPA_CACHE = {3: KAPPA_D3}
+def calibrate_kappa(dim: int) -> float:
+    """Oracle for KAPPA: the constant that makes a reference bump invert exactly.
 
-
-def calibrate_kappa(dim: int, **density_kwargs) -> float:
-    """Normalization constant of the inversion formula.
-
-    d = 3 is analytic (KAPPA_D3).  d = 2 is calibrated by requiring exact
-    inversion of a reference bump at the origin, on dedicated dense grids.
+    d = 3 returns KAPPA (sine-transform reduction of the radial inversion).
+    d = 2 requires exact inversion of a reference bump at the origin, on
+    dedicated dense grids, against the fit-based density plancherel_density;
+    it is a cross-check of the closed forms, not used by the transforms.
     """
     if dim == 3:
-        return KAPPA_D3
-    if 2 in _KAPPA_CACHE:
-        return _KAPPA_CACHE[2]
+        return KAPPA
     from .grids import BumpSpec, RadialGrid, sample_bump
 
     radial = RadialGrid.gauss_legendre(256, 7.0)
@@ -308,18 +289,19 @@ def calibrate_kappa(dim: int, **density_kwargs) -> float:
     ref = sample_bump(BumpSpec(dim=2, radius=2.5), radial, boundary)
     ft = spherical_transform(ref, sgrid.nodes)
     phis0 = np.ones(len(sgrid))  # phi_lam(0) = 1
-    dens = plancherel_density_table(2, sgrid.nodes, **density_kwargs)
+    dens = np.array([plancherel_density(2, lam) for lam in sgrid.nodes])
     raw = integrate_spectrum(ft * phis0 * dens, sgrid).real
-    kappa = float(np.exp(-1.0) / raw)
-    _KAPPA_CACHE[2] = kappa
-    return kappa
+    return float(np.exp(-1.0) / raw)
 
 
-def invert_many(f: SampledFunction, xs, sgrid: SpectralGrid, kappa: float = None) -> list:
-    """Pointwise inversion at several points sharing one spectral sweep."""
-    if kappa is None:
-        kappa = calibrate_kappa(f.dim)
-    vals = jeft_spectrum_many(f, sgrid, xs)  # (n_lam, n_x)
+def invert(f: SampledFunction, x, sgrid: SpectralGrid, kappa: float = KAPPA):
+    """Pointwise inversion: kappa * integral of jeft(f, ., x) against |c|^-2 d lam.
+
+    ``x`` may be a single point, giving one InversionResult, or an (n, d)
+    array, giving a list of them that share one spectral sweep.
+    """
+    coords = _as_coords(x, f.dim)
+    vals = jeft_grid(f, sgrid.nodes, coords)  # (n_lam, n_x)
     dens = plancherel_density_table(f.dim, sgrid.nodes)
     integrand = vals * dens[:, None]
     tail_mask = sgrid.nodes >= 0.9 * sgrid.lam_max
@@ -330,12 +312,7 @@ def invert_many(f: SampledFunction, xs, sgrid: SpectralGrid, kappa: float = None
         tail = float(np.sum(np.abs(col[tail_mask]) * sgrid.weights[tail_mask]) / mass) if mass > 0 else 0.0
         value = kappa * integrate_spectrum(col, sgrid)
         results.append(InversionResult(complex(value), tail, tail > 5e-3, kappa))
-    return results
-
-
-def invert(f: SampledFunction, x, sgrid: SpectralGrid, kappa: float = None) -> InversionResult:
-    """Pointwise inversion: kappa * integral of jeft(f, ., x) against |c|^-2 d lam."""
-    return invert_many(f, np.atleast_2d(_as_coords(x, f.dim)), sgrid, kappa)[0]
+    return results[0] if coords.ndim == 1 else results
 
 
 @dataclass(frozen=True)
@@ -345,12 +322,12 @@ class PlancherelReport:
     kappa: float
     residual: float
     kappa_implied: float
+    density: np.ndarray  # |c(lam)|^-2 at the spectral nodes
+    slice_norms: np.ndarray  # squared L^2(B) norm of the boundary slice at each node
 
 
-def plancherel_residual(f: SampledFunction, sgrid: SpectralGrid, kappa: float = None) -> PlancherelReport:
+def plancherel_residual(f: SampledFunction, sgrid: SpectralGrid, kappa: float = KAPPA) -> PlancherelReport:
     """|  ||f||^2 - kappa * double integral of |fhat|^2 |c|^-2 | / ||f||^2."""
-    if kappa is None:
-        kappa = calibrate_kappa(f.dim)
     lhs = float(np.sum(f.node_weights() * np.abs(f.values) ** 2))
     dens = plancherel_density_table(f.dim, sgrid.nodes)
     if f.is_radial():
@@ -361,8 +338,9 @@ def plancherel_residual(f: SampledFunction, sgrid: SpectralGrid, kappa: float = 
         slice_norms = (np.abs(slices) ** 2) @ f.boundary.weights
     rhs = float(np.sum(sgrid.weights * dens * slice_norms))
     if lhs == 0.0:
-        return PlancherelReport(0.0, rhs, kappa, abs(rhs), 0.0)
-    return PlancherelReport(lhs, rhs, kappa, abs(lhs - kappa * rhs) / lhs, lhs / rhs)
+        return PlancherelReport(0.0, rhs, kappa, abs(rhs), 0.0, dens, slice_norms)
+    residual = abs(lhs - kappa * rhs) / lhs
+    return PlancherelReport(lhs, rhs, kappa, residual, lhs / rhs, dens, slice_norms)
 
 
 def kaverage_bridge_residual(f: SampledFunction, g: Isometry, sgrid: SpectralGrid) -> float:
@@ -373,7 +351,7 @@ def kaverage_bridge_residual(f: SampledFunction, g: Isometry, sgrid: SpectralGri
     """
     x0 = g.origin_image()
     prof = k_average_profile(f, g)
-    lhs = jeft_spectrum(f, sgrid, x0)
+    lhs = jeft_grid(f, sgrid.nodes, x0)[:, 0]
     rhs = spherical_transform(prof, sgrid.nodes)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
@@ -524,35 +502,3 @@ def helgason_e_mismatch(f: SampledFunction, lam: complex, b) -> float:
     """|jeft(f, lam, origin) - forward transform at b|: zero only in special cases."""
     origin = np.zeros(f.dim)
     return float(abs(jeft(f, lam, origin) - helgason_forward(f, lam, _as_coords(b, f.dim))))
-
-
-@dataclass(frozen=True)
-class TransformField:
-    """Forward-transform values on a spectral x boundary grid."""
-
-    dim: int
-    sgrid: SpectralGrid
-    boundary: BoundaryGrid
-    values: np.ndarray  # (n_lam, m)
-    provenance: str = ""
-
-
-@dataclass(frozen=True)
-class JeftField:
-    """Joint-eigenspace transform values on a spectral grid x point set."""
-
-    dim: int
-    sgrid: SpectralGrid
-    points: np.ndarray  # (n_x, d)
-    values: np.ndarray  # (n_lam, n_x)
-    provenance: str = ""
-
-
-def transform_field(f: SampledFunction, sgrid: SpectralGrid, provenance: str = "") -> TransformField:
-    return TransformField(f.dim, sgrid, f.boundary, boundary_slices(f, sgrid.nodes), provenance)
-
-
-def jeft_field(f: SampledFunction, sgrid: SpectralGrid, xs, provenance: str = "") -> JeftField:
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    values = np.stack([jeft_spectrum(f, sgrid, x) for x in xs], axis=1)
-    return JeftField(f.dim, sgrid, xs, values, provenance)

@@ -26,6 +26,14 @@ from ballfourier.scenarios import SCENARIOS, scenario_base_config
 
 _WALL = {}
 
+# the (scenario, dim) runs of criteria 1-9
+_CRITERIA_RUNS = [
+    (name, dim)
+    for name in ("jeft-equivalence", "inversion", "plancherel", "kaverage-bridge",
+                 "functional-equation", "eigen", "asymptotic", "pw-recovery")
+    for dim in (2, 3)
+] + [("c-table", 3)]
+
 
 def run_default_scenario(name, dim, seed=1):
     """Execute a scenario at its default profile; cache results per (name, dim)."""
@@ -234,7 +242,8 @@ def test_criterion_11_reproducibility(tmp_path, cli_env):
     identical = True
     for fname in ("results.json", "factorization_pairs.csv"):
         identical = identical and (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
-    suite_wall = sum(w for _, w in _WALL.values())
+    # run here when criteria 1-9 have not (cache hits when they have)
+    suite_wall = sum(run_default_scenario(name, dim)[1] for name, dim in _CRITERIA_RUNS)
     ok = identical and suite_wall <= 600.0
     report(11, ok, f"byte-identical outputs={identical}; accumulated scenario wall "
                    f"{suite_wall:.0f}s <= 600s")

@@ -2,18 +2,9 @@
 
 import json
 
-import numpy as np
-
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump
 from ballfourier.paley_wiener import estimate_type
-from ballfourier.serialize import (
-    field_to_json,
-    jeft_field_to_csv,
-    results_to_json,
-    transform_field_to_csv,
-    type_estimate_to_csv,
-)
-from ballfourier.transforms import jeft_field, transform_field
+from ballfourier.serialize import results_to_json, type_estimate_to_csv
 
 
 def small_field():
@@ -22,41 +13,6 @@ def small_field():
     f = sample_bump(BumpSpec(dim=2, radius=1.0), radial, boundary)
     sgrid = SpectralGrid.gauss_legendre(5, 6.0)
     return f, sgrid
-
-
-def test_transform_field_csv_format():
-    f, sgrid = small_field()
-    field = transform_field(f, sgrid, provenance="unit-bump")
-    csv = transform_field_to_csv(field)
-    lines = csv.split("\r\n")
-    assert lines[0] == "lambda,b_index,re,im"
-    assert lines[-1] == ""  # trailing CRLF
-    assert len(lines) == 2 + 5 * 8
-    first = lines[1].split(",")
-    assert len(first) == 4
-    float(first[0]), int(first[1]), float(first[2]), float(first[3])
-
-
-def test_jeft_field_csv_header():
-    f, sgrid = small_field()
-    xs = np.array([[0.0, 0.0], [0.2, 0.1]])
-    field = jeft_field(f, sgrid, xs, provenance="unit-bump")
-    csv = jeft_field_to_csv(field)
-    assert csv.split("\r\n")[0] == "lambda,x_index,re,im"
-
-
-def test_field_json_round_trip_and_stability():
-    f, sgrid = small_field()
-    field = transform_field(f, sgrid, provenance="p")
-    a = field_to_json(field)
-    b = field_to_json(field)
-    assert a == b
-    doc = json.loads(a)
-    assert doc["kind"] == "transform_field"
-    assert doc["provenance"] == "p"
-    vals = np.array(doc["values_re"]) + 1j * np.array(doc["values_im"])
-    assert np.allclose(vals, field.values)
-    assert np.allclose(doc["grids"]["spectral_nodes"], sgrid.nodes)
 
 
 def test_type_estimate_csv():

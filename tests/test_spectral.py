@@ -9,6 +9,7 @@ from ballfourier.spectral import (
     c_function,
     eigenvalue_of,
     plancherel_density,
+    plancherel_density_table,
     spherical_phi,
 )
 
@@ -142,6 +143,15 @@ def test_plancherel_density_positivity_and_roundtrip():
             assert dens > 0
             c = c_function(dim, lam, method="asymptotic_fit" if dim == 2 else "auto").c
             assert dens * abs(c) ** 2 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_plancherel_density_table_closed_forms_match_fit_oracle():
+    # the oracle's two-radius fit is singular at lam = k pi / 2 and loses
+    # digits next to those points; its worst node here is 18.85, 4e-4 from 6 pi
+    lams = np.linspace(0.05, 30.0, 600)
+    fit = np.array([plancherel_density(2, lam) for lam in lams])
+    assert np.max(np.abs(plancherel_density_table(2, lams) - fit) / fit) <= 1e-7
+    assert np.array_equal(plancherel_density_table(3, lams), lams**2)
 
 
 def test_eigenvalue_examples():

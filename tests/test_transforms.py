@@ -27,7 +27,8 @@ from ballfourier.grids import (
 )
 from ballfourier.spectral import spherical_phi
 from ballfourier.transforms import (
-    KAPPA_D3,
+    FAR_RADIUS,
+    KAPPA,
     TransformUsageError,
     _poisson_far,
     asymptotic_limit_residual,
@@ -40,7 +41,7 @@ from ballfourier.transforms import (
     invert,
     jeft,
     jeft_direct,
-    jeft_many,
+    jeft_grid,
     kaverage_bridge_residual,
     laplace_beltrami_residual,
     plancherel_residual,
@@ -264,9 +265,18 @@ def test_jeft_far_route_matches_direct_convolution_d2(disk_bumps):
 def test_jeft_many_matches_scalar(disk_bumps):
     f = disk_bumps[1]
     xs = np.array([[0.1, 0.2], [0.5, -0.1], [0.97, 0.0]])
-    vals = jeft_many(f, 1.3, xs)
+    vals = jeft_grid(f, [1.3], xs)[0]
     for i, x in enumerate(xs):
         assert abs(vals[i] - jeft(f, 1.3, x)) <= 1e-12
+
+
+def test_jeft_grid_matches_direct_on_both_sides_of_far_radius(disk_bumps):
+    f = disk_bumps[1]
+    xs = np.array([polar_to_point(FAR_RADIUS[2] + dr, [0.8, 0.6]).coords for dr in (-0.05, 0.05)])
+    lams = (0.9, 2.1)
+    for lam, got in zip(lams, jeft_grid(f, lams, xs)):
+        ref = jeft_direct(f, lam, xs)
+        assert np.all(np.abs(got - ref) <= 1e-6 * np.maximum(np.abs(ref), 1e-12))
 
 
 def test_linearity_of_forward_transform(disk_bumps):
@@ -280,9 +290,9 @@ def test_linearity_of_forward_transform(disk_bumps):
 
 
 def test_kappa_calibration_matches_analytic_value():
-    assert calibrate_kappa(3) == KAPPA_D3
+    assert calibrate_kappa(3) == KAPPA
     k2 = calibrate_kappa(2)
-    assert abs(k2 - KAPPA_D3) <= 1e-3 * KAPPA_D3
+    assert abs(k2 - KAPPA) <= 1e-3 * KAPPA
 
 
 def test_invert_zero_function():
@@ -317,6 +327,20 @@ def test_invert_shifted_bump_d2():
         truth = float(spec(x.coords))
         res = invert(f, x, sgrid)
         assert abs(res.value - truth) / truth <= 1e-2
+
+
+def test_invert_on_point_array_matches_per_point(disk_bumps):
+    f = disk_bumps[1]
+    sgrid = SpectralGrid.gauss_legendre(16, 8.0)
+    xs = np.array([[0.1, 0.2], [-0.4, 0.5]])
+    results = invert(f, xs, sgrid)
+    assert len(results) == len(xs)
+    for x, res in zip(xs, results):
+        one = invert(f, x, sgrid)
+        # batched and single-row products may round differently
+        assert abs(res.value - one.value) <= 1e-13 * abs(one.value)
+        assert res.tail_fraction == pytest.approx(one.tail_fraction, rel=1e-12)
+        assert (res.truncated, res.kappa) == (one.truncated, one.kappa)
 
 
 def test_invert_reports_truncation_for_tiny_spectral_range():
