@@ -94,6 +94,29 @@ class BoundaryGrid:
         return len(self.weights)
 
 
+def azimuthal_layout(boundary: BoundaryGrid):
+    """(n_rows, n_phi) when the directions are exactly those of disk/sphere, else None.
+
+    Those grids are uniform in azimuth row by row (one row for d = 2), which
+    makes kernels of the angle between two grid directions circulant in the
+    azimuth difference.
+    """
+    dirs = boundary.directions
+    if len(dirs) == 0:
+        return None
+    if boundary.dim == 2:
+        n_rows, n_phi = 1, len(dirs)
+        expected = BoundaryGrid.disk(n_phi)
+    else:
+        # one polar row per Gauss-Legendre node, all sharing the first row's z
+        n_phi = int(np.count_nonzero(dirs[:, 2] == dirs[0, 2]))
+        n_rows = len(dirs) // max(n_phi, 1)
+        if n_rows * n_phi != len(dirs):
+            return None
+        expected = BoundaryGrid.sphere(n_rows, n_phi)
+    return (n_rows, n_phi) if np.array_equal(dirs, expected.directions) else None
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Gauss-Legendre nodes on (0, lam_max] for real-spectrum integrals."""

@@ -490,7 +490,8 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir=None) -> int:
     """Execute a scenario, write results.json and CSV artifacts, return exit code.
 
     Exit code 0 when all checks pass, 1 on any check failure; configuration
-    errors raise ConfigError before any work starts (CLI maps them to 2).
+    errors raise ConfigError before any file is written (CLI maps them to 2),
+    among them a tolerance override naming no check of the scenario.
     Numeric errors inside the run surface as failed checks.
     """
     import pathlib
@@ -507,6 +508,14 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir=None) -> int:
     except Exception as exc:  # numeric/runtime failures become failed checks
         checks = [CheckResult("scenario_error", float("nan"), 0.0, False, note=repr(exc))]
         artifacts = {}
+    else:
+        # a scenario's check names are known once it has run
+        unknown = sorted({key for key, _ in cfg.tolerances} - {c.name for c in checks})
+        if unknown:
+            raise ConfigError(
+                f"--tol names no check of {name}: {', '.join(unknown)} "
+                f"(checks: {', '.join(c.name for c in checks)})"
+            )
     wall = time.perf_counter() - t0
     for name_override, tol in cfg.tolerances:
         for c in checks:

@@ -9,6 +9,10 @@ Boundary integrals at evaluation points far from the origin switch to an
 exponentially graded angular rule: the Poisson kernel peak has width ~e^-r
 and a fixed product grid cannot resolve it (same substitution as the d=2
 spherical function).
+
+The forward slice at the directions of a disk or sphere grid is an exact
+FFT convolution over the azimuth; explicit directions and other grids take
+the dense Busemann sum, which is also the oracle of the FFT route.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .grids import (
     BoundaryGrid,
     SampledFunction,
     SpectralGrid,
+    azimuthal_layout,
     integrate_spectrum,
     k_average_profile,
 )
@@ -80,13 +85,20 @@ def helgason_forward(f: SampledFunction, lam: complex, b):
 def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     """Forward transform on a lam grid in one pass: values of shape (n_lam, m).
 
-    Shares the Busemann matrix across spectral nodes chunk by chunk, which is
-    what makes full-grid sweeps affordable in three dimensions.
+    With ``bs=None`` the slice is taken at the grid's own directions.  When
+    those are the directions of ``BoundaryGrid.disk`` or ``BoundaryGrid.sphere``
+    (``azimuthal_layout``) the slice is an exact circular convolution in
+    azimuth and runs by FFT.  An explicit ``bs``, or any other grid, takes the
+    dense route: one Busemann matrix per chunk of directions, shared across
+    the spectral nodes.
     """
+    lams = np.asarray(lams, dtype=complex)
     if bs is None:
+        layout = azimuthal_layout(f.boundary)
+        if layout is not None:
+            return _slices_fft(f, lams, *layout)
         bs = f.boundary.directions
     bs = np.atleast_2d(np.asarray(bs, dtype=float))
-    lams = np.asarray(lams, dtype=complex)
     pts, wv = _support_data(f)
     rho = half_root_sum(f.dim)
     out = np.empty((len(lams), len(bs)), dtype=complex)
@@ -96,6 +108,34 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
         for k, lam in enumerate(lams):
             out[k, i : i + step] = wv @ np.exp((-1j * lam + rho) * B)
     return out
+
+
+def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -> np.ndarray:
+    """boundary_slices on the grid's own directions by FFT over the azimuth.
+
+    A sample tanh(r_i/2) w_(a,p) against the direction b_(c,s) (polar rows
+    a, c; azimuth indices p, s) has a Busemann value that depends only on
+    r_i, a, c and s - p, so each slice row is a circular convolution in
+    azimuth whose kernel is the Busemann matrix of the azimuth-0 samples
+    against all directions.  That kernel is built once per chunk of radial
+    rows and shared across lam; per lam it costs one exp, one FFT and one
+    contraction, n_phi times fewer exponentials than the dense route.
+    """
+    mask = f.support_mask
+    wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
+    g_hat = np.fft.fft(wv, axis=-1)
+    first = f.points[mask][:, ::n_phi]  # (rows, n_rows, dim): azimuth index 0
+    rho = half_root_sum(f.dim)
+    acc = np.zeros((len(lams), n_rows, n_phi), dtype=complex)
+    step = max(1, _CHUNK // (n_rows * len(f.boundary)))
+    for i in range(0, len(first), step):
+        B = busemann_field(first[i : i + step].reshape(-1, f.dim), f.boundary.directions)
+        B = B.reshape(-1, n_rows, n_rows, n_phi)
+        for k, lam in enumerate(lams):
+            kernel = (-1j * lam + rho) * B
+            np.exp(kernel, out=kernel)
+            acc[k] += np.einsum("iaq,iacq->cq", g_hat[i : i + step], np.fft.fft(kernel, axis=-1))
+    return np.fft.ifft(acc, axis=-1).reshape(len(lams), n_rows * n_phi)
 
 
 def poisson(F, boundary: BoundaryGrid, lam: complex, x):

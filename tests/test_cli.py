@@ -115,6 +115,15 @@ def test_cli_tol_override_can_fail_a_check(tmp_path, run_cli):
     assert "d3_fit_vs_closed_max_rel" in failed
 
 
+def test_cli_tol_override_for_unknown_check_is_usage_error(tmp_path, run_cli):
+    out = tmp_path / "ct3"
+    r = run_cli("run", "c-table", "--out", str(out), "--tol", "no_such_check=1e-3")
+    assert r.returncode == 2
+    assert "no_such_check" in r.stderr
+    assert not (out / "results.json").exists()
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_under_resolved_inversion_fails_with_truncation_warning(tmp_path, run_cli):
     out = tmp_path / "inv"
     r = run_cli(

@@ -11,6 +11,7 @@ from ballfourier.grids import (
     ConfigurationError,
     RadialGrid,
     SpectralGrid,
+    azimuthal_layout,
     integrate_B,
     integrate_spectrum,
     integrate_X,
@@ -223,3 +224,26 @@ def test_linear_combinations_drop_descriptor():
     h = 2.0 * f + (-1.0) * f if False else (f + f)
     assert h.bump is None
     assert np.allclose(h.values, 2 * f.values)
+
+
+@pytest.mark.parametrize(
+    "grid,layout",
+    [(BoundaryGrid.disk(n), (1, n)) for n in (1, 2, 3, 7, 128, 257)]
+    + [(BoundaryGrid.sphere(*rows), rows) for rows in ((1, 1), (1, 5), (2, 3), (5, 1), (7, 9), (24, 48))],
+)
+def test_azimuthal_layout_recognizes_constructor_grids(grid, layout):
+    assert azimuthal_layout(grid) == layout
+
+
+@pytest.mark.parametrize("grid", [BoundaryGrid.disk(16), BoundaryGrid.sphere(6, 8)])
+def test_azimuthal_layout_rejects_rotated_or_permuted_grids(grid):
+    rot = random_rotation(np.random.default_rng(5), grid.dim)
+    rotated = BoundaryGrid(grid.dim, grid.directions @ rot.matrix.T, grid.weights)
+    assert azimuthal_layout(rotated) is None
+    # a shift of the azimuth index, and a reversal of the direction order
+    for perm in (np.roll(np.arange(len(grid)), 1), np.arange(len(grid))[::-1]):
+        permuted = BoundaryGrid(grid.dim, grid.directions[perm], grid.weights[perm])
+        assert azimuthal_layout(permuted) is None
+    # a copy with identical directions is recognized: the test is on values, not identity
+    copy = BoundaryGrid(grid.dim, grid.directions.copy(), grid.weights.copy())
+    assert azimuthal_layout(copy) == azimuthal_layout(grid)

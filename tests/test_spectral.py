@@ -136,6 +136,16 @@ def test_c_fit_ill_conditioned_radii_raise_and_retry_works():
     assert np.isfinite(shifted.c)
 
 
+def test_c_fit_raises_near_singular_lam_and_shifted_radii_recover():
+    # |det| = 2 |sin(2 lam)| = 1.2e-5 with the default radii: the fit would be
+    # 3e-6 off the closed-form density without raising
+    lam = 11.0 * np.pi / 2.0 + 3e-6
+    with pytest.raises(FitConditioningError):
+        c_function(2, lam)
+    c = c_function(2, lam, fit_radii=(12.6, 14.2)).c
+    assert 1.0 / abs(c) ** 2 == pytest.approx(np.pi * lam * np.tanh(np.pi * lam), rel=1e-7)
+
+
 def test_plancherel_density_positivity_and_roundtrip():
     for dim in (2, 3):
         for lam in (0.1, 1.0, 10.0):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ballfourier.geometry import (
@@ -14,17 +15,20 @@ from ballfourier.geometry import (
     dist,
     polar_to_point,
     random_isometry,
+    random_rotation,
 )
 from ballfourier.grids import (
     BoundaryGrid,
     BumpSpec,
     RadialGrid,
     SpectralGrid,
+    azimuthal_layout,
     integrate_B,
     sample_bump,
     translate_bump,
     zero_function,
 )
+from ballfourier.paley_wiener import OVERFLOW_EXPONENT
 from ballfourier.spectral import spherical_phi
 from ballfourier.transforms import (
     FAR_RADIUS,
@@ -277,6 +281,55 @@ def test_jeft_grid_matches_direct_on_both_sides_of_far_radius(disk_bumps):
     for lam, got in zip(lams, jeft_grid(f, lams, xs)):
         ref = jeft_direct(f, lam, xs)
         assert np.all(np.abs(got - ref) <= 1e-6 * np.maximum(np.abs(ref), 1e-12))
+
+
+@st.composite
+def slice_cases(draw):
+    """A bump on a disk or sphere grid and a few lam, real or inside the overflow guard."""
+    dim = draw(st.sampled_from([2, 3]))
+    if dim == 2:
+        boundary = BoundaryGrid.disk(draw(st.integers(1, 40)))
+    else:
+        boundary = BoundaryGrid.sphere(draw(st.integers(2, 12)), draw(st.integers(3, 32)))
+    vectors = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
+    direction = vectors.filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+    shift = draw(st.floats(0.0, 1.5))
+    spec = BumpSpec(
+        dim=dim,
+        radius=draw(st.floats(0.3, 1.5)),
+        center=Isometry.translation(np.tanh(0.5 * shift) * draw(direction)),
+        alpha=draw(st.floats(-1.0, 1.0)),
+        axis=draw(direction),
+    )
+    radial = RadialGrid.gauss_legendre(draw(st.integers(4, 32)), spec.support_radius + 0.5)
+    im_max = OVERFLOW_EXPONENT / spec.support_radius
+    lam = st.one_of(
+        st.floats(0.0, 20.0),
+        st.builds(complex, st.floats(-20.0, 20.0), st.floats(-im_max, im_max)),
+    )
+    return sample_bump(spec, radial, boundary), draw(st.lists(lam, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(slice_cases())
+def test_fft_slice_matches_dense_oracle(case):
+    f, lams = case
+    assert azimuthal_layout(f.boundary) is not None
+    fast = boundary_slices(f, lams)
+    dense = boundary_slices(f, lams, f.boundary.directions)
+    assert fast.shape == dense.shape == (len(lams), len(f.boundary))
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_rotated_grid_takes_dense_route():
+    spec = BumpSpec(dim=3, radius=1.0, center=Isometry.translation([0.3, 0.1, -0.2]), alpha=0.5)
+    radial, boundary = ball_setup(n_r=24, r_max=3.0, n_theta=6, n_phi=10)
+    rot = random_rotation(np.random.default_rng(8), 3)
+    rotated = BoundaryGrid(3, boundary.directions @ rot.matrix.T, boundary.weights)
+    assert azimuthal_layout(rotated) is None
+    f = sample_bump(spec, radial, rotated)
+    lams = [0.7, 2.0 - 1.0j]
+    assert np.array_equal(boundary_slices(f, lams), boundary_slices(f, lams, rotated.directions))
 
 
 def test_linearity_of_forward_transform(disk_bumps):
