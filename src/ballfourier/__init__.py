@@ -50,6 +50,7 @@ from .transforms import (
     EigenCheck,
     InversionResult,
     PlancherelReport,
+    TransformRangeError,
     TransformUsageError,
     asymptotic_limit_residual,
     boundary_slices,
@@ -72,9 +73,7 @@ from .paley_wiener import holomorphy_circle_residual
 from .paley_wiener import (
     DecayReport,
     PwMembershipReport,
-    TransformRangeError,
     TypeEstimate,
-    complex_transform,
     decay_report,
     estimate_type,
     pw_membership_report,

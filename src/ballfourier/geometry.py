@@ -17,8 +17,6 @@ BALL_TOL = 1e-12
 # Escape tolerance for isometry application (closed-ball consistency check).
 ESCAPE_TOL = 1e-10
 
-WEYL_ORDER = 2
-
 
 class GeometryError(ValueError):
     """Invalid geometric input (dimension mismatch, point outside the ball, ...)."""

@@ -24,6 +24,9 @@ from .geometry import (
     _as_coords,
 )
 
+# Relative spread across the boundary below which samples count as radial.
+_RADIAL_TOL = 1e-10
+
 
 class ConfigurationError(ValueError):
     """Grid/bump parameters violate a precondition (support exceeding R_max, ...)."""
@@ -242,11 +245,11 @@ class SampledFunction:
             )
         return self.bump(points)
 
-    def is_radial(self, tol: float = 1e-10) -> bool:
+    def is_radial(self) -> bool:
         """True when samples are boundary-independent (K-invariant function)."""
         spread = np.max(np.abs(self.values - self.values.mean(axis=1, keepdims=True)))
         scale = max(1.0, np.max(np.abs(self.values)))
-        return bool(spread <= tol * scale)
+        return bool(spread <= _RADIAL_TOL * scale)
 
     def radial_profile(self) -> np.ndarray:
         return self.values.mean(axis=1)

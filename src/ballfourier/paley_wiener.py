@@ -23,39 +23,36 @@ import numpy as np
 from .geometry import busemann_field, half_root_sum, sphere_area, _as_coords
 from .grids import BoundaryGrid, RadialGrid, SampledFunction, SpectralGrid, integrate_B
 from .spectral import spherical_phi
-from .transforms import boundary_slices, helgason_forward, laplace_beltrami_residual, poisson
+# TransformRangeError is re-exported: the guard lives in boundary_slices.
+from .transforms import (
+    OVERFLOW_EXPONENT,
+    TransformRangeError,
+    boundary_slices,
+    helgason_forward,
+    laplace_beltrami_residual,
+    poisson,
+)
 
-# Largest allowed |Im lam| * support_radius: keeps the kernel below ~e^40.
-OVERFLOW_EXPONENT = 40.0
-
-
-class TransformRangeError(ValueError):
-    """Requested spectral parameter violates the overflow guard."""
+# Mean-value circle of holomorphy_circle_residual.
+_CIRCLE_RADIUS = 0.1
+_CIRCLE_NODES = 32
+# Highest polynomial order of decay_report.
+_DECAY_MAX_ORDER = 4
+# Pass bounds of pw_membership_report.
+_EIGEN_TOL = 1e-4
+_SUPPORT_TOL = 0.05
 
 
 class TypeFitError(RuntimeError):
     """Exponential-type fit failed (underflow or no admissible window)."""
 
 
-def complex_transform(f: SampledFunction, lam: complex, b):
-    """Forward transform at complex lam (entire in lam by compact support)."""
-    lam = complex(lam)
-    if abs(lam.imag) * max(f.support_radius, 1e-9) > OVERFLOW_EXPONENT:
-        raise TransformRangeError(
-            f"|Im lam| * support = {abs(lam.imag) * f.support_radius:.1f} exceeds "
-            f"the overflow guard {OVERFLOW_EXPONENT}"
-        )
-    return helgason_forward(f, lam, b)
-
-
-def holomorphy_circle_residual(
-    f: SampledFunction, center: complex, b, radius: float = 0.1, n_nodes: int = 32
-) -> float:
+def holomorphy_circle_residual(f: SampledFunction, center: complex, b) -> float:
     """Mean-value test: the circle average of the transform minus its center value."""
-    angles = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    ring = center + radius * np.exp(1j * angles)
-    vals = np.array([complex_transform(f, z, b) for z in ring])
-    return float(abs(vals.mean() - complex_transform(f, center, b)))
+    angles = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
+    ring = center + _CIRCLE_RADIUS * np.exp(1j * angles)
+    vals = np.array([helgason_forward(f, z, b) for z in ring])
+    return float(abs(vals.mean() - helgason_forward(f, center, b)))
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ class DecayReport:
         }
 
 
-def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None, n_max: int = 4) -> DecayReport:
+def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None) -> DecayReport:
     """Windowed sups of (1 + lam)^N |fhat(lam, b)| over the last two dyadic windows.
 
     For K-invariant inputs the slice equals the spherical transform and the
@@ -230,18 +227,18 @@ def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None, n_max: int =
     lam = sgrid.nodes
     lo = (lam >= 0.25 * sgrid.lam_max) & (lam < 0.5 * sgrid.lam_max)
     hi = lam >= 0.5 * sgrid.lam_max
+    orders = tuple(range(_DECAY_MAX_ORDER + 1))
     if not np.any(mags):
-        orders = tuple(range(n_max + 1))
         return DecayReport(orders, {n: (0.0, 0.0) for n in orders}, {n: True for n in orders}, True, vacuous=True)
     sups = {}
     verdicts = {}
-    for n in range(n_max + 1):
+    for n in orders:
         weighted = (1.0 + lam) ** n * mags
         s_lo = float(np.max(weighted[lo]))
         s_hi = float(np.max(weighted[hi]))
         sups[n] = (s_lo, s_hi)
         verdicts[n] = bool(s_hi <= s_lo * (1.0 + 1e-9))
-    return DecayReport(tuple(range(n_max + 1)), sups, verdicts, all(verdicts.values()))
+    return DecayReport(orders, sups, verdicts, all(verdicts.values()))
 
 
 @dataclass(frozen=True)
@@ -276,12 +273,7 @@ class PwMembershipReport:
         }
 
 
-def pw_membership_report(
-    f: SampledFunction,
-    lam: float,
-    eigen_tol: float = 1e-4,
-    support_tol: float = 0.05,
-) -> PwMembershipReport:
+def pw_membership_report(f: SampledFunction, lam: float) -> PwMembershipReport:
     """Three-part joint-eigenspace membership check at real lam != 0.
 
     (a) the transform output is a Laplace-Beltrami eigenfunction,
@@ -301,11 +293,11 @@ def pw_membership_report(
     probe_dir[0] = 1.0
     x = np.tanh(0.5) * probe_dir  # radius 1 probe point
     chk = laplace_beltrami_residual(lambda pts: poisson(sl, f.boundary, lam, pts), f.dim, lam, x)
-    eigen_ok = chk.skipped or chk.residual <= eigen_tol
+    eigen_ok = chk.skipped or chk.residual <= _EIGEN_TOL
     est = estimate_type(f)
     declared = float(f.support_radius)
     rec_err = abs(est.radius_estimate - declared) / declared if declared > 0 else np.inf
-    type_ok = bool(rec_err <= support_tol and np.all(est.fit_residuals <= _FIT_RESIDUAL_BOUND))
+    type_ok = bool(rec_err <= _SUPPORT_TOL and np.all(est.fit_residuals <= _FIT_RESIDUAL_BOUND))
     norm_ok = bool(np.isfinite(norm))
     return PwMembershipReport(
         lam,

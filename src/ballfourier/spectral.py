@@ -3,14 +3,14 @@
 The spectral parameter lam is a complex scalar (rank one).  For H^3 the
 spherical function has the closed form sin(lam r) / (lam sinh r); for H^2 it
 is the conical Legendre function P_{-1/2 + i lam}(cosh r), evaluated as the
-boundary integral of the horocycle kernel.
+boundary integral of the horocycle kernel (the Poisson transform of the
+constant 1).
 
-Two exact realizations of that integral are used: the plain trapezoid rule
-in the boundary angle (accurate while the kernel peak, of width ~e^-r, is
-resolved by the node spacing) and an exponentially graded substitution
-tan(theta/2) = e^-r sinh(v) that keeps the integrand analytic in a uniform
-strip, accurate for every radius.  Both are tested against each other and
-against an external conical-function oracle.
+That integral is taken with one exponentially graded rule,
+tan(theta/2) = e^-r sinh(v), which keeps the integrand analytic in a uniform
+strip and is accurate at every radius; graded_rule builds its nodes and
+weights, and the far-point Poisson transform uses the same rule.  It is
+tested against an external conical-function oracle.
 """
 
 from __future__ import annotations
@@ -50,35 +50,47 @@ def _phi3(lam: complex, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi2_theta(lam: complex, r: np.ndarray, n_theta: int) -> np.ndarray:
-    """Trapezoid rule in the boundary angle; valid while n_theta resolves the kernel peak."""
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    s = 1j * lam + 0.5
-    base = np.cosh(r)[:, None] - np.sinh(r)[:, None] * np.cos(theta)[None, :]
-    return np.exp(-s * np.log(base)).mean(axis=1)
+def graded_rule(lam: complex, r_max: float, dim: int, max_step: float = np.inf):
+    """Nodes v and weights of the graded rule on [0, r_max + 38].
+
+    The step resolves the oscillation rate 2|Re lam| and is capped by
+    ``max_step``.  The d = 2 integrands are even in v and the half-line
+    trapezoid converges exponentially; the d = 3 measure sin(theta) d(theta)
+    is odd in v, which degrades the trapezoid to O(h^2), so composite
+    16-point Gauss-Legendre panels are used there instead.
+    """
+    h = min(2.0 * np.pi / (2.0 * abs(complex(lam).real) + 30.0), max_step)
+    v_max = r_max + 38.0
+    if dim == 2:
+        n = int(np.ceil(v_max / h)) + 1
+        v = np.linspace(0.0, v_max, n)
+        w = np.full(n, v[1] - v[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return v, w
+    panel = min(1.0, 6.0 * h)
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, v_max, int(np.ceil(v_max / panel)) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    v = (0.5 * (hi - lo)[:, None] * (xg + 1.0)[None, :] + lo[:, None]).ravel()
+    w = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
+    return v, w
 
 
-def _phi2_graded(lam: complex, r: np.ndarray, refine: float = 1.0) -> np.ndarray:
+def _phi2_graded(lam: complex, r: np.ndarray) -> np.ndarray:
     """Graded substitution tan(theta/2) = e^-r sinh(v).
 
     phi_lam(r) = (2/pi) e^{(s-1)r} * Int_0^inf cosh(v)^{1-2s} (1 + e^{-2r} sinh^2 v)^{s-1} dv
 
     with s = i lam + 1/2.  The integrand is even in v, analytic in the strip
-    |Im v| < pi/2 uniformly in r, and decays like e^{-(v - r)}; the trapezoid
-    step is set from the oscillation rate 2|Re lam|.
+    |Im v| < pi/2 uniformly in r, and decays like e^{-(v - r)}.
     """
     s = 1j * lam + 0.5
-    h = 2.0 * np.pi / (2.0 * abs(complex(lam).real) + 30.0) / refine
-    v_max = float(np.max(r, initial=0.0)) + 38.0
-    n = int(np.ceil(v_max / h)) + 1
-    v = np.linspace(0.0, v_max, n)
-    w = np.full(n, v[1] - v[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    v, w = graded_rule(lam, float(np.max(r, initial=0.0)), 2)
     log_cosh = np.log(np.cosh(v))
     sinh_sq = np.sinh(v) ** 2
     out = np.empty(len(r), dtype=complex)
-    block = max(1, int(4e6 / n))
+    block = max(1, int(4e6 / len(v)))
     for i in range(0, len(r), block):
         q = np.log1p(np.exp(-2.0 * r[i : i + block, None]) * sinh_sq[None, :])
         # single exp keeps intermediate magnitudes bounded for Re(s) far from 1/2
@@ -87,13 +99,7 @@ def _phi2_graded(lam: complex, r: np.ndarray, refine: float = 1.0) -> np.ndarray
     return (2.0 / np.pi) * np.exp((s - 1.0) * r) * out
 
 
-def _theta_rule_radius(lam: complex, n_theta: int) -> float:
-    """Largest radius at which the plain theta rule is trusted for this node count."""
-    guard = 60.0 + 10.0 * abs(complex(lam).real)
-    return max(0.0, np.log(2.0 * n_theta / guard))
-
-
-def spherical_phi(dim: int, lam: complex, r, n_theta: int = 256):
+def spherical_phi(dim: int, lam: complex, r):
     """Spherical function phi_lam at geodesic radius r (scalar or array).
 
     phi_lam(0) = 1 for every lam; phi_lam = phi_(-lam).  For dim == 2 the
@@ -106,13 +112,7 @@ def spherical_phi(dim: int, lam: complex, r, n_theta: int = 256):
     if dim == 3:
         out = _phi3(lam, r_arr)
     elif dim == 2:
-        out = np.empty(r_arr.shape, dtype=complex)
-        r_switch = _theta_rule_radius(lam, n_theta) if abs(lam.imag) < 0.05 else 0.0
-        near = r_arr <= r_switch
-        if np.any(near):
-            out[near] = _phi2_theta(lam, r_arr[near], n_theta)
-        if np.any(~near):
-            out[~near] = _phi2_graded(lam, r_arr[~near], refine=max(1.0, n_theta / 256.0))
+        out = _phi2_graded(lam, r_arr)
     else:
         raise GeometryError(f"dimension must be 2 or 3, got {dim}")
     return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
@@ -125,12 +125,12 @@ class CFunctionValue:
     method: str
 
 
-def _fit_leading_coefficient(dim: int, lam: complex, fit_radii, n_theta: int) -> complex:
+def _fit_leading_coefficient(dim: int, lam: complex, fit_radii) -> complex:
     """Solve u(r_k) = c+ e^{i lam r_k} + c- e^{-i lam r_k} for u = phi * e^{rho r}."""
     rho = half_root_sum(dim)
     r1, r2 = fit_radii
     rs = np.array([r1, r2], dtype=float)
-    u = spherical_phi(dim, lam, rs, n_theta=n_theta) * np.exp(rho * rs)
+    u = spherical_phi(dim, lam, rs) * np.exp(rho * rs)
     system = np.array(
         [
             [np.exp(1j * lam * r1), np.exp(-1j * lam * r1)],
@@ -153,7 +153,6 @@ def c_function(
     lam: complex,
     method: str = "auto",
     fit_radii=(12.0, 14.0),
-    n_theta: int = 256,
 ) -> CFunctionValue:
     """Harish-Chandra c-function, normalized so phi_lam ~ c(lam) e^{(i lam - rho) r}.
 
@@ -171,7 +170,7 @@ def c_function(
             raise ValueError("closed_form_d3 is only available for dim == 3")
         return CFunctionValue(lam, 1.0 / (1j * lam), "closed_form_d3")
     if method == "asymptotic_fit":
-        c = _fit_leading_coefficient(dim, lam, fit_radii, n_theta)
+        c = _fit_leading_coefficient(dim, lam, fit_radii)
         return CFunctionValue(lam, c, "asymptotic_fit")
     raise ValueError(f"unknown c-function method {method!r}")
 

@@ -5,10 +5,11 @@ their composition (the joint-eigenspace transform, both by factorization and
 by the distance-kernel convolution oracle), spherical transform, inversion,
 Plancherel, and the residuals used to verify the identities connecting them.
 
-Boundary integrals at evaluation points far from the origin switch to an
-exponentially graded angular rule: the Poisson kernel peak has width ~e^-r
-and a fixed product grid cannot resolve it (same substitution as the d=2
-spherical function).
+Boundary integrals at evaluation points far from the origin switch to the
+exponentially graded angular rule of the d=2 spherical function
+(spectral.graded_rule): the Poisson kernel peak has width ~e^-r and a fixed
+product grid cannot resolve it.  jeft_grid is the one place that picks the
+joint-eigenspace route.
 
 The forward slice at the directions of a disk or sphere grid is an exact
 FFT convolution over the azimuth; explicit directions and other grids take
@@ -43,6 +44,7 @@ from .grids import (
 from .spectral import (
     c_function,
     eigenvalue_of,
+    graded_rule,
     plancherel_density,
     plancherel_density_table,
     spherical_phi,
@@ -57,11 +59,20 @@ FAR_RADIUS = {2: 3.2, 3: 2.2}
 # Spaces, Fourier analysis on H^n); calibrate_kappa cross-checks it for d = 2.
 KAPPA = 1.0 / (2.0 * np.pi**2)
 
+# Largest allowed |Im lam| * support_radius: keeps the kernel below ~e^40.
+OVERFLOW_EXPONENT = 40.0
+
 _CHUNK = 4_000_000
+# Azimuthal nodes of the d = 3 graded Poisson rule.
+_FAR_N_PHI = 96
 
 
 class TransformUsageError(ValueError):
     """Operation called outside its contract (non-radial input, bad radius, ...)."""
+
+
+class TransformRangeError(ValueError):
+    """Requested spectral parameter violates the overflow guard."""
 
 
 def _support_data(f: SampledFunction):
@@ -75,7 +86,8 @@ def helgason_forward(f: SampledFunction, lam: complex, b):
     """Forward transform: quadrature of f(x) e^{(-i lam + rho)(A(x, b))} over dmu.
 
     ``b`` may be a single boundary point or an (m, d) array of unit vectors;
-    lam may be complex (the integrand is entire in lam).
+    lam may be complex (the integrand is entire in lam), inside the overflow
+    guard of boundary_slices.
     """
     coords = _as_coords(b, f.dim)
     out = boundary_slices(f, [lam], np.atleast_2d(coords))[0]
@@ -91,8 +103,16 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     azimuth and runs by FFT.  An explicit ``bs``, or any other grid, takes the
     dense route: one Busemann matrix per chunk of directions, shared across
     the spectral nodes.
+
+    Raises TransformRangeError when max |Im lam| * support_radius exceeds
+    OVERFLOW_EXPONENT.
     """
     lams = np.asarray(lams, dtype=complex)
+    growth = np.max(np.abs(lams.imag), initial=0.0) * f.support_radius
+    if growth > OVERFLOW_EXPONENT:
+        raise TransformRangeError(
+            f"|Im lam| * support = {growth:.1f} exceeds the overflow guard {OVERFLOW_EXPONENT}"
+        )
     if bs is None:
         layout = azimuthal_layout(f.boundary)
         if layout is not None:
@@ -158,35 +178,13 @@ def _orthonormal_frame(omega: np.ndarray):
     return p, q
 
 
-def _graded_angle_rule(lam: complex, r: float, dim: int, tail: float = 38.0, max_step: float = np.inf):
-    """Nodes v, weights, mapped polar angle theta(v) for tan(theta/2) = e^{-r} sinh(v).
-
-    The d = 2 integrand is even in v and the half-line trapezoid converges
-    exponentially; the d = 3 measure sin(theta) d(theta) is odd in v, which
-    degrades the trapezoid to O(h^2), so composite Gauss-Legendre panels are
-    used there instead.
-    """
-    h = min(2.0 * np.pi / (2.0 * abs(complex(lam).real) + 30.0), max_step)
-    v_max = r + tail
-    if dim == 2:
-        n = int(np.ceil(v_max / h)) + 1
-        v = np.linspace(0.0, v_max, n)
-        w = np.full(n, v[1] - v[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:
-        panel = min(1.0, 6.0 * h)
-        xg, wg = np.polynomial.legendre.leggauss(16)
-        edges = np.linspace(0.0, v_max, int(np.ceil(v_max / panel)) + 1)
-        lo, hi = edges[:-1], edges[1:]
-        v = (0.5 * (hi - lo)[:, None] * (xg + 1.0)[None, :] + lo[:, None]).ravel()
-        w = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
+def _graded_angle_rule(v: np.ndarray, r: float):
+    """t = tan(theta/2) = e^{-r} sinh(v) and the polar angle theta at graded nodes v."""
     t = np.exp(-r) * np.sinh(v)
-    theta = 2.0 * np.arctan(t)
-    return v, w, t, theta
+    return t, 2.0 * np.arctan(t)
 
 
-def _poisson_far(F_eval, dim: int, lam: complex, x, angular_scale: float, n_phi: int = 96):
+def _poisson_far(F_eval, dim: int, lam: complex, x, angular_scale: float):
     """Graded Poisson transform at a far interior point.
 
     ``F_eval`` maps an (m, d) array of boundary directions to boundary values.
@@ -198,7 +196,8 @@ def _poisson_far(F_eval, dim: int, lam: complex, x, angular_scale: float, n_phi:
     rho = half_root_sum(dim)
     lam = complex(lam)
     # the boundary density's angular feature scale also caps the step
-    v, w, t, theta = _graded_angle_rule(lam, r, dim, max_step=angular_scale / 3.0)
+    v, w = graded_rule(lam, r, dim, max_step=angular_scale / 3.0)
+    t, theta = _graded_angle_rule(v, r)
     # kernel in log form: (cosh r - sinh r cos theta) = e^{-r} cosh^2 v / (1 + t^2)
     log_base = -r + 2.0 * np.log(np.cosh(v)) - np.log1p(t * t)
     kernel = np.exp(-(1j * lam + rho) * log_base)
@@ -211,18 +210,18 @@ def _poisson_far(F_eval, dim: int, lam: complex, x, angular_scale: float, n_phi:
         Fm = np.asarray(F_eval(bm))
         return np.sum(w * kernel * dtheta * (Fp + Fm)) / (2.0 * np.pi)
     p, q = _orthonormal_frame(omega)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phi = 2.0 * np.pi * np.arange(_FAR_N_PHI) / _FAR_N_PHI
     sin_t = 2.0 * t / (1.0 + t * t)
     cos_t = (1.0 - t * t) / (1.0 + t * t)
     # sin(theta) dtheta/dv
     dens = 4.0 * t * np.exp(-r) * np.cosh(v) / (1.0 + t * t) ** 2
     ring = np.cos(phi)[:, None] * p[None, :] + np.sin(phi)[:, None] * q[None, :]
     total = 0.0 + 0.0j
-    block = max(1, _CHUNK // (n_phi * 8))
+    block = max(1, _CHUNK // (_FAR_N_PHI * 8))
     for i in range(0, len(v), block):
         sl = slice(i, i + block)
         bs = cos_t[sl, None, None] * omega[None, None, :] + sin_t[sl, None, None] * ring[None, :, :]
-        Fv = np.asarray(F_eval(bs.reshape(-1, 3))).reshape(-1, n_phi)
+        Fv = np.asarray(F_eval(bs.reshape(-1, 3))).reshape(-1, _FAR_N_PHI)
         total += np.sum((w[sl] * kernel[sl] * dens[sl]) * Fv.mean(axis=1))
     return total / 2.0
 
@@ -242,22 +241,11 @@ def spherical_transform(f: SampledFunction, lam):
 
 
 def jeft(f: SampledFunction, lam: complex, x):
-    """Joint-eigenspace transform by factorization: Poisson of the boundary slice.
+    """Joint-eigenspace transform at one point: jeft_grid(f, [lam], x).
 
-    Near the origin this is the product-grid composition; beyond FAR_RADIUS
-    the graded angular rule is used (with the exact spherical-transform
-    shortcut for K-invariant inputs, for which the boundary slice is flat).
+    The route (radial, near or far) is picked by jeft_grid's route table.
     """
-    coords = _as_coords(x, f.dim)
-    r_x = dist(np.zeros(f.dim), coords)
-    if r_x <= FAR_RADIUS[f.dim]:
-        return complex(poisson(boundary_slices(f, [lam])[0], f.boundary, lam, coords))
-    if f.is_radial():
-        return complex(spherical_transform(f, lam) * spherical_phi(f.dim, lam, r_x))
-    scale = 2.0 * np.exp(-f.support_radius)
-    return complex(
-        _poisson_far(lambda bs: helgason_forward(f, lam, bs), f.dim, lam, coords, scale)
-    )
+    return complex(jeft_grid(f, [lam], x)[0, 0])
 
 
 def jeft_direct(f: SampledFunction, lam: complex, x):
@@ -278,10 +266,15 @@ def jeft_direct(f: SampledFunction, lam: complex, x):
 def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
     """jeft(f, lam_k, x_j) for every spectral value and point, shape (n_lam, n_x).
 
-    The boundary slices are computed once and shared across evaluation
-    points; points beyond FAR_RADIUS take the graded route of jeft.  Radial
-    inputs use the exact spherical-transform shortcut: their slice is
-    constant in b, so this is still the factorization.
+    The joint-eigenspace transform by factorization, the Poisson transform of
+    the boundary slice.  Route table (the only place the route is chosen):
+
+    - radial (K-invariant) input, any point: spherical transform times
+      phi_lam(|x|), exact because the slice is constant in b;
+    - |x| <= FAR_RADIUS: ``poisson`` of the grid slice, computed once per lam
+      and shared across points;
+    - |x| > FAR_RADIUS: the graded rule ``_poisson_far`` over slices taken at
+      the rule's own directions, which the product grid cannot resolve.
     """
     lams = np.atleast_1d(lams)
     xs = np.atleast_2d(_as_coords(xs, f.dim))
@@ -294,12 +287,14 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
     near = radii <= FAR_RADIUS[f.dim]
     if np.any(near):
         slices = boundary_slices(f, lams)
-        rho = half_root_sum(f.dim)
-        B = busemann_field(xs[near], f.boundary.directions)
         for k, lam in enumerate(lams):
-            out[k, near] = np.exp((1j * lam + rho) * B) @ (f.boundary.weights * slices[k])
+            out[k, near] = poisson(slices[k], f.boundary, lam, xs[near])
+    scale = 2.0 * np.exp(-f.support_radius)
     for j in np.nonzero(~near)[0]:
-        out[:, j] = [jeft(f, lam, xs[j]) for lam in lams]
+        for k, lam in enumerate(lams):
+            out[k, j] = _poisson_far(
+                lambda bs: boundary_slices(f, [lam], bs)[0], f.dim, lam, xs[j], scale
+            )
     return out
 
 

@@ -7,13 +7,12 @@ from ballfourier.geometry import BoundaryPoint, Isometry, random_rotation
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump, zero_function
 from ballfourier.paley_wiener import (
     TransformRangeError,
-    complex_transform,
     decay_report,
     estimate_type,
     holomorphy_circle_residual,
     pw_membership_report,
 )
-from ballfourier.transforms import helgason_forward
+from ballfourier.transforms import boundary_slices, helgason_forward
 
 
 def dense_disk(radius, shift=0.0, alpha=0.0, profile="smooth", n_r=512):
@@ -32,24 +31,20 @@ def dense_ball(radius, shift=0.0, n_r=384):
     return sample_bump(spec, radial, BoundaryGrid.sphere(32, 64))
 
 
-def test_complex_transform_agrees_with_forward_on_real_axis():
-    f = dense_disk(1.0, n_r=128)
-    b = BoundaryPoint([1.0, 0.0])
-    assert complex_transform(f, 1.5, b) == helgason_forward(f, 1.5, b)
-
-
-def test_complex_transform_overflow_guard():
+def test_forward_overflow_guard():
     f = dense_disk(1.0, n_r=64)
     with pytest.raises(TransformRangeError):
-        complex_transform(f, 60.0j, BoundaryPoint([1.0, 0.0]))
+        helgason_forward(f, 60.0j, BoundaryPoint([1.0, 0.0]))
+    with pytest.raises(TransformRangeError):
+        boundary_slices(f, [1.0, 60.0j])
 
 
 def test_conjugation_symmetry_for_real_valued_function():
     f = dense_disk(1.2, shift=0.4, n_r=256)
     b = BoundaryPoint([0.6, 0.8])
     for lam in (0.7 + 0.3j, 2.0 - 0.5j):
-        lhs = complex_transform(f, -np.conj(lam), b)
-        rhs = np.conj(complex_transform(f, lam, b))
+        lhs = helgason_forward(f, -np.conj(lam), b)
+        rhs = np.conj(helgason_forward(f, lam, b))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 

@@ -60,20 +60,13 @@ def test_phi_bounded_by_phi0(dim):
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
 def test_phi2_matches_conical_function_oracle():
-    for lam in (0.0, 1.3, 6.0, 15.0):
-        for r in (0.2, 1.0, 3.0, 7.0, 12.0):
+    # small radii and moderate lam are where the graded rule replaced a plain
+    # trapezoid in the boundary angle
+    for lam in (0.0, 0.4, 1.3, 2.7, 6.0, 15.0):
+        for r in (0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 12.0):
             ref = conical_oracle(lam, r)
             got = spherical_phi(2, lam, r)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
-
-
-def test_phi2_node_doubling_stability():
-    # doubling the angular node count changes nothing to 1e-10, r <= 10, |lam| <= 10
-    r = np.linspace(0.0, 10.0, 21)
-    for lam in (0.0, 1.0, 5.0, 10.0):
-        a = spherical_phi(2, lam, r, n_theta=256)
-        b = spherical_phi(2, lam, r, n_theta=512)
-        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 @pytest.mark.parametrize("dim,lam,r", [(2, 1.5, 0.8), (2, 6.0, 3.0), (3, 2.0, 1.2), (3, 0.5, 4.0)])
