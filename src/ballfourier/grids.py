@@ -32,8 +32,9 @@ class ConfigurationError(ValueError):
     """Grid/bump parameters violate a precondition (support exceeding R_max, ...)."""
 
 
-def _gauss_legendre(n: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _affine(rule, a: float, b: float):
+    """The rule (x, w) on [-1, 1] mapped to [a, b]."""
+    x, w = rule
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
@@ -47,9 +48,19 @@ class RadialGrid:
 
     @staticmethod
     def gauss_legendre(n: int, r_max: float) -> "RadialGrid":
-        if n <= 0 or r_max <= 0:
+        if n <= 0:
             raise ConfigurationError("radial grid needs n > 0 and r_max > 0")
-        nodes, weights = _gauss_legendre(n, 0.0, r_max)
+        return RadialGrid.from_legendre(np.polynomial.legendre.leggauss(n), r_max)
+
+    @staticmethod
+    def from_legendre(rule, r_max: float) -> "RadialGrid":
+        """A Gauss-Legendre rule (x, w) on [-1, 1], from leggauss, mapped to [0, r_max].
+
+        Callers that need one node count on several ranges build the rule once.
+        """
+        if r_max <= 0:
+            raise ConfigurationError("radial grid needs n > 0 and r_max > 0")
+        nodes, weights = _affine(rule, 0.0, r_max)
         return RadialGrid(nodes, weights, float(r_max))
 
     def __len__(self):
@@ -132,7 +143,7 @@ class SpectralGrid:
     def gauss_legendre(n: int, lam_max: float) -> "SpectralGrid":
         if n <= 0 or lam_max <= 0:
             raise ConfigurationError("spectral grid needs n > 0 and lam_max > 0")
-        nodes, weights = _gauss_legendre(n, 0.0, lam_max)
+        nodes, weights = _affine(np.polynomial.legendre.leggauss(n), 0.0, lam_max)
         return SpectralGrid(nodes, weights, float(lam_max))
 
     def __len__(self):

@@ -27,8 +27,8 @@ from .spectral import spherical_phi
 from .transforms import (
     OVERFLOW_EXPONENT,
     TransformRangeError,
+    TransformUsageError,
     boundary_slices,
-    helgason_forward,
     laplace_beltrami_residual,
     poisson,
 )
@@ -48,11 +48,18 @@ class TypeFitError(RuntimeError):
 
 
 def holomorphy_circle_residual(f: SampledFunction, center: complex, b) -> float:
-    """Mean-value test: the circle average of the transform minus its center value."""
+    """Mean-value test: the circle average of the transform minus its center value.
+
+    ``b`` is a single boundary point; the ring and its center share one
+    forward-slice call.
+    """
+    coords = _as_coords(b, f.dim)
+    if coords.ndim != 1:
+        raise TransformUsageError(f"expected a single boundary point, got shape {coords.shape}")
     angles = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     ring = center + _CIRCLE_RADIUS * np.exp(1j * angles)
-    vals = np.array([helgason_forward(f, z, b) for z in ring])
-    return float(abs(vals.mean() - helgason_forward(f, center, b)))
+    vals = boundary_slices(f, np.append(ring, center), coords[None, :])[:, 0]
+    return float(abs(vals[:-1].mean() - vals[-1]))
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,26 @@ def _fit_growth_rate(sigma: np.ndarray, logmag: np.ndarray, rho: float):
     raise TypeFitError("no trailing sigma-window met the fit residual bound")
 
 
-def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: np.ndarray) -> np.ndarray:
+def _profile_rule(f: SampledFunction):
+    """Nodes and radial-transform weights of the centered profile, or None.
+
+    Built once per estimate_type call for unmodulated bumps (see
+    _imaginary_axis_log_magnitudes); other inputs get None.
+    """
+    spec = f.bump
+    if spec is None or spec.alpha != 0.0:
+        return None
+    prof = RadialGrid.gauss_legendre(512, spec.radius)
+    if spec.profile == "smooth":
+        beta = np.exp(-1.0 / (1.0 - (prof.nodes / spec.radius) ** 2))
+    else:
+        beta = np.ones(len(prof))
+    beta = beta * abs(spec.amplitude)
+    w = sphere_area(f.dim) * prof.weights * np.sinh(prof.nodes) ** (f.dim - 1) * beta
+    return prof.nodes, w
+
+
+def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: np.ndarray, profile) -> np.ndarray:
     """log |fhat(i sigma, b)| as an (n_b, n_sigma) array.
 
     Along the imaginary axis the kernel concentrates in angular features of
@@ -108,25 +134,17 @@ def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: n
         fhat(i sigma, b) = e^{(sigma + rho) A(c, b)} * (radial transform of
                            the centered profile at i sigma),
 
-    and both factors are evaluated with dense 1-d rules.  Other inputs fall
-    back to the product grid, whose angular resolution then caps the usable
-    sigma range.
+    and both factors are evaluated with dense 1-d rules (``profile``, from
+    _profile_rule).  Other inputs fall back to the product grid, whose angular
+    resolution then caps the usable sigma range.
     """
     rho = half_root_sum(f.dim)
-    spec = f.bump
-    if spec is not None and spec.alpha == 0.0:
-        center = spec.center.origin_image()
-        bus = busemann_field(center[None, :], bs)[0]
-        prof = RadialGrid.gauss_legendre(512, spec.radius)
-        if spec.profile == "smooth":
-            beta = np.exp(-1.0 / (1.0 - (prof.nodes / spec.radius) ** 2))
-        else:
-            beta = np.ones(len(prof))
-        beta = beta * abs(spec.amplitude)
-        w = sphere_area(f.dim) * prof.weights * np.sinh(prof.nodes) ** (f.dim - 1) * beta
+    if profile is not None:
+        nodes, w = profile
+        bus = busemann_field(f.bump.center.origin_image()[None, :], bs)[0]
         log_ft = np.empty(len(sigmas))
         for k, sig in enumerate(sigmas):
-            ft = np.sum(w * np.real(spherical_phi(f.dim, -1j * sig, prof.nodes)))
+            ft = np.sum(w * np.real(spherical_phi(f.dim, -1j * sig, nodes)))
             if not np.isfinite(ft) or abs(ft) < 1e-300:
                 raise TypeFitError("radial transform under/overflow on the imaginary axis")
             log_ft[k] = np.log(abs(ft))
@@ -163,10 +181,11 @@ def estimate_type(
         np.asarray(boundary_points, dtype=float)
     )
     rho = half_root_sum(f.dim)
+    profile = _profile_rule(f)
 
     def one_pass(smax: float):
         sig = np.linspace(max(0.5, smax / 2.0), smax, n_sigma)
-        logmag = _imaginary_axis_log_magnitudes(f, sig, bs)
+        logmag = _imaginary_axis_log_magnitudes(f, sig, bs, profile)
         slopes = np.empty(len(bs))
         resids = np.empty(len(bs))
         starts = np.empty(len(bs), dtype=int)

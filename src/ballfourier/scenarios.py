@@ -300,10 +300,11 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     checks = []
     artifacts = {}
     worst_rec = 0.0
+    rule = np.polynomial.legendre.leggauss(cfg.radial_nodes)
     for radius in (1.0, 2.0, 3.0):
         for shift in (0.0, 1.0):
             spec = _bump_spec(cfg, alpha=0.0, shift=shift, radius=radius)
-            radial = RadialGrid.gauss_legendre(cfg.radial_nodes, spec.support_radius + 4.0)
+            radial = RadialGrid.from_legendre(rule, spec.support_radius + 4.0)
             f = sample_bump(spec, radial, _boundary(cfg))
             est = estimate_type(f)
             target = spec.support_radius
@@ -317,7 +318,7 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
             artifacts[f"type_estimate_{tag}.csv"] = serialize.type_estimate_to_csv(est)
     # holomorphy of the extension: mean-value circles at random centers
     spec = _bump_spec(cfg, alpha=0.3, shift=0.3, radius=1.0)
-    radial = RadialGrid.gauss_legendre(cfg.radial_nodes, spec.support_radius + 4.0)
+    radial = RadialGrid.from_legendre(rule, spec.support_radius + 4.0)
     f = sample_bump(spec, radial, _boundary(cfg))
     b = np.zeros(cfg.dim)
     b[0] = 1.0
@@ -328,10 +329,10 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     checks.append(CheckResult("holomorphy_circle_max", holo, 1e-8, holo <= 1e-8))
     # real-axis decay: smooth passes all orders, the rough profile must fail one
     dgrid = SpectralGrid.gauss_legendre(300, 48.0)
-    smooth = sample_bump(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0),
-                         RadialGrid.gauss_legendre(cfg.radial_nodes, 6.0), _boundary(cfg))
+    radial = RadialGrid.from_legendre(rule, 6.0)
+    smooth = sample_bump(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), radial, _boundary(cfg))
     rough_spec = BumpSpec(dim=cfg.dim, radius=2.0, profile="indicator")
-    rough = sample_bump(rough_spec, RadialGrid.gauss_legendre(cfg.radial_nodes, 6.0), _boundary(cfg))
+    rough = sample_bump(rough_spec, radial, _boundary(cfg))
     rep_s = decay_report(smooth, b, sgrid=dgrid)
     rep_r = decay_report(rough, b, sgrid=dgrid)
     checks.append(CheckResult("decay_smooth_passes", float(rep_s.passed), 1.0, rep_s.passed))

@@ -159,12 +159,31 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -
 
 
 def poisson(F, boundary: BoundaryGrid, lam: complex, x):
-    """Poisson transform of boundary samples F at interior point(s) x."""
-    xs = np.atleast_2d(_as_coords(x))
+    """Poisson transform of boundary samples F at interior point(s) x.
+
+    ``F`` may also be stacked, shape (n_lam, m), with ``lam`` an array of
+    n_lam values: row k is transformed at lam[k], all rows share one Busemann
+    matrix, and the values have shape (n_lam, n_x).  A single point x drops
+    the last axis.
+    """
+    coords = _as_coords(x)
+    F = np.asarray(F)
+    if F.ndim not in (1, 2) or np.shape(lam) != F.shape[:-1]:
+        raise TransformUsageError(
+            f"poisson needs F of shape (m,) with one lam or (n_lam, m) with n_lam lams; "
+            f"got F {F.shape}, lam {np.shape(lam)}"
+        )
     rho = half_root_sum(boundary.dim)
-    B = busemann_field(xs, boundary.directions)
-    vals = np.exp((1j * complex(lam) + rho) * B) @ (boundary.weights * np.asarray(F))
-    return vals[0] if np.ndim(_as_coords(x)) == 1 else vals
+    B = busemann_field(np.atleast_2d(coords), boundary.directions)
+    vals = np.array(
+        [
+            np.exp((1j * complex(l) + rho) * B) @ (boundary.weights * row)
+            for l, row in zip(np.atleast_1d(lam), np.atleast_2d(F))
+        ]
+    )
+    if coords.ndim == 1:
+        vals = vals[:, 0]
+    return vals[0] if F.ndim == 1 else vals
 
 
 def _orthonormal_frame(omega: np.ndarray):
@@ -271,8 +290,8 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
 
     - radial (K-invariant) input, any point: spherical transform times
       phi_lam(|x|), exact because the slice is constant in b;
-    - |x| <= FAR_RADIUS: ``poisson`` of the grid slice, computed once per lam
-      and shared across points;
+    - |x| <= FAR_RADIUS: ``poisson`` of the grid slices, one Busemann matrix
+      for all lam and points;
     - |x| > FAR_RADIUS: the graded rule ``_poisson_far`` over slices taken at
       the rule's own directions, which the product grid cannot resolve.
     """
@@ -286,9 +305,7 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
     out = np.empty((len(lams), len(xs)), dtype=complex)
     near = radii <= FAR_RADIUS[f.dim]
     if np.any(near):
-        slices = boundary_slices(f, lams)
-        for k, lam in enumerate(lams):
-            out[k, near] = poisson(slices[k], f.boundary, lam, xs[near])
+        out[:, near] = poisson(boundary_slices(f, lams), f.boundary, lams, xs[near])
     scale = 2.0 * np.exp(-f.support_radius)
     for j in np.nonzero(~near)[0]:
         for k, lam in enumerate(lams):

@@ -34,6 +34,19 @@ def test_radial_grid_weight_sum():
     assert np.sum(g.weights) == pytest.approx(16.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 97, 384])
+def test_radial_grid_from_shared_legendre_rule(n):
+    """One leggauss rule mapped to several ranges equals a fresh rule per range."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    for r_max in (0.7, 5.0, 6.0, 7.3, 16.0):
+        got = RadialGrid.from_legendre((x, w), r_max)
+        ref = RadialGrid.gauss_legendre(n, r_max)
+        assert np.array_equal(got.nodes, ref.nodes) and np.array_equal(got.weights, ref.weights)
+        assert np.array_equal(got.nodes, 0.5 * r_max * (x + 1.0))
+        assert np.array_equal(got.weights, 0.5 * r_max * w)
+        assert got.r_max == ref.r_max == r_max
+
+
 def test_boundary_grid_mass():
     assert np.sum(BoundaryGrid.disk(256).weights) == pytest.approx(1.0, abs=1e-13)
     sph = BoundaryGrid.sphere(48, 96)

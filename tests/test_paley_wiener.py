@@ -12,7 +12,7 @@ from ballfourier.paley_wiener import (
     holomorphy_circle_residual,
     pw_membership_report,
 )
-from ballfourier.transforms import boundary_slices, helgason_forward
+from ballfourier.transforms import TransformUsageError, boundary_slices, helgason_forward
 
 
 def dense_disk(radius, shift=0.0, alpha=0.0, profile="smooth", n_r=512):
@@ -55,6 +55,34 @@ def test_holomorphy_circle_mean_value():
     for _ in range(10):
         center = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
         assert holomorphy_circle_residual(f, center, b) <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_holomorphy_circle_matches_per_node_forward_loop(dim):
+    """One slice call over ring and center equals one helgason_forward per node, bit for bit."""
+    if dim == 2:
+        f = dense_disk(1.0, shift=0.3, alpha=0.4, n_r=64)
+    else:
+        spec = BumpSpec(dim=3, radius=1.0, center=Isometry.translation([0.15, 0.0, 0.0]), alpha=0.3)
+        f = sample_bump(spec, RadialGrid.gauss_legendre(48, 5.5), BoundaryGrid.sphere(8, 16))
+    b = np.eye(dim)[0]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        center = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
+        angles = 2.0 * np.pi * np.arange(32) / 32
+        ring = center + 0.1 * np.exp(1j * angles)
+        vals = np.array([helgason_forward(f, z, b) for z in ring])
+        expected = float(abs(vals.mean() - helgason_forward(f, center, b)))
+        assert holomorphy_circle_residual(f, center, b) == expected
+        assert holomorphy_circle_residual(f, center, BoundaryPoint(b)) == expected
+
+
+def test_holomorphy_circle_rejects_several_directions():
+    f = dense_disk(1.0, n_r=64)
+    with pytest.raises(TransformUsageError):
+        holomorphy_circle_residual(f, 1.0 + 0.5j, BoundaryGrid.disk(4).directions)
+    with pytest.raises(TransformUsageError):
+        holomorphy_circle_residual(f, 1.0 + 0.5j, np.array([[1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("dim,radius", [(2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)])

@@ -24,7 +24,7 @@ except ImportError:  # pragma: no cover
 def conical_oracle(lam, r):
     """Independent evaluation of P_{-1/2 + i lam}(cosh r) via mpmath."""
     mpmath.mp.dps = 30
-    nu = mpmath.mpf(-0.5) + 1j * mpmath.mpf(lam)
+    nu = mpmath.mpf(-0.5) + 1j * mpmath.mpc(lam)
     return complex(mpmath.legenp(nu, 0, mpmath.cosh(mpmath.mpf(r))))
 
 
@@ -64,6 +64,14 @@ def test_phi2_matches_conical_function_oracle():
     # trapezoid in the boundary angle
     for lam in (0.0, 0.4, 1.3, 2.7, 6.0, 15.0):
         for r in (0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 12.0):
+            ref = conical_oracle(lam, r)
+            got = spherical_phi(2, lam, r)
+            assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+    # complex lam: along the imaginary axis (the exponential-type probe) the
+    # integrand peaks at v = 0 with width ~1/sqrt|Im lam|, which the graded
+    # step must resolve
+    for lam in (-2j, -8j, -20j, -30j, -36j, 2.0 - 0.35j, 0.7 + 0.3j, 6.0 - 1.5j, 0.4, 15.0):
+        for r in (0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0):
             ref = conical_oracle(lam, r)
             got = spherical_phi(2, lam, r)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))

@@ -162,6 +162,32 @@ def test_poisson_of_constant_is_spherical_function(dim, disk_bumps, ball_bumps):
             assert abs(got - spherical_phi(dim, lam, r)) <= 1e-9
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_poisson_equals_per_lam_calls(dim, disk_bumps, ball_bumps):
+    f = disk_bumps[1] if dim == 2 else ball_bumps[1]
+    lams = np.array([0.4, 1.7, 3.1 - 0.2j])
+    slices = boundary_slices(f, lams)
+    xs = np.array([polar_to_point(r, np.eye(dim)[0]).coords for r in (0.3, 1.1, 2.0)])
+    got = poisson(slices, f.boundary, lams, xs)
+    ref = np.array([poisson(slices[k], f.boundary, lam, xs) for k, lam in enumerate(lams)])
+    assert got.shape == (3, 3) and np.array_equal(got, ref)
+    one = poisson(slices, f.boundary, lams, xs[1])
+    ref_one = np.array([poisson(slices[k], f.boundary, lam, xs[1]) for k, lam in enumerate(lams)])
+    assert one.shape == (3,) and np.array_equal(one, ref_one)
+
+
+def test_poisson_rejects_mismatched_lams(disk_bumps):
+    f = disk_bumps[1]
+    slices = boundary_slices(f, [0.4, 1.7])
+    x = Point([0.2, 0.1])
+    with pytest.raises(TransformUsageError):
+        poisson(slices, f.boundary, [0.4, 1.7, 2.0], x)
+    with pytest.raises(TransformUsageError):
+        poisson(slices, f.boundary, 0.4, x)
+    with pytest.raises(TransformUsageError):
+        poisson(slices[0], f.boundary, [0.4], x)
+
+
 def test_poisson_at_origin_is_boundary_integral(disk_bumps):
     f = disk_bumps[1]
     F = boundary_slices(f, [1.2])[0]
