@@ -57,7 +57,6 @@ from .transforms import (
     calibrate_kappa,
     eigen_equation_residual,
     functional_equation_residual,
-    helgason_e_mismatch,
     helgason_forward,
     invert,
     jeft,

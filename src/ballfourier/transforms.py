@@ -6,10 +6,10 @@ by the distance-kernel convolution oracle), spherical transform, inversion,
 Plancherel, and the residuals used to verify the identities connecting them.
 
 Boundary integrals at evaluation points far from the origin switch to the
-exponentially graded angular rule of the d=2 spherical function
-(spectral.graded_rule): the Poisson kernel peak has width ~e^-r and a fixed
-product grid cannot resolve it.  jeft_grid is the one place that picks the
-joint-eigenspace route.
+exponentially graded angular rule graded_rule, tan(theta/2) = e^-r sinh(v):
+the Poisson kernel peak has width ~e^-r and a fixed product grid cannot
+resolve it.  The far Poisson transform is its only user.  jeft_grid is the
+one place that picks the joint-eigenspace route.
 
 The forward slice at the directions of a disk or sphere grid is an exact
 FFT convolution over the azimuth; explicit directions and other grids take
@@ -44,7 +44,6 @@ from .grids import (
 from .spectral import (
     c_function,
     eigenvalue_of,
-    graded_rule,
     plancherel_density,
     plancherel_density_table,
     spherical_phi,
@@ -195,6 +194,42 @@ def _orthonormal_frame(omega: np.ndarray):
     p /= np.linalg.norm(p)
     q = np.cross(omega, p)
     return p, q
+
+
+def graded_rule(lam: complex, r_max: float, dim: int, max_step: float = np.inf):
+    """Nodes v and weights of the far Poisson rule on [0, r_max + 38].
+
+    The substitution tan(theta/2) = e^{-r} sinh(v) resolves the Poisson
+    kernel peak, of width ~e^{-r} at radius r, in a uniform strip of v.  The
+    step resolves the oscillation rate 2|Re lam| and the peak at v = 0, of
+    width ~1/sqrt|Im lam|, that the growth rate 2|Im lam| builds, and is
+    capped by ``max_step``.  The d = 2 integrands are even in v and the
+    half-line trapezoid converges exponentially; the d = 3 measure
+    sin(theta) d(theta) is odd in v, which degrades the trapezoid to O(h^2),
+    so composite 16-point Gauss-Legendre panels are used there instead.
+
+    The far Poisson transform is its only user.  The H^2 spherical function
+    takes a midpoint rule on its Mehler-Dirichlet integral instead (see
+    spectral), with about |Re lam| r/2 nodes and no tail, within 3e-15 of
+    the mpmath conical function on the real and imaginary axes.
+    """
+    lam = complex(lam)
+    h = min(2.0 * np.pi / (2.0 * abs(lam.real) + 2.0 * abs(lam.imag) + 30.0), max_step)
+    v_max = r_max + 38.0
+    if dim == 2:
+        n = int(np.ceil(v_max / h)) + 1
+        v = np.linspace(0.0, v_max, n)
+        w = np.full(n, v[1] - v[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return v, w
+    panel = min(1.0, 6.0 * h)
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, v_max, int(np.ceil(v_max / panel)) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    v = (0.5 * (hi - lo)[:, None] * (xg + 1.0)[None, :] + lo[:, None]).ravel()
+    w = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
+    return v, w
 
 
 def _graded_angle_rule(v: np.ndarray, r: float):
@@ -548,9 +583,3 @@ def eigen_equation_residual(f: SampledFunction, lam: float, x, h: float = 1e-3) 
         return poisson(sl, f.boundary, lam, pts)
 
     return laplace_beltrami_residual(u, f.dim, lam, x, h=h)
-
-
-def helgason_e_mismatch(f: SampledFunction, lam: complex, b) -> float:
-    """|jeft(f, lam, origin) - forward transform at b|: zero only in special cases."""
-    origin = np.zeros(f.dim)
-    return float(abs(jeft(f, lam, origin) - helgason_forward(f, lam, _as_coords(b, f.dim))))

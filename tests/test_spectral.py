@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ballfourier.geometry import GeometryError
 from ballfourier.spectral import (
     CFunctionPoleError,
     FitConditioningError,
@@ -12,6 +13,7 @@ from ballfourier.spectral import (
     plancherel_density_table,
     spherical_phi,
 )
+from ballfourier.transforms import _poisson_far
 
 try:
     import mpmath
@@ -24,7 +26,12 @@ except ImportError:  # pragma: no cover
 def conical_oracle(lam, r):
     """Independent evaluation of P_{-1/2 + i lam}(cosh r) via mpmath."""
     mpmath.mp.dps = 30
-    nu = mpmath.mpf(-0.5) + 1j * mpmath.mpc(lam)
+    lam = complex(lam)
+    # a real degree stays an mpf: legenp raises TypeError on an mpc integer degree
+    if lam.real == 0.0:
+        nu = mpmath.mpf(-0.5) - mpmath.mpf(lam.imag)
+    else:
+        nu = mpmath.mpf(-0.5) + 1j * mpmath.mpc(lam)
     return complex(mpmath.legenp(nu, 0, mpmath.cosh(mpmath.mpf(r))))
 
 
@@ -60,21 +67,74 @@ def test_phi_bounded_by_phi0(dim):
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
 def test_phi2_matches_conical_function_oracle():
-    # small radii and moderate lam are where the graded rule replaced a plain
-    # trapezoid in the boundary angle
-    for lam in (0.0, 0.4, 1.3, 2.7, 6.0, 15.0):
-        for r in (0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 12.0):
+    # the midpoint rule is sized by |Re lam| r / 2 plus transition terms:
+    # real lam up to 48 at the c-fit radii 12, 14, 16 are its largest rules
+    for lam in (0.0, 0.4, 1.3, 2.7, 6.0, 15.0, 24.0, 33.3, 48.0):
+        for r in (0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 12.0, 14.0, 16.0):
             ref = conical_oracle(lam, r)
             got = spherical_phi(2, lam, r)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
-    # complex lam: along the imaginary axis (the exponential-type probe) the
-    # integrand peaks at v = 0 with width ~1/sqrt|Im lam|, which the graded
-    # step must resolve
-    for lam in (-2j, -8j, -20j, -30j, -36j, 2.0 - 0.35j, 0.7 + 0.3j, 6.0 - 1.5j, 0.4, 15.0):
+    # complex lam: cos(lam r cos theta) carries cosh(Im lam r cos theta), a
+    # peak at theta = 0 of width ~1/sqrt(|Im lam| r) that the rule must resolve
+    for lam in (-2j, -8j, -20j, -30j, -36j, 2.0 - 0.35j, 0.7 + 0.3j, 6.0 - 1.5j, 20.0 - 2.0j, 40.0 - 1.0j):
         for r in (0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0):
             ref = conical_oracle(lam, r)
             got = spherical_phi(2, lam, r)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
+def test_phi2_imaginary_axis_matches_conical_function_oracle():
+    # lam = -i sigma is the exponential-type probe; at sigma = 1/2, 3/2 the
+    # degree -1/2 + sigma of the conical function is an integer
+    for sigma in (0.25, 0.5, 1.0, 1.5, 2.5, 4.0, 7.5, 12.0, 20.0, 30.0, 40.0):
+        for r in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0):
+            if sigma * r > 40.0:
+                continue
+            ref = conical_oracle(-1j * sigma, r)
+            got = spherical_phi(2, -1j * sigma, r)
+            assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
+def test_phi2_mixed_radii_in_one_call():
+    # one rule per call is sized by the largest radius; r = 0 and tiny r
+    # share it with r = 16
+    r = np.array([0.0, 1e-7, 16.0, 0.0, 2.5, 1e-7, 9.0])
+    for lam in (0.0, 3.3, 48.0, -2.5j, 4.0 - 1.0j):
+        got = spherical_phi(2, lam, r)
+        for k, rk in enumerate(r):
+            ref = conical_oracle(lam, rk)
+            assert abs(got[k] - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.7, 9.0, 2.0 - 0.5j, -3.0j])
+def test_phi2_matches_far_poisson_transform_of_one(lam):
+    # phi_lam is the Poisson transform of the constant 1: the graded far rule
+    # is an independent route to the same value
+    for r, psi in ((3.0, 0.3), (6.0, 2.0), (10.0, -1.1)):
+        x = np.tanh(0.5 * r) * np.array([np.cos(psi), np.sin(psi)])
+        ref = _poisson_far(lambda bs: np.ones(len(bs)), 2, lam, x, np.inf)
+        got = spherical_phi(2, lam, r)
+        assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "lam,r",
+    [
+        (1.0, np.nan),
+        (1.0, np.inf),
+        (1.0, [0.5, np.nan]),
+        (np.nan, 1.0),
+        (np.inf, 1.0),
+        (complex(2.0, np.inf), 1.0),
+        (complex(np.nan, 0.0), [0.0, 1.0]),
+    ],
+)
+def test_phi_rejects_non_finite_input(dim, lam, r):
+    with pytest.raises(GeometryError):
+        spherical_phi(dim, lam, r)
 
 
 @pytest.mark.parametrize("dim,lam,r", [(2, 1.5, 0.8), (2, 6.0, 3.0), (3, 2.0, 1.2), (3, 0.5, 4.0)])

@@ -40,7 +40,6 @@ from ballfourier.transforms import (
     calibrate_kappa,
     eigen_equation_residual,
     functional_equation_residual,
-    helgason_e_mismatch,
     helgason_forward,
     invert,
     jeft,
@@ -580,21 +579,3 @@ def test_jeft_linearity(disk_bumps):
     lhs = jeft(h, 1.2, x)
     rhs = jeft(centered, 1.2, x) + jeft(shifted, 1.2, x)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
-def test_helgason_e_mismatch_radial_vanishes(disk_bumps):
-    f = disk_bumps[0]
-    m = helgason_e_mismatch(f, 1.0, BoundaryPoint([0.0, 1.0]))
-    assert m <= 1e-8
-
-
-def test_helgason_e_mismatch_positive_for_shifted(disk_bumps):
-    f = disk_bumps[1]
-    m = helgason_e_mismatch(f, 1.0, BoundaryPoint([1.0, 0.0]))
-    assert m > 1e-3
-
-
-def test_helgason_e_mismatch_zero_function():
-    radial, boundary = disk_setup(16, 5.0, 16)
-    f = zero_function(2, radial, boundary)
-    assert helgason_e_mismatch(f, 1.0, BoundaryPoint([1.0, 0.0])) == 0
