@@ -30,7 +30,6 @@ from .grids import (
     integrate_B,
     integrate_spectrum,
     integrate_X,
-    k_average,
     k_average_profile,
     sample_bump,
     translate_bump,

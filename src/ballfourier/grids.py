@@ -11,18 +11,11 @@ evaluation always goes through the analytic descriptor, never interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    Isometry,
-    apply_array,
-    dist,
-    sphere_area,
-    volume_weight,
-    _as_coords,
-)
+from .geometry import Isometry, apply_array, dist, sphere_area, volume_weight
 
 # Relative spread across the boundary below which samples count as radial.
 _RADIAL_TOL = 1e-10
@@ -30,6 +23,35 @@ _RADIAL_TOL = 1e-10
 
 class ConfigurationError(ValueError):
     """Grid/bump parameters violate a precondition (support exceeding R_max, ...)."""
+
+
+def legendre_rule(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in O(n^2) operations.
+
+    Three Newton steps on the three-term recurrence from Tricomi's asymptotic
+    nodes, then weights 2(1 - x^2) / (n P_{n-1}(x))^2.  Only the nonnegative
+    half is computed and mirrored, so the rule is exactly symmetric.
+    """
+    if n <= 0:
+        raise ConfigurationError("Gauss-Legendre rule needs n > 0")
+    k = np.arange(1, n // 2 + 1)
+    x = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x = np.append(x, 0.0)
+    for _ in range(3):
+        p, q = _legendre_pair(n, x)
+        x = x - p * (1.0 - x) * (1.0 + x) / (n * (q - x * p))
+    _, q = _legendre_pair(n, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * q) ** 2
+    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+
+
+def _legendre_pair(n: int, x: np.ndarray):
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, (2.0 - 1.0 / j) * x * p - (1.0 - 1.0 / j) * p_prev
+    return p, p_prev
 
 
 def _affine(rule, a: float, b: float):
@@ -50,11 +72,11 @@ class RadialGrid:
     def gauss_legendre(n: int, r_max: float) -> "RadialGrid":
         if n <= 0:
             raise ConfigurationError("radial grid needs n > 0 and r_max > 0")
-        return RadialGrid.from_legendre(np.polynomial.legendre.leggauss(n), r_max)
+        return RadialGrid.from_legendre(legendre_rule(n), r_max)
 
     @staticmethod
     def from_legendre(rule, r_max: float) -> "RadialGrid":
-        """A Gauss-Legendre rule (x, w) on [-1, 1], from leggauss, mapped to [0, r_max].
+        """A Gauss-Legendre rule (x, w) on [-1, 1], from legendre_rule, mapped to [0, r_max].
 
         Callers that need one node count on several ranges build the rule once.
         """
@@ -91,7 +113,7 @@ class BoundaryGrid:
     def sphere(n_theta: int, n_phi: int) -> "BoundaryGrid":
         if n_theta <= 0 or n_phi <= 0:
             raise ConfigurationError("boundary grid needs positive node counts")
-        mu, w_mu = np.polynomial.legendre.leggauss(n_theta)  # mu = cos(theta)
+        mu, w_mu = legendre_rule(n_theta)  # mu = cos(theta)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         sin_theta = np.sqrt(1.0 - mu**2)
         dirs = np.empty((n_theta * n_phi, 3))
@@ -143,7 +165,7 @@ class SpectralGrid:
     def gauss_legendre(n: int, lam_max: float) -> "SpectralGrid":
         if n <= 0 or lam_max <= 0:
             raise ConfigurationError("spectral grid needs n > 0 and lam_max > 0")
-        nodes, weights = _affine(np.polynomial.legendre.leggauss(n), 0.0, lam_max)
+        nodes, weights = _affine(legendre_rule(n), 0.0, lam_max)
         return SpectralGrid(nodes, weights, float(lam_max))
 
     def __len__(self):
@@ -229,15 +251,15 @@ class SampledFunction:
     values: np.ndarray  # (n_r, m) complex
     support_radius: float
     bump: BumpSpec = None
-    _points: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def points(self) -> np.ndarray:
-        """Ball coordinates of the grid nodes, shape (n_r, m, dim)."""
-        if self._points is None:
-            t = np.tanh(0.5 * self.radial.nodes)
-            self._points = t[:, None, None] * self.boundary.directions[None, :, :]
-        return self._points
+    def support_points(self) -> np.ndarray:
+        """Ball coordinates tanh(r/2) omega of the support rows, shape (n_support, m, dim).
+
+        Built on each call: beyond the support every sample is zero, so
+        nothing needs the other rows' coordinates.
+        """
+        t = np.tanh(0.5 * self.radial.nodes[self.support_mask])
+        return t[:, None, None] * self.boundary.directions[None, :, :]
 
     @property
     def support_mask(self) -> np.ndarray:
@@ -265,42 +287,19 @@ class SampledFunction:
     def radial_profile(self) -> np.ndarray:
         return self.values.mean(axis=1)
 
-    def __add__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_same_grids(other)
-        return SampledFunction(
-            self.dim,
-            self.radial,
-            self.boundary,
-            self.values + other.values,
-            max(self.support_radius, other.support_radius),
-            bump=None,
-        )
-
-    def __mul__(self, scalar) -> "SampledFunction":
-        bump = None
-        if self.bump is not None and np.isrealobj(np.asarray(scalar)):
-            bump = replace(self.bump, amplitude=self.bump.amplitude * float(scalar))
-        return SampledFunction(
-            self.dim, self.radial, self.boundary, self.values * scalar, self.support_radius, bump=bump
-        )
-
-    __rmul__ = __mul__
-
-    def _check_same_grids(self, other):
-        if self.radial is not other.radial or self.boundary is not other.boundary:
-            raise ConfigurationError("sampled functions must share grids")
-
 
 def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> SampledFunction:
-    """Sample a bump on the product grid; support must fit inside r_max."""
+    """Sample a bump on the product grid; support must fit inside r_max.
+
+    Only the support rows are evaluated; the rows beyond are exact zeros.
+    """
     if spec.support_radius > radial.r_max:
         raise ConfigurationError(
             f"bump support radius {spec.support_radius:.3f} exceeds r_max {radial.r_max}"
         )
-    f = SampledFunction(spec.dim, radial, boundary, None, spec.support_radius, bump=spec)
-    f.values = spec(f.points).astype(complex)
-    # enforce exact zeros beyond the declared support
-    f.values[~f.support_mask, :] = 0.0
+    values = np.zeros((len(radial), len(boundary)), dtype=complex)
+    f = SampledFunction(spec.dim, radial, boundary, values, spec.support_radius, bump=spec)
+    values[f.support_mask] = spec(f.support_points())
     return f
 
 
@@ -321,21 +320,6 @@ def integrate_B(values: np.ndarray, boundary: BoundaryGrid) -> complex:
 
 def integrate_spectrum(values: np.ndarray, grid: SpectralGrid) -> complex:
     return complex(np.sum(grid.weights * np.asarray(values)))
-
-
-def k_average(f: SampledFunction, post_map: Isometry, x) -> complex:
-    """Average of f(g k x) over rotations k, realized as a direction average.
-
-    Rotations push x uniformly over the Euclidean sphere of radius |x|, so
-    the Haar average equals the boundary-grid average over directions.
-    """
-    coords = _as_coords(x, f.dim)
-    norm = float(np.linalg.norm(coords))
-    pts = apply_array(post_map, norm * f.boundary.directions)
-    vals = f.evaluate(pts) if norm > 0 else f.evaluate(apply_array(post_map, coords[None, :]))
-    if norm == 0.0:
-        return complex(vals[0])
-    return complex(np.sum(f.boundary.weights * vals))
 
 
 def k_average_profile(f: SampledFunction, post_map: Isometry) -> SampledFunction:

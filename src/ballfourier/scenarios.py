@@ -21,6 +21,7 @@ from .grids import (
     BumpSpec,
     RadialGrid,
     SpectralGrid,
+    legendre_rule,
     sample_bump,
 )
 from .paley_wiener import decay_report, estimate_type, holomorphy_circle_residual
@@ -300,7 +301,7 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     checks = []
     artifacts = {}
     worst_rec = 0.0
-    rule = np.polynomial.legendre.leggauss(cfg.radial_nodes)
+    rule = legendre_rule(cfg.radial_nodes)
     for radius in (1.0, 2.0, 3.0):
         for shift in (0.0, 1.0):
             spec = _bump_spec(cfg, alpha=0.0, shift=shift, radius=radius)

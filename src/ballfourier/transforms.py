@@ -40,6 +40,7 @@ from .grids import (
     azimuthal_layout,
     integrate_spectrum,
     k_average_profile,
+    legendre_rule,
 )
 from .spectral import (
     c_function,
@@ -75,10 +76,14 @@ class TransformRangeError(ValueError):
 
 
 def _support_data(f: SampledFunction):
+    """Points and weight x value of the nonzero samples in the support rows.
+
+    A zero sample adds 0 to every kernel sum, so dropping it is exact.
+    """
     mask = f.support_mask
-    pts = f.points[mask].reshape(-1, f.dim)
-    wv = (f.node_weights()[mask] * f.values[mask]).ravel()
-    return pts, wv
+    vals = f.values[mask]
+    keep = vals != 0
+    return f.support_points()[keep], (f.node_weights()[mask] * vals)[keep]
 
 
 def helgason_forward(f: SampledFunction, lam: complex, b):
@@ -143,7 +148,8 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -
     mask = f.support_mask
     wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
     g_hat = np.fft.fft(wv, axis=-1)
-    first = f.points[mask][:, ::n_phi]  # (rows, n_rows, dim): azimuth index 0
+    # (rows, n_rows, dim): azimuth index 0, copied so the other azimuths are freed
+    first = f.support_points()[:, ::n_phi].copy()
     rho = half_root_sum(f.dim)
     acc = np.zeros((len(lams), n_rows, n_phi), dtype=complex)
     step = max(1, _CHUNK // (n_rows * len(f.boundary)))
@@ -224,7 +230,7 @@ def graded_rule(lam: complex, r_max: float, dim: int, max_step: float = np.inf):
         w[-1] *= 0.5
         return v, w
     panel = min(1.0, 6.0 * h)
-    xg, wg = np.polynomial.legendre.leggauss(16)
+    xg, wg = legendre_rule(16)
     edges = np.linspace(0.0, v_max, int(np.ceil(v_max / panel)) + 1)
     lo, hi = edges[:-1], edges[1:]
     v = (0.5 * (hi - lo)[:, None] * (xg + 1.0)[None, :] + lo[:, None]).ravel()

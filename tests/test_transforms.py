@@ -13,6 +13,7 @@ from ballfourier.geometry import (
     busemann,
     busemann_field,
     dist,
+    pairwise_dist,
     polar_to_point,
     random_isometry,
     random_rotation,
@@ -21,6 +22,7 @@ from ballfourier.grids import (
     BoundaryGrid,
     BumpSpec,
     RadialGrid,
+    SampledFunction,
     SpectralGrid,
     azimuthal_layout,
     integrate_B,
@@ -59,6 +61,13 @@ def disk_setup(n_r=96, r_max=6.0, n_b=256):
 
 def ball_setup(n_r=96, r_max=6.0, n_theta=24, n_phi=48):
     return RadialGrid.gauss_legendre(n_r, r_max), BoundaryGrid.sphere(n_theta, n_phi)
+
+
+def sampled_sum(f, g):
+    """The sampled function f + g on the grids the two share, with no analytic descriptor."""
+    assert f.radial is g.radial and f.boundary is g.boundary
+    support = max(f.support_radius, g.support_radius)
+    return SampledFunction(f.dim, f.radial, f.boundary, f.values + g.values, support)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +277,39 @@ def test_jeft_direct_radial_case_matches_spherical_transform(disk_bumps):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_dense_sums_drop_only_zero_samples(dim):
+    """Dense slice and convolution oracle against an inline sum over every support-row sample.
+
+    The shifted bump is zero on much of its support rows; leaving those
+    samples out of the kernel sums may change the values only by rounding,
+    measured against the sum of the terms' magnitudes.
+    """
+    spec = BumpSpec(dim=dim, radius=1.0, center=Isometry.translation([0.5] + [0.1] * (dim - 1)), alpha=0.5)
+    radial = RadialGrid.gauss_legendre(64, spec.support_radius + 1.0)
+    boundary = BoundaryGrid.disk(64) if dim == 2 else BoundaryGrid.sphere(8, 16)
+    f = sample_bump(spec, radial, boundary)
+    mask = f.support_mask
+    t = np.tanh(0.5 * radial.nodes[mask])
+    pts = (t[:, None, None] * boundary.directions[None, :, :]).reshape(-1, dim)
+    wv = (f.node_weights()[mask] * f.values[mask]).ravel()
+    assert np.count_nonzero(wv == 0) > len(wv) // 4
+    rng = np.random.default_rng(21)
+    bs = rng.standard_normal((5, dim))
+    bs /= np.linalg.norm(bs, axis=1, keepdims=True)
+    lams = np.array([0.7, 2.5, 1.5 - 0.6j, 0.4j])
+    kernels = np.exp((-1j * lams[:, None, None] + 0.5 * (dim - 1)) * busemann_field(pts, bs))
+    ref = np.einsum("i,kij->kj", wv, kernels)
+    scale = np.einsum("i,kij->kj", np.abs(wv), np.abs(kernels))
+    assert np.max(np.abs(boundary_slices(f, lams, bs) - ref) / scale) <= 1e-14
+    xs = np.array([polar_to_point(r, b).coords for r, b in zip((0.2, 0.9, 1.6, 2.4, 3.0), bs)])
+    D = pairwise_dist(xs, pts)
+    for lam in (0.7, 2.5):
+        phis = np.array([spherical_phi(dim, lam, row) for row in D])
+        ref, scale = phis @ wv, np.abs(phis) @ np.abs(wv)
+        assert np.max(np.abs(jeft_direct(f, lam, xs) - ref) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_far_poisson_reproduces_kernel_identity(dim):
     """Graded far rule on the kernel product: integral equals phi_lam(dist(x, y))."""
     rho = 0.5 * (dim - 1)
@@ -364,7 +406,7 @@ def test_rotated_grid_takes_dense_route():
 
 def test_linearity_of_forward_transform(disk_bumps):
     centered, shifted = disk_bumps
-    h = centered + shifted
+    h = sampled_sum(centered, shifted)
     b = BoundaryPoint([0.0, 1.0])
     for lam in (1.1,):
         lhs = helgason_forward(h, lam, b)
@@ -574,7 +616,7 @@ def test_eigen_equation_skips_vanishing_values():
 
 def test_jeft_linearity(disk_bumps):
     centered, shifted = disk_bumps
-    h = centered + shifted
+    h = sampled_sum(centered, shifted)
     x = Point([0.3, 0.1])
     lhs = jeft(h, 1.2, x)
     rhs = jeft(centered, 1.2, x) + jeft(shifted, 1.2, x)
