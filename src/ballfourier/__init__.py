@@ -32,8 +32,6 @@ from .grids import (
     integrate_X,
     k_average_profile,
     sample_bump,
-    translate_bump,
-    zero_function,
 )
 from .spectral import (
     CFunctionPoleError,

@@ -9,23 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import _FIELD_TYPES, ConfigError, ScenarioConfig, parse_config
 from .scenarios import list_scenarios, run_scenario, scenario_base_config
 
+# one flag per grid key of ScenarioConfig, typed by its field
 _GRID_FLAGS = [
-    ("--dim", "dim", int),
-    ("--seed", "seed", int),
-    ("--radial-nodes", "radial_nodes", int),
-    ("--r-max", "r_max", float),
-    ("--boundary-nodes", "boundary_nodes", int),
-    ("--boundary-theta", "boundary_theta", int),
-    ("--boundary-phi", "boundary_phi", int),
-    ("--spectral-nodes", "spectral_nodes", int),
-    ("--lambda-max", "lambda_max", float),
-    ("--bump-radius", "bump_radius", float),
-    ("--bump-shift", "bump_shift", float),
-    ("--bump-alpha", "bump_alpha", float),
+    (f"--{f.name.replace('_', '-')}", f.name, _FIELD_TYPES[f.name])
+    for f in fields(ScenarioConfig)
+    if f.name not in ("out_dir", "timing", "tolerances")
 ]
 
 

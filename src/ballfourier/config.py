@@ -6,7 +6,8 @@ every default is visible in --help and echoed into results.json.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -54,18 +55,7 @@ class ScenarioConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-_INT_KEYS = {
-    "dim",
-    "radial_nodes",
-    "boundary_nodes",
-    "boundary_theta",
-    "boundary_phi",
-    "spectral_nodes",
-    "seed",
-}
-_FLOAT_KEYS = {"r_max", "lambda_max", "bump_radius", "bump_shift", "bump_alpha"}
-_STR_KEYS = {"out_dir", "timing"}
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def _coerce(key: str, raw: str):
@@ -75,11 +65,7 @@ def _coerce(key: str, raw: str):
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown configuration key: {key}")
     try:
-        if name in _INT_KEYS:
-            return name, int(raw)
-        if name in _FLOAT_KEYS:
-            return name, float(raw)
-        return name, raw
+        return name, _FIELD_TYPES[name](raw)
     except ValueError:
         raise ConfigError(f"malformed value for {key}: {raw!r}") from None
 

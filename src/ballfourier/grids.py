@@ -11,7 +11,7 @@ evaluation always goes through the analytic descriptor, never interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,11 +303,6 @@ def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> S
     return f
 
 
-def zero_function(dim: int, radial: RadialGrid, boundary: BoundaryGrid) -> SampledFunction:
-    vals = np.zeros((len(radial), len(boundary)), dtype=complex)
-    return SampledFunction(dim, radial, boundary, vals, 0.0, bump=None)
-
-
 def integrate_X(f: SampledFunction) -> complex:
     """Quadrature of f over the hyperbolic volume."""
     return complex(np.sum(f.node_weights() * f.values))
@@ -333,8 +328,3 @@ def k_average_profile(f: SampledFunction, post_map: Isometry) -> SampledFunction
     shift = dist(np.zeros(f.dim), post_map.origin_image())
     support = min(f.support_radius + shift, f.radial.r_max)
     return SampledFunction(f.dim, f.radial, f.boundary, values, support, bump=None)
-
-
-def translate_bump(spec: BumpSpec, g: Isometry) -> BumpSpec:
-    """Exact analytic translate: the bump of x -> f(g^{-1} x)."""
-    return replace(spec, center=spec.center.then(g))

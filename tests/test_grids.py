@@ -19,10 +19,9 @@ from ballfourier.grids import (
     k_average_profile,
     legendre_rule,
     sample_bump,
-    translate_bump,
-    zero_function,
 )
 from ballfourier.spectral import spherical_phi
+from sampling_helpers import translate_bump, zero_function
 
 
 def smooth_profile(r, R):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ballfourier.geometry import BoundaryPoint, Isometry, random_rotation
-from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump, zero_function
+from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump
 from ballfourier.paley_wiener import (
     TransformRangeError,
     decay_report,
@@ -15,6 +15,7 @@ from ballfourier.paley_wiener import (
     pw_membership_report,
 )
 from ballfourier.transforms import TransformUsageError, boundary_slices, helgason_forward
+from sampling_helpers import zero_function
 
 
 def dense_disk(radius, shift=0.0, alpha=0.0, profile="smooth", n_r=512):
