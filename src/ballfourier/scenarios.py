@@ -9,7 +9,9 @@ user config files and flags override it.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +42,9 @@ from .transforms import (
     plancherel_residual,
 )
 from . import serialize
+
+# Innermost traceback frames named in a scenario_error note.
+_TRACEBACK_FRAMES = 4
 
 
 @dataclass
@@ -488,13 +493,21 @@ def list_scenarios():
     return sorted(SCENARIOS)
 
 
+def _error_note(exc: Exception) -> str:
+    """repr(exc) and the innermost _TRACEBACK_FRAMES frames as file:line function, outermost first."""
+    frames = traceback.extract_tb(exc.__traceback__)[-_TRACEBACK_FRAMES:]
+    tail = " > ".join(f"{os.path.basename(fr.filename)}:{fr.lineno} {fr.name}" for fr in frames)
+    return f"{exc!r} at {tail}"
+
+
 def run_scenario(name: str, cfg: ScenarioConfig, out_dir=None) -> int:
     """Execute a scenario, write results.json and CSV artifacts, return exit code.
 
     Exit code 0 when all checks pass, 1 on any check failure; configuration
     errors raise ConfigError before any file is written (CLI maps them to 2),
     among them a tolerance override naming no check of the scenario.
-    Numeric errors inside the run surface as failed checks.
+    Numeric errors inside the run surface as one failed scenario_error
+    check whose note holds the exception and its innermost traceback frames.
     """
     import pathlib
 
@@ -508,7 +521,7 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir=None) -> int:
     except ConfigError:
         raise
     except Exception as exc:  # numeric/runtime failures become failed checks
-        checks = [CheckResult("scenario_error", float("nan"), 0.0, False, note=repr(exc))]
+        checks = [CheckResult("scenario_error", float("nan"), 0.0, False, note=_error_note(exc))]
         artifacts = {}
     else:
         # a scenario's check names are known once it has run

@@ -19,8 +19,11 @@ dimension only through the boundary sphere S^{d-1}: both are built on the
 d - 1 orthonormal tangent vectors at omega = x/|x| (_tangent_frame).
 
 The forward slice at the directions of a disk or sphere grid is an exact
-FFT convolution over the azimuth; explicit directions and other grids take
-the dense Busemann sum, which is also the oracle of the FFT route.
+FFT convolution over the azimuth, whose kernel is folded by the grid's
+azimuth reflection and polar-row symmetries (109,200 exponentials per lam on
+the 24 x 48 sphere with 28 support rows, 774,144 unfolded); explicit
+directions and other grids take the dense Busemann sum, which is also the
+oracle of the FFT route.
 """
 
 from __future__ import annotations
@@ -113,9 +116,11 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     With ``bs=None`` the slice is taken at the grid's own directions.  When
     those are the directions of ``BoundaryGrid.disk`` or ``BoundaryGrid.sphere``
     (``azimuthal_layout``) the slice is an exact circular convolution in
-    azimuth and runs by FFT.  An explicit ``bs``, or any other grid, takes the
-    dense route: one Busemann matrix per chunk of directions, shared across
-    the spectral nodes.
+    azimuth and runs by FFT, with the kernel exponentiated once per orbit of
+    the grid's azimuth reflection and polar-row symmetries (``_slices_fft``).
+    An explicit ``bs``, or any other grid, takes the dense route: one
+    Busemann matrix per chunk of directions, shared across the spectral
+    nodes.
 
     Raises TransformRangeError when max |Im lam| * support_radius exceeds
     OVERFLOW_EXPONENT.
@@ -143,32 +148,75 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     return out
 
 
+def _row_pair_orbits(n_rows: int):
+    """Orbits of the polar-row pairs (a, c) under a <-> c and (a, c) -> (n-1-c, n-1-a).
+
+    Returns the rows (a, c) of one representative per orbit and the (n_rows,
+    n_rows) orbit index of every pair.
+    """
+    a, c = np.indices((n_rows, n_rows))
+    flip = n_rows - 1
+    # pair code a n + c; an orbit's representative has the smallest code
+    images = [a * n_rows + c, c * n_rows + a, (flip - c) * n_rows + flip - a, (flip - a) * n_rows + flip - c]
+    reps, orbit = np.unique(np.minimum.reduce(images), return_inverse=True)
+    return reps // n_rows, reps % n_rows, orbit.reshape(n_rows, n_rows)
+
+
 def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -> np.ndarray:
     """boundary_slices on the grid's own directions by FFT over the azimuth.
 
     A sample tanh(r_i/2) w_(a,p) against the direction b_(c,s) (polar rows
     a, c; azimuth indices p, s) has a Busemann value that depends only on
-    r_i, a, c and s - p, so each slice row is a circular convolution in
-    azimuth whose kernel is the Busemann matrix of the azimuth-0 samples
-    against all directions.  That kernel is built once per chunk of radial
-    rows and shared across lam; per lam it costs one exp, one FFT and one
-    contraction, n_phi times fewer exponentials than the dense route.
+    |x| and <w_(a,p), b_(c,s)>, which is a function of r_i, a, c and s - p.
+    So each slice row is a circular convolution in azimuth whose kernel
+    K_i(a, c, q) is the Busemann kernel of the azimuth-0 samples against the
+    directions.  The kernel has three exact symmetries of the disk and sphere
+    grids:
+
+    - azimuth reflection K(a, c, q) = K(a, c, n_phi - q), in both dimensions;
+    - polar-row exchange K(a, c, q) = K(c, a, q);
+    - polar flip K(a, c, q) = K(n-1-c, n-1-a, q), exact because
+      legendre_rule mirrors its nodes (cos theta_(n-1-a) = -cos theta_a).
+
+    The Busemann values are built once per chunk of radial rows, against the
+    half-azimuth directions q <= n_phi // 2 only, and shared across lam.  Per
+    lam only one representative of each orbit of row pairs is exponentiated:
+    n_support (n_phi // 2 + 1) n_orbits exponentials, with n_orbits = 156 of
+    the 576 row pairs for n_theta = 24 (109,200 in place of 774,144 for the
+    eigen-d3 grid), and n_orbits = 1 in d = 2 (n_rows = 1).  An even sequence
+    has an even DFT, so the kernel's FFT is a real cosine matrix on the half
+    azimuth; the samples' FFT and the final inverse FFT are plain FFTs.
     """
+    half = n_phi // 2 + 1
     mask = f.support_mask
     wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
-    g_hat = np.fft.fft(wv, axis=-1)
+    # (n_phi, rows, n_rows): frequency first, one matrix product per frequency
+    g_hat = np.ascontiguousarray(np.moveaxis(np.fft.fft(wv, axis=-1), -1, 0))
     # (rows, n_rows, dim): azimuth index 0, copied so the other azimuths are freed
     first = f.support_points()[:, ::n_phi].copy()
+    half_dirs = f.boundary.directions.reshape(n_rows, n_phi, f.dim)[:, :half].reshape(-1, f.dim)
+    rep_a, rep_c, orbit = _row_pair_orbits(n_rows)
+    # DFT of the even extension: multiplicity 1 at q = 0 and q = n_phi / 2, else 2
+    q = np.arange(half)
+    mult = np.where((q == 0) | (2 * q == n_phi), 1.0, 2.0)
+    cosine = np.cos(2.0 * np.pi * (np.outer(q, q) % n_phi) / n_phi) * mult
     rho = half_root_sum(f.dim)
     acc = np.zeros((len(lams), n_rows, n_phi), dtype=complex)
     step = max(1, _CHUNK // (n_rows * len(f.boundary)))
     for i in range(0, len(first), step):
-        B = busemann_field(first[i : i + step].reshape(-1, f.dim), f.boundary.directions)
-        B = B.reshape(-1, n_rows, n_rows, n_phi)
+        B = busemann_field(first[i : i + step].reshape(-1, f.dim), half_dirs)
+        B = B.reshape(-1, n_rows, n_rows, half)[:, rep_a, rep_c]
+        B = np.ascontiguousarray(np.moveaxis(B, -1, 0))  # (half, rows, n_orbits)
+        g = g_hat[:, i : i + step].reshape(n_phi, 1, -1)
+        kernel = np.empty(B.shape, dtype=complex)
         for k, lam in enumerate(lams):
-            kernel = (-1j * lam + rho) * B
+            np.multiply(-1j * lam + rho, B, out=kernel)
             np.exp(kernel, out=kernel)
-            acc[k] += np.einsum("iaq,iacq->cq", g_hat[i : i + step], np.fft.fft(kernel, axis=-1))
+            # the real cosine matrix acts on the interleaved real and imaginary parts
+            k_hat = (cosine @ kernel.reshape(half, -1).view(float)).view(complex)
+            k_hat = k_hat.reshape(half, -1, kernel.shape[-1])[:, :, orbit].reshape(half, -1, n_rows)
+            acc[k, :, :half] += (g[:half] @ k_hat)[:, 0].T
+            acc[k, :, half:] += (g[half:] @ k_hat[n_phi - half : 0 : -1])[:, 0].T
     return np.fft.ifft(acc, axis=-1).reshape(len(lams), n_rows * n_phi)
 
 
@@ -189,12 +237,13 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
         )
     rho = half_root_sum(boundary.dim)
     B = busemann_field(np.atleast_2d(coords), boundary.directions)
-    vals = np.array(
-        [
-            np.exp((1j * complex(l) + rho) * B) @ (boundary.weights * row)
-            for l, row in zip(np.atleast_1d(lam), np.atleast_2d(F))
-        ]
-    )
+    kernel = np.empty(B.shape, dtype=complex)  # one buffer, reused for every lam
+    vals = []
+    for l, row in zip(np.atleast_1d(lam), np.atleast_2d(F)):
+        np.multiply(1j * complex(l) + rho, B, out=kernel)
+        np.exp(kernel, out=kernel)
+        vals.append(kernel @ (boundary.weights * row))
+    vals = np.array(vals)
     if coords.ndim == 1:
         vals = vals[:, 0]
     return vals[0] if F.ndim == 1 else vals

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ballfourier.config import ConfigError, ScenarioConfig, parse_config
+from ballfourier import scenarios
 from ballfourier.scenarios import list_scenarios, run_scenario, scenario_base_config
 
 
@@ -166,3 +167,21 @@ def test_run_scenario_records_numeric_errors_as_failed_checks(tmp_path):
     assert code == 1
     doc = json.loads((tmp_path / "x" / "results.json").read_text())
     assert any(c["name"] == "scenario_error" for c in doc["checks"])
+
+
+def test_scenario_error_note_names_the_raising_function(tmp_path, monkeypatch):
+    def raise_deep(cfg, rng):
+        return _failing_step(cfg.dim)
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "eigen", raise_deep)
+    code = run_scenario("eigen", parse_config(None, {"out_dir": str(tmp_path), "dim": "2", "timing": "zero"}))
+    assert code == 1
+    (check,) = json.loads((tmp_path / "results.json").read_text())["checks"]
+    assert check["name"] == "scenario_error"
+    assert check["note"].startswith("FloatingPointError('step 2 diverged') at ")
+    assert "raise_deep > test_cli.py:" in check["note"]
+    assert check["note"].endswith(" _failing_step")
+
+
+def _failing_step(dim):
+    raise FloatingPointError(f"step {dim} diverged")

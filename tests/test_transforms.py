@@ -392,6 +392,27 @@ def test_fft_slice_matches_dense_oracle(case):
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
+SPHERE_SHAPES = [(n_theta, n_phi) for n_theta in (1, 2, 3, 5, 24) for n_phi in (1, 2, 3, 4, 7, 48)]
+
+
+@pytest.mark.parametrize("shape", SPHERE_SHAPES + [(1,), (2,), (3,), (4,), (5,)])
+def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
+    """The FFT kernel folded by its azimuth and polar-row symmetries, against the dense oracle.
+
+    ``shape`` is (n_theta, n_phi) of a sphere grid or (n,) of a disk grid.
+    """
+    boundary = BoundaryGrid.sphere(*shape) if len(shape) == 2 else BoundaryGrid.disk(*shape)
+    dim = boundary.dim
+    center = Isometry.translation(np.linspace(0.2, 0.5, dim))
+    spec = BumpSpec(dim=dim, radius=1.0, center=center, alpha=0.6, axis=np.eye(dim)[-1])
+    f = sample_bump(spec, RadialGrid.gauss_legendre(8, spec.support_radius + 0.5), boundary)
+    assert azimuthal_layout(boundary) is not None
+    lams = [0.0, 2.7, 1.9 - 3.0j, 4.2 + 1.1j]
+    fast = boundary_slices(f, lams)
+    dense = boundary_slices(f, lams, boundary.directions)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_rotated_grid_takes_dense_route():
     spec = BumpSpec(dim=3, radius=1.0, center=Isometry.translation([0.3, 0.1, -0.2]), alpha=0.5)
     radial, boundary = ball_setup(n_r=24, r_max=3.0, n_theta=6, n_phi=10)
