@@ -35,11 +35,9 @@ from .grids import (
 )
 from .spectral import (
     CFunctionPoleError,
-    CFunctionValue,
     FitConditioningError,
     c_function,
     eigenvalue_of,
-    plancherel_density,
     spherical_phi,
 )
 from .transforms import (
@@ -68,11 +66,9 @@ from .transforms import (
 from .paley_wiener import holomorphy_circle_residual
 from .paley_wiener import (
     DecayReport,
-    PwMembershipReport,
     TypeEstimate,
     decay_report,
     estimate_type,
-    pw_membership_report,
 )
 from .config import ConfigError, ScenarioConfig, parse_config
 from .scenarios import list_scenarios, run_scenario

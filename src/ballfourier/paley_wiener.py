@@ -2,8 +2,9 @@
 
 Holomorphic extension of the forward transform in the spectral parameter,
 exponential-type estimation along the imaginary axis (slope -> circumscribed
-support radius), polynomial decay on the real axis, and the combined
-joint-eigenspace membership report.
+support radius) and polynomial decay on the real axis.  Each is a gated check
+of the pw-recovery scenario, next to the eigen-equation and Plancherel
+scenarios that cover the rest of joint-eigenspace membership.
 
 The type estimate probes lam = i sigma because the supremum of the Busemann
 bracket over the support governs the growth exactly there.  The log-magnitude
@@ -16,21 +17,19 @@ coefficient; a plain two-parameter slope carries an O(1/sqrt(sigma)) bias of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import busemann_field, half_root_sum, sphere_area, _as_coords
-from .grids import BoundaryGrid, RadialGrid, SampledFunction, SpectralGrid, integrate_B
-from .spectral import spherical_phi
+from .geometry import busemann_field, half_root_sum, _as_coords
+from .grids import BoundaryGrid, RadialGrid, SampledFunction, SpectralGrid, sample_bump
 # TransformRangeError is re-exported: the guard lives in boundary_slices.
 from .transforms import (
     OVERFLOW_EXPONENT,
     TransformRangeError,
     TransformUsageError,
     boundary_slices,
-    laplace_beltrami_residual,
-    poisson,
+    spherical_transform,
 )
 
 # Mean-value circle of holomorphy_circle_residual.
@@ -38,9 +37,10 @@ _CIRCLE_RADIUS = 0.1
 _CIRCLE_NODES = 32
 # Highest polynomial order of decay_report.
 _DECAY_MAX_ORDER = 4
-# Pass bounds of pw_membership_report.
-_EIGEN_TOL = 1e-4
-_SUPPORT_TOL = 0.05
+# estimate_type's first sigma window ends at _SIGMA_MAX (capped by the
+# overflow guard); every pass samples _N_SIGMA values.
+_SIGMA_MAX = 8.0
+_N_SIGMA = 16
 
 
 class TypeFitError(RuntimeError):
@@ -72,17 +72,6 @@ class TypeEstimate:
     window_starts: np.ndarray  # first sigma index of the accepted window
     radius_estimate: float  # global R-hat = max over sampled b
 
-    def as_dict(self) -> dict:
-        return {
-            "boundary_points": self.boundary_points.tolist(),
-            "sigma_grid": self.sigma_grid.tolist(),
-            "log_magnitudes": self.log_magnitudes.tolist(),
-            "slopes": self.slopes.tolist(),
-            "fit_residuals": self.fit_residuals.tolist(),
-            "window_starts": self.window_starts.tolist(),
-            "radius_estimate": self.radius_estimate,
-        }
-
 
 _FIT_RESIDUAL_BOUND = 1e-2
 _MIN_WINDOW = 7
@@ -104,23 +93,18 @@ def _fit_growth_rate(sigma: np.ndarray, logmag: np.ndarray, rho: float):
     raise TypeFitError("no trailing sigma-window met the fit residual bound")
 
 
-def _profile_rule(f: SampledFunction):
-    """Nodes and radial-transform weights of the centered profile, or None.
+def _centered_profile(f: SampledFunction):
+    """The centered profile of an unmodulated bump on a dense radial rule, or None.
 
-    Built once per estimate_type call for unmodulated bumps (see
-    _imaginary_axis_log_magnitudes); other inputs get None.
+    One boundary direction suffices: the profile is radial.  Built once per
+    estimate_type call (see _imaginary_axis_log_magnitudes); other inputs get
+    None.
     """
     spec = f.bump
     if spec is None or spec.alpha != 0.0:
         return None
-    prof = RadialGrid.gauss_legendre(512, spec.radius)
-    if spec.profile == "smooth":
-        beta = np.exp(-1.0 / (1.0 - (prof.nodes / spec.radius) ** 2))
-    else:
-        beta = np.ones(len(prof))
-    beta = beta * abs(spec.amplitude)
-    w = sphere_area(f.dim) * prof.weights * np.sinh(prof.nodes) ** (f.dim - 1) * beta
-    return prof.nodes, w
+    boundary = BoundaryGrid.disk(1) if f.dim == 2 else BoundaryGrid.sphere(1, 1)
+    return sample_bump(replace(spec, center=None), RadialGrid.gauss_legendre(512, spec.radius), boundary)
 
 
 def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: np.ndarray, profile) -> np.ndarray:
@@ -134,21 +118,18 @@ def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: n
         fhat(i sigma, b) = e^{(sigma + rho) A(c, b)} * (radial transform of
                            the centered profile at i sigma),
 
-    and both factors are evaluated with dense 1-d rules (``profile``, from
-    _profile_rule).  Other inputs fall back to the product grid, whose angular
-    resolution then caps the usable sigma range.
+    and both factors are evaluated with dense 1-d rules: the Busemann bracket
+    at each probe point and the spherical transform of ``profile``, from
+    _centered_profile.  Other inputs fall back to the product grid, whose
+    angular resolution then caps the usable sigma range.
     """
     rho = half_root_sum(f.dim)
     if profile is not None:
-        nodes, w = profile
         bus = busemann_field(f.bump.center.origin_image()[None, :], bs)[0]
-        log_ft = np.empty(len(sigmas))
-        for k, sig in enumerate(sigmas):
-            ft = np.sum(w * np.real(spherical_phi(f.dim, -1j * sig, nodes)))
-            if not np.isfinite(ft) or abs(ft) < 1e-300:
-                raise TypeFitError("radial transform under/overflow on the imaginary axis")
-            log_ft[k] = np.log(abs(ft))
-        return (sigmas[None, :] + rho) * bus[:, None] + log_ft[None, :]
+        ft = np.abs(spherical_transform(profile, -1j * sigmas))
+        if not np.all(np.isfinite(ft)) or np.any(ft < 1e-300):
+            raise TypeFitError("radial transform under/overflow on the imaginary axis")
+        return (sigmas[None, :] + rho) * bus[:, None] + np.log(ft)[None, :]
     vals = boundary_slices(f, 1j * sigmas, bs)
     mags = np.abs(vals).T
     if np.any(mags < 1e-300):
@@ -162,29 +143,23 @@ def _default_probe_points(dim: int) -> np.ndarray:
     return BoundaryGrid.sphere(3, 4).directions
 
 
-def estimate_type(
-    f: SampledFunction,
-    boundary_points=None,
-    sigma_max: float = 8.0,
-    n_sigma: int = 16,
-    adaptive: bool = True,
-) -> TypeEstimate:
+def estimate_type(f: SampledFunction, boundary_points=None) -> TypeEstimate:
     """Exponential-type estimate of the transform: growth rate of |fhat(i sigma, b)|.
 
     The per-point rate estimates sup of the Busemann bracket over the support;
     the global maximum estimates the circumscribed support radius about the
-    origin.  When ``adaptive`` is set a second pass rescales sigma_max to
-    ~36 / R-hat (under the overflow guard), which the small default sigma_max
-    needs for small supports.
+    origin.  A second pass rescales the sigma window's end from _SIGMA_MAX to
+    ~36 / R-hat (under the overflow guard), which small supports need.
+    ``boundary_points`` defaults to a small probe grid.
     """
     bs = _default_probe_points(f.dim) if boundary_points is None else np.atleast_2d(
         np.asarray(boundary_points, dtype=float)
     )
     rho = half_root_sum(f.dim)
-    profile = _profile_rule(f)
+    profile = _centered_profile(f)
 
     def one_pass(smax: float):
-        sig = np.linspace(max(0.5, smax / 2.0), smax, n_sigma)
+        sig = np.linspace(max(0.5, smax / 2.0), smax, _N_SIGMA)
         logmag = _imaginary_axis_log_magnitudes(f, sig, bs, profile)
         slopes = np.empty(len(bs))
         resids = np.empty(len(bs))
@@ -194,17 +169,16 @@ def estimate_type(
         return sig, logmag, slopes, resids, starts
 
     guard = OVERFLOW_EXPONENT / max(f.support_radius, 0.2) - 1.0
-    smax = min(sigma_max, guard)
+    smax = min(_SIGMA_MAX, guard)
     try:
         sig, logmag, slopes, resids, starts = one_pass(smax)
     except TypeFitError:
         smax *= 0.5
         sig, logmag, slopes, resids, starts = one_pass(smax)
-    if adaptive:
-        r_rough = max(float(np.max(slopes)), 0.5)
-        better = min(30.0, 36.0 / r_rough, guard)
-        if abs(better - smax) > 0.5:
-            sig, logmag, slopes, resids, starts = one_pass(better)
+    r_rough = max(float(np.max(slopes)), 0.5)
+    better = min(30.0, 36.0 / r_rough, guard)
+    if abs(better - smax) > 0.5:
+        sig, logmag, slopes, resids, starts = one_pass(better)
     return TypeEstimate(bs, sig, logmag, slopes, resids, starts, float(np.max(slopes)))
 
 
@@ -234,8 +208,6 @@ def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None) -> DecayRepo
     kernel bandwidth ~ lam * support exceeds its node count, and real-axis
     tails sit far below that noise floor.
     """
-    from .transforms import spherical_transform
-
     if sgrid is None:
         sgrid = SpectralGrid.gauss_legendre(200, 24.0)
     bs = np.atleast_2d(_as_coords(b, f.dim))
@@ -258,76 +230,3 @@ def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None) -> DecayRepo
         sups[n] = (s_lo, s_hi)
         verdicts[n] = bool(s_hi <= s_lo * (1.0 + 1e-9))
     return DecayReport(orders, sups, verdicts, all(verdicts.values()))
-
-
-@dataclass(frozen=True)
-class PwMembershipReport:
-    lam: float
-    eigen_residual: float
-    eigen_skipped: bool
-    eigen_ok: bool
-    type_estimate: TypeEstimate = field(repr=False)
-    declared_support: float
-    support_recovery_error: float
-    type_ok: bool
-    boundary_norm: float
-    norm_ok: bool
-    passed: bool
-    vacuous: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "eigen_residual": self.eigen_residual,
-            "eigen_skipped": self.eigen_skipped,
-            "eigen_ok": self.eigen_ok,
-            "type_estimate": self.type_estimate.as_dict() if self.type_estimate else None,
-            "declared_support": self.declared_support,
-            "support_recovery_error": self.support_recovery_error,
-            "type_ok": self.type_ok,
-            "boundary_norm": self.boundary_norm,
-            "norm_ok": self.norm_ok,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-        }
-
-
-def pw_membership_report(f: SampledFunction, lam: float) -> PwMembershipReport:
-    """Three-part joint-eigenspace membership check at real lam != 0.
-
-    (a) the transform output is a Laplace-Beltrami eigenfunction,
-    (b) the boundary density has exponential type ~ the declared support,
-    (c) the boundary slice is square integrable.
-    """
-    lam = float(lam)
-    if lam == 0.0:
-        raise ValueError("membership checks avoid lam = 0 (c-function pole)")
-    sl = boundary_slices(f, [lam])[0]
-    norm = float(abs(integrate_B(np.abs(sl) ** 2, f.boundary)))
-    if not np.any(np.abs(f.values) > 0):
-        return PwMembershipReport(
-            lam, 0.0, True, True, None, 0.0, 0.0, True, 0.0, True, True, vacuous=True
-        )
-    probe_dir = np.zeros(f.dim)
-    probe_dir[0] = 1.0
-    x = np.tanh(0.5) * probe_dir  # radius 1 probe point
-    chk = laplace_beltrami_residual(lambda pts: poisson(sl, f.boundary, lam, pts), f.dim, lam, x)
-    eigen_ok = chk.skipped or chk.residual <= _EIGEN_TOL
-    est = estimate_type(f)
-    declared = float(f.support_radius)
-    rec_err = abs(est.radius_estimate - declared) / declared if declared > 0 else np.inf
-    type_ok = bool(rec_err <= _SUPPORT_TOL and np.all(est.fit_residuals <= _FIT_RESIDUAL_BOUND))
-    norm_ok = bool(np.isfinite(norm))
-    return PwMembershipReport(
-        lam,
-        float("nan") if chk.skipped else chk.residual,
-        chk.skipped,
-        eigen_ok,
-        est,
-        declared,
-        float(rec_err),
-        type_ok,
-        norm,
-        norm_ok,
-        bool(eigen_ok and type_ok and norm_ok),
-    )

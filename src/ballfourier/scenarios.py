@@ -354,18 +354,18 @@ def scenario_c_table(cfg: ScenarioConfig, rng):
     rows = []
     worst_fit = 0.0
     for lam in (0.5, 1.0, 2.0, 5.0):
-        closed = c_function(3, lam).c
-        fit = c_function(3, lam, method="asymptotic_fit").c
+        closed = c_function(3, lam)
+        fit = c_function(3, lam, fit_radii=(12.0, 14.0))
         rel = abs(fit - closed) / abs(closed)
         worst_fit = max(worst_fit, rel)
         rows.append((3, float(lam), fit.real, fit.imag, "asymptotic_fit", float(lam**2)))
     checks.append(CheckResult("d3_fit_vs_closed_max_rel", worst_fit, 1e-6, worst_fit <= 1e-6))
     worst_conj = 0.0
     for lam in (0.5, 1.0, 3.0, 8.0):
-        cp = c_function(2, lam).c
-        cm = c_function(2, -lam).c
+        cp = c_function(2, lam)
+        cm = c_function(2, -lam)
         worst_conj = max(worst_conj, abs(np.conj(cp) - cm) / abs(cp))
-        rows.append((2, float(lam), cp.real, cp.imag, "asymptotic_fit", float(1.0 / abs(cp) ** 2)))
+        rows.append((2, float(lam), cp.real, cp.imag, "closed_form", float(1.0 / abs(cp) ** 2)))
     checks.append(CheckResult("d2_conjugation_max_rel", worst_conj, 1e-8, worst_conj <= 1e-8))
     # ill-conditioned fit radii recover after the documented shift
     lam_bad = np.pi / 2.0

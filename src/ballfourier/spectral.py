@@ -21,11 +21,18 @@ blocks.  Measured against the mpmath conical function for r <= 18: at most
 cos(Re lam u) cosh(Im lam u) amplifies rounding, to 6e-14 at
 lam = 32.8 - 0.7i, r = 18.  The exponentially graded rule
 (transforms.graded_rule) now serves only the far Poisson transform.
+
+The c-function is evaluated in closed form in both dimensions: 1/(i lam) for
+H^3 and c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) for H^2
+(Helgason, Ch. IV), the latter through a numpy log-gamma ratio (upward
+recurrence to Re z >= 15, then eight Stirling terms).  Against mpmath it is
+within 1.1e-14 relative at 5,000 random lam with 1e-3 <= |Re lam| <= 48 and
+|Im lam| <= 1.  The two-radius fit of phi_lam's large-r asymptotics stays as
+the oracle of both closed forms, reached only through an explicit
+``fit_radii``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +55,10 @@ _PHI2_BLOCK = 2**16
 # phi_lam(r) is 1 to double precision below this radius; clamping r there
 # keeps g_- g_+ ~ r^2 sin^2(theta) from underflowing and r = 0 from giving 0/0.
 _PHI2_MIN_RADIUS = 1e-150
+# Stirling coefficients B_2k / (2k (2k - 1)), k = 1..8, and the real part of
+# the argument above which _log_gamma_ratio sums them.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_STIRLING_MIN_RE = 15.0
 
 
 def _phi3(lam: complex, r: np.ndarray) -> np.ndarray:
@@ -134,11 +145,32 @@ def spherical_phi(dim: int, lam: complex, r):
     return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
 
 
-@dataclass(frozen=True)
-class CFunctionValue:
-    lam: complex
-    c: complex
-    method: str
+def _stirling_series(w: complex) -> complex:
+    """Sum of _STIRLING[k-1] / w^(2k-1), ~ log Gamma(w) - (w - 1/2) log w + w - log(2 pi)/2."""
+    inv = 1.0 / w
+    inv2 = inv * inv
+    series = 0j
+    for coef in reversed(_STIRLING):
+        series = series * inv2 + coef
+    return series * inv
+
+
+def _log_gamma_ratio(z: complex) -> complex:
+    """log(Gamma(z) / Gamma(z + 1/2)), up to a multiple of 2 pi i, off the poles of both.
+
+    Upward recurrence on both Gammas until Re z >= _STIRLING_MIN_RE, then the
+    difference of their Stirling series (DLMF 5.11.1), whose first omitted
+    term is below 1e-20 there.  At the shifted argument w the leading terms
+    combine to 1/2 - log(w)/2 - w log1p(1/(2w)), of size ~ 1; two separate
+    log-gammas reach |log Gamma| ~ 190 at |z| = 48, and their difference
+    measured up to 1.1e-13 relative error on the ratio.
+    """
+    shift = 0j
+    while z.real < _STIRLING_MIN_RE:
+        shift += np.log(z + 0.5) - np.log(z)
+        z += 1.0
+    lead = 0.5 - 0.5 * np.log(z) - z * np.log1p(0.5 / z)
+    return lead + _stirling_series(z) - _stirling_series(z + 0.5) + shift
 
 
 def _fit_leading_coefficient(dim: int, lam: complex, fit_radii) -> complex:
@@ -164,51 +196,33 @@ def _fit_leading_coefficient(dim: int, lam: complex, fit_radii) -> complex:
     return complex(c_plus)
 
 
-def c_function(
-    dim: int,
-    lam: complex,
-    method: str = "auto",
-    fit_radii=(12.0, 14.0),
-) -> CFunctionValue:
+def c_function(dim: int, lam: complex, fit_radii=None) -> complex:
     """Harish-Chandra c-function, normalized so phi_lam ~ c(lam) e^{(i lam - rho) r}.
 
-    dim == 3 has the closed form 1/(i lam), read off the large-r expansion of
-    sin(lam r)/(lam sinh r).  dim == 2 (or method="asymptotic_fit") extracts
-    the leading coefficient from phi at two large radii.
+    Closed forms: 1/(i lam) for dim == 3, read off the large-r expansion of
+    sin(lam r)/(lam sinh r), and Gamma(i lam)/(sqrt(pi) Gamma(1/2 + i lam))
+    for dim == 2.  With ``fit_radii = (r1, r2)`` the leading coefficient is
+    instead fitted from phi at those two radii: the oracle of the closed
+    forms, which raises FitConditioningError when sin(lam (r2 - r1)) ~ 0.
     """
     lam = complex(lam)
     if abs(lam) < 1e-12:
         raise CFunctionPoleError("c(lam) has a pole at lam = 0")
-    if method == "auto":
-        method = "closed_form_d3" if dim == 3 else "asymptotic_fit"
-    if method == "closed_form_d3":
-        if dim != 3:
-            raise ValueError("closed_form_d3 is only available for dim == 3")
-        return CFunctionValue(lam, 1.0 / (1j * lam), "closed_form_d3")
-    if method == "asymptotic_fit":
-        c = _fit_leading_coefficient(dim, lam, fit_radii)
-        return CFunctionValue(lam, c, "asymptotic_fit")
-    raise ValueError(f"unknown c-function method {method!r}")
-
-
-def plancherel_density(dim: int, lam: float) -> float:
-    """|c(lam)|^{-2} from the c-function fit, for real lam > 0.
-
-    The oracle that plancherel_density_table's closed forms are tested against.
-    """
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError("plancherel_density requires real lam > 0")
-    c = c_function(dim, lam).c
-    return 1.0 / abs(c) ** 2
+    if fit_radii is not None:
+        return _fit_leading_coefficient(dim, lam, fit_radii)
+    if dim == 3:
+        return 1.0 / (1j * lam)
+    if dim == 2:
+        return complex(np.exp(_log_gamma_ratio(1j * lam)) / np.sqrt(np.pi))
+    raise GeometryError(f"dimension must be 2 or 3, got {dim}")
 
 
 def plancherel_density_table(dim: int, lams) -> np.ndarray:
     """|c(lam)|^{-2} over a grid of positive reals, in closed form.
 
-    lam^2 for d = 3 and pi lam tanh(pi lam) for d = 2, the density of
-    c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)); this is the
-    spectral measure of the inversion and Plancherel formulas.
+    lam^2 for d = 3 and pi lam tanh(pi lam) for d = 2, the values of
+    |c_function(dim, lam)|^{-2}; this is the spectral measure of the
+    inversion and Plancherel formulas.
     """
     lams = np.asarray(lams, dtype=float)
     if dim == 3:

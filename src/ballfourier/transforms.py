@@ -55,7 +55,6 @@ from .grids import (
 from .spectral import (
     c_function,
     eigenvalue_of,
-    plancherel_density,
     plancherel_density_table,
     spherical_phi,
 )
@@ -410,8 +409,9 @@ def calibrate_kappa(dim: int) -> float:
 
     d = 3 returns KAPPA (sine-transform reduction of the radial inversion).
     d = 2 requires exact inversion of a reference bump at the origin, on
-    dedicated dense grids, against the fit-based density plancherel_density;
-    it is a cross-check of the closed forms, not used by the transforms.
+    dedicated dense grids, against the density |c|^{-2} of the c-function
+    fit at radii 12 and 14 (the oracle of the closed forms, not the closed
+    form itself); it is a cross-check, not used by the transforms.
     """
     if dim == 3:
         return KAPPA
@@ -423,7 +423,7 @@ def calibrate_kappa(dim: int) -> float:
     ref = sample_bump(BumpSpec(dim=2, radius=2.5), radial, boundary)
     ft = spherical_transform(ref, sgrid.nodes)
     phis0 = np.ones(len(sgrid))  # phi_lam(0) = 1
-    dens = np.array([plancherel_density(2, lam) for lam in sgrid.nodes])
+    dens = np.array([1.0 / abs(c_function(2, lam, fit_radii=(12.0, 14.0))) ** 2 for lam in sgrid.nodes])
     raw = integrate_spectrum(ft * phis0 * dens, sgrid).real
     return float(np.exp(-1.0) / raw)
 
@@ -525,7 +525,7 @@ def asymptotic_limit_residual(f: SampledFunction, lam: complex, b0, t_list) -> A
     for t in ts:
         if t > f.radial.r_max:
             raise TransformUsageError(f"t = {t} exceeds the radial quadrature range")
-    c = c_function(f.dim, lam).c
+    c = c_function(f.dim, lam)
     target = c * helgason_forward(f, lam, _as_coords(b0, f.dim))
     res = np.empty(len(ts))
     for i, t in enumerate(ts):

@@ -184,7 +184,7 @@ def test_criterion_08_paley_wiener():
 
 
 def test_criterion_09_c_function_coherence():
-    """Asymptotic-fit c equals 1/(i lam) (d3) to 1e-6; conjugation symmetry (d2) to 1e-8."""
+    """Asymptotic-fit c equals 1/(i lam) (d3) to 1e-6; closed-form conjugation symmetry (d2) to 1e-8."""
     checks, _ = run_default_scenario("c-table", 3)
     named = by_name(checks)
     fit = named["d3_fit_vs_closed_max_rel"]

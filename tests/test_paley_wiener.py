@@ -1,4 +1,4 @@
-"""Paley-Wiener checks: holomorphy, exponential type, decay, membership."""
+"""Paley-Wiener checks: holomorphy, exponential type, decay."""
 
 from dataclasses import replace
 
@@ -12,7 +12,6 @@ from ballfourier.paley_wiener import (
     decay_report,
     estimate_type,
     holomorphy_circle_residual,
-    pw_membership_report,
 )
 from ballfourier.transforms import TransformUsageError, boundary_slices, helgason_forward
 from sampling_helpers import zero_function
@@ -157,30 +156,3 @@ def test_decay_zero_function_vacuous_pass():
     f = zero_function(2, RadialGrid.gauss_legendre(32, 5.0), BoundaryGrid.disk(32))
     rep = decay_report(f, BoundaryPoint([1.0, 0.0]))
     assert rep.passed and rep.vacuous
-
-
-def test_membership_centered_bump_d3():
-    f = dense_ball(1.0, n_r=384)
-    rep = pw_membership_report(f, 1.0)
-    assert rep.eigen_ok and rep.type_ok and rep.norm_ok and rep.passed
-
-
-def test_membership_rough_profile_partial_failure():
-    f = dense_disk(1.0, profile="indicator")
-    rep = pw_membership_report(f, 1.0)
-    # eigenfunction property still holds for the transform output
-    assert rep.eigen_ok
-    dec = decay_report(f, BoundaryPoint([1.0, 0.0]))
-    assert not (rep.type_ok and dec.passed)
-
-
-def test_membership_zero_function_vacuous():
-    f = zero_function(2, RadialGrid.gauss_legendre(32, 5.0), BoundaryGrid.disk(32))
-    rep = pw_membership_report(f, 1.0)
-    assert rep.passed and rep.vacuous
-
-
-def test_membership_rejects_lam_zero():
-    f = dense_disk(1.0, n_r=64)
-    with pytest.raises(ValueError):
-        pw_membership_report(f, 0.0)

@@ -17,7 +17,7 @@ def small_field():
 
 def test_type_estimate_csv():
     f, _ = small_field()
-    est = estimate_type(f, sigma_max=6.0, n_sigma=8, adaptive=False)
+    est = estimate_type(f)
     csv = type_estimate_to_csv(est)
     lines = csv.split("\r\n")
     assert lines[0] == "sigma,log_abs,b_index"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballfourier.geometry import GeometryError
 from ballfourier.spectral import (
@@ -9,7 +10,6 @@ from ballfourier.spectral import (
     FitConditioningError,
     c_function,
     eigenvalue_of,
-    plancherel_density,
     plancherel_density_table,
     spherical_phi,
 )
@@ -154,12 +154,29 @@ def test_radial_ode_residual(dim, lam, r):
     assert abs(rich) / scale <= 1e-6
 
 
+def c_oracle(lam):
+    """Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) via mpmath."""
+    mpmath.mp.dps = 30
+    z = 1j * mpmath.mpc(lam)
+    return complex(mpmath.gamma(z) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(0.5 + z)))
+
+
+FIT_RADII = (12.0, 14.0)
+REAL_LAMS = st.builds(lambda x, neg: -x if neg else x, st.floats(1e-3, 48.0), st.booleans())
+
+
 def test_c_function_d3_closed_form():
-    v = c_function(3, 2.0)
-    assert v.method == "closed_form_d3"
-    assert v.c == pytest.approx(-0.5j, abs=1e-15)
+    assert c_function(3, 2.0) == pytest.approx(-0.5j, abs=1e-15)
     for lam in (0.1, 1.0, 10.0):
-        assert plancherel_density(3, lam) == pytest.approx(lam**2, rel=1e-14)
+        assert 1.0 / abs(c_function(3, lam)) ** 2 == pytest.approx(lam**2, rel=1e-14)
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(REAL_LAMS, st.builds(complex, REAL_LAMS, st.floats(-1.0, 1.0))))
+def test_c_function_d2_matches_mpmath_gamma(lam):
+    ref = c_oracle(lam)
+    assert abs(c_function(2, lam) - ref) <= 1e-13 * abs(ref)
 
 
 def test_c_function_pole():
@@ -167,60 +184,69 @@ def test_c_function_pole():
         c_function(3, 0.0)
 
 
+@pytest.mark.parametrize("fit_radii", [None, FIT_RADII])
+def test_c_function_rejects_other_dimensions(fit_radii):
+    for dim in (1, 4):
+        with pytest.raises(GeometryError):
+            c_function(dim, 1.0, fit_radii=fit_radii)
+
+
 def test_c_fit_matches_closed_form_d3():
     for lam in (0.5, 1.0, 2.0, 5.0):
-        fit = c_function(3, lam, method="asymptotic_fit")
-        assert fit.method == "asymptotic_fit"
-        assert abs(fit.c - 1.0 / (1j * lam)) <= 1e-6 * abs(1.0 / (1j * lam))
+        fit = c_function(3, lam, fit_radii=FIT_RADII)
+        assert abs(fit - 1.0 / (1j * lam)) <= 1e-6 * abs(1.0 / (1j * lam))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_c_conjugation_symmetry(dim):
-    for lam in (0.5, 1.0, 3.0, 8.0):
-        kwargs = {"method": "asymptotic_fit"} if dim == 2 else {}
-        a = c_function(dim, lam, **kwargs).c
-        b = c_function(dim, -lam, **kwargs).c
-        assert abs(np.conj(a) - b) <= 1e-8 * abs(a)
-        # both methods for d=3
-        if dim == 3:
-            af = c_function(3, lam, method="asymptotic_fit").c
-            bf = c_function(3, -lam, method="asymptotic_fit").c
-            assert abs(np.conj(af) - bf) <= 1e-8 * abs(af)
+    # the closed form and the fit oracle, in both dimensions
+    for fit_radii in (None, FIT_RADII):
+        for lam in (0.5, 1.0, 3.0, 8.0):
+            a = c_function(dim, lam, fit_radii=fit_radii)
+            b = c_function(dim, -lam, fit_radii=fit_radii)
+            assert abs(np.conj(a) - b) <= 1e-8 * abs(a)
 
 
 def test_c_fit_ill_conditioned_radii_raise_and_retry_works():
     # lam (r2 - r1) = pi makes the 2x2 system singular
     lam = np.pi / 2.0
     with pytest.raises(FitConditioningError):
-        c_function(2, lam, fit_radii=(12.0, 14.0))
+        c_function(2, lam, fit_radii=FIT_RADII)
     shifted = c_function(2, lam, fit_radii=(12.6, 14.2))
-    assert np.isfinite(shifted.c)
+    assert np.isfinite(shifted)
 
 
 def test_c_fit_raises_near_singular_lam_and_shifted_radii_recover():
-    # |det| = 2 |sin(2 lam)| = 1.2e-5 with the default radii: the fit would be
+    # |det| = 2 |sin(2 lam)| = 1.2e-5 with radii (12, 14): the fit would be
     # 3e-6 off the closed-form density without raising
     lam = 11.0 * np.pi / 2.0 + 3e-6
     with pytest.raises(FitConditioningError):
-        c_function(2, lam)
-    c = c_function(2, lam, fit_radii=(12.6, 14.2)).c
+        c_function(2, lam, fit_radii=FIT_RADII)
+    c = c_function(2, lam, fit_radii=(12.6, 14.2))
     assert 1.0 / abs(c) ** 2 == pytest.approx(np.pi * lam * np.tanh(np.pi * lam), rel=1e-7)
 
 
+def test_c_function_d2_closed_form_at_singular_fit_lam():
+    # the lam of the test above: the closed form involves no fit and no radii
+    lam = 11.0 * np.pi / 2.0 + 3e-6
+    c = c_function(2, lam)
+    assert 1.0 / abs(c) ** 2 == pytest.approx(plancherel_density_table(2, [lam])[0], rel=1e-13)
+
+
 def test_plancherel_density_positivity_and_roundtrip():
+    lams = np.array([0.1, 1.0, 10.0])
     for dim in (2, 3):
-        for lam in (0.1, 1.0, 10.0):
-            dens = plancherel_density(dim, lam)
-            assert dens > 0
-            c = c_function(dim, lam, method="asymptotic_fit" if dim == 2 else "auto").c
-            assert dens * abs(c) ** 2 == pytest.approx(1.0, rel=1e-12)
+        dens = plancherel_density_table(dim, lams)
+        assert np.all(dens > 0)
+        for lam, d in zip(lams, dens):
+            assert d * abs(c_function(dim, lam)) ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_plancherel_density_table_closed_forms_match_fit_oracle():
     # the oracle's two-radius fit is singular at lam = k pi / 2 and loses
     # digits next to those points; its worst node here is 18.85, 4e-4 from 6 pi
     lams = np.linspace(0.05, 30.0, 600)
-    fit = np.array([plancherel_density(2, lam) for lam in lams])
+    fit = np.array([1.0 / abs(c_function(2, lam, fit_radii=FIT_RADII)) ** 2 for lam in lams])
     assert np.max(np.abs(plancherel_density_table(2, lams) - fit) / fit) <= 1e-7
     assert np.array_equal(plancherel_density_table(3, lams), lams**2)
 

@@ -607,6 +607,15 @@ def test_eigen_equation_for_transform_output(dim, lam, eig, disk_bumps, ball_bum
     assert chk.residual <= 1e-4
 
 
+def test_eigen_equation_holds_for_rough_input():
+    """The Poisson transform of any boundary slice is an eigenfunction, smooth input or not."""
+    radial, boundary = disk_setup()
+    f = sample_bump(BumpSpec(dim=2, radius=1.0, profile="indicator"), radial, boundary)
+    chk = eigen_equation_residual(f, 1.0, polar_to_point(1.0, np.eye(2)[0]))
+    assert not chk.skipped
+    assert chk.residual <= 1e-4
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eigen_equation_exact_kernel_control(dim):
     """The horocycle wave and phi_lam(dist(., y)) are exact eigenfunctions, with
