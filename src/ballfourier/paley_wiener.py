@@ -47,19 +47,25 @@ class TypeFitError(RuntimeError):
     """Exponential-type fit failed (underflow or no admissible window)."""
 
 
-def holomorphy_circle_residual(f: SampledFunction, center: complex, b) -> float:
+def holomorphy_circle_residual(f: SampledFunction, center, b):
     """Mean-value test: the circle average of the transform minus its center value.
 
-    ``b`` is a single boundary point; the ring and its center share one
-    forward-slice call.
+    ``center`` is one complex value, giving a float, or an array of them,
+    giving an array of residuals of the same shape.  ``b`` is a single
+    boundary point.  All rings and centers share one forward-slice call,
+    which takes the Chebyshev route of boundary_slices (one ring and its
+    center are already 33 spectral values).
     """
     coords = _as_coords(b, f.dim)
     if coords.ndim != 1:
         raise TransformUsageError(f"expected a single boundary point, got shape {coords.shape}")
+    centers = np.asarray(center, dtype=complex)
     angles = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
-    ring = center + _CIRCLE_RADIUS * np.exp(1j * angles)
-    vals = boundary_slices(f, np.append(ring, center), coords[None, :])[:, 0]
-    return float(abs(vals[:-1].mean() - vals[-1]))
+    rings = centers.reshape(-1, 1) + _CIRCLE_RADIUS * np.exp(1j * angles)
+    vals = boundary_slices(f, np.append(rings, centers), coords[None, :])[:, 0]
+    n = centers.size
+    res = np.abs(vals[:-n].reshape(n, _CIRCLE_NODES).mean(axis=1) - vals[-n:])
+    return float(res[0]) if centers.ndim == 0 else res.reshape(centers.shape)
 
 
 @dataclass(frozen=True)

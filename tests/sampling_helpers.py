@@ -1,8 +1,9 @@
-"""Sampled functions and bump specs that only the tests build."""
+"""Sampled functions, bump specs and hypothesis strategies that only the tests build."""
 
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ballfourier.geometry import Isometry
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction
@@ -16,3 +17,9 @@ def zero_function(dim: int, radial: RadialGrid, boundary: BoundaryGrid) -> Sampl
 def translate_bump(spec: BumpSpec, g: Isometry) -> BumpSpec:
     """Exact analytic translate: the bump of x -> f(g^{-1} x)."""
     return replace(spec, center=spec.center.then(g))
+
+
+def unit_vectors(dim: int):
+    """Hypothesis strategy: unit vectors of R^dim, normalized from draws of norm > 0.1."""
+    vectors = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
+    return vectors.filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))

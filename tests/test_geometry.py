@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ballfourier.geometry import (
     BoundaryPoint,
@@ -10,6 +11,7 @@ from ballfourier.geometry import (
     MobiusTranslation,
     Point,
     apply,
+    apply_array,
     busemann,
     busemann_field,
     dist,
@@ -20,6 +22,7 @@ from ballfourier.geometry import (
     random_rotation,
     volume_weight,
 )
+from sampling_helpers import unit_vectors
 
 LN3 = np.log(3.0)
 
@@ -192,3 +195,33 @@ def test_bulk_helpers_match_scalar_forms():
 def test_mobius_translation_requires_interior_target():
     with pytest.raises(GeometryError):
         MobiusTranslation(np.array([1.0, 0.0]))
+
+
+@st.composite
+def isometry_cases(draw):
+    """random_isometry from a drawn seed and shift, two interior points with |x| <= 0.9 and a boundary point."""
+    dim = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_isometry(rng, dim, max_shift=draw(st.floats(0.2, 0.9)))
+    x, y = (draw(st.floats(0.0, 0.9)) * draw(unit_vectors(dim)) for _ in range(2))
+    return g, Point(x), Point(y), BoundaryPoint(draw(unit_vectors(dim)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(isometry_cases())
+def test_isometry_invariants_sweep(case):
+    """Distance invariance, the Busemann cocycle and the boundary action, on random isometries.
+
+    Distances are compared only for points at least 1e-3 apart: dist evaluates
+    arccosh(1 + u), whose conditioning near u = 0 limits nearly coincident
+    points to about sqrt(eps) absolute accuracy.
+    """
+    g, x, y, b = case
+    gb = apply_array(g, b.coords)
+    assert abs(np.linalg.norm(gb) - 1.0) <= 1e-12
+    o = Point(np.zeros(len(b.coords)))
+    lhs = busemann(apply(g, x), gb)
+    assert abs(lhs - (busemann(x, b) + busemann(apply(g, o), gb))) <= 1e-12
+    assume(np.linalg.norm(x.coords - y.coords) >= 1e-3)
+    d = dist(x, y)
+    assert abs(dist(apply(g, x), apply(g, y)) - d) <= 1e-12 * (1.0 + d)

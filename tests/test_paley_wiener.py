@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ballfourier.geometry import BoundaryPoint, Isometry, random_rotation
+from ballfourier.geometry import BoundaryPoint, Isometry, busemann_field, random_rotation
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump
 from ballfourier.paley_wiener import (
     TransformRangeError,
@@ -13,7 +13,7 @@ from ballfourier.paley_wiener import (
     estimate_type,
     holomorphy_circle_residual,
 )
-from ballfourier.transforms import TransformUsageError, boundary_slices, helgason_forward
+from ballfourier.transforms import TransformUsageError, _support_data, boundary_slices, helgason_forward
 from sampling_helpers import zero_function
 
 
@@ -61,7 +61,11 @@ def test_holomorphy_circle_mean_value():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_holomorphy_circle_matches_per_node_forward_loop(dim):
-    """One slice call over ring and center equals one helgason_forward per node, bit for bit."""
+    """Rings and centers of several circles in one slice call against one dense helgason_forward per node.
+
+    The batched call takes the Chebyshev route, so values agree to rounding,
+    measured against the sum of the terms' magnitudes sum |c_j e^{z B_j}|.
+    """
     if dim == 2:
         f = dense_disk(1.0, shift=0.3, alpha=0.4, n_r=64)
     else:
@@ -69,14 +73,21 @@ def test_holomorphy_circle_matches_per_node_forward_loop(dim):
         f = sample_bump(spec, RadialGrid.gauss_legendre(48, 5.5), BoundaryGrid.sphere(8, 16))
     b = np.eye(dim)[0]
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        center = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
-        angles = 2.0 * np.pi * np.arange(32) / 32
-        ring = center + 0.1 * np.exp(1j * angles)
-        vals = np.array([helgason_forward(f, z, b) for z in ring])
-        expected = float(abs(vals.mean() - helgason_forward(f, center, b)))
-        assert holomorphy_circle_residual(f, center, b) == expected
-        assert holomorphy_circle_residual(f, center, BoundaryPoint(b)) == expected
+    centers = np.array([complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(3)])
+    rings = centers[:, None] + 0.1 * np.exp(2j * np.pi * np.arange(32) / 32)
+    lams = np.append(rings, centers)
+    batched = boundary_slices(f, lams, b[None, :])[:, 0]
+    dense = np.array([helgason_forward(f, z, b) for z in lams])
+    pts, wv = _support_data(f)
+    kernels = np.exp(np.outer(-1j * lams + 0.5 * (dim - 1), busemann_field(pts, b[None, :])[:, 0]))
+    scale = np.abs(kernels) @ np.abs(wv)
+    assert np.all(np.abs(batched - dense) <= 1e-13 * scale)
+    expected = np.abs(dense[:-3].reshape(3, 32).mean(axis=1) - dense[-3:])
+    for point in (b, BoundaryPoint(b)):
+        got = holomorphy_circle_residual(f, centers, point)
+        assert got.shape == (3,)
+        assert np.all(np.abs(got - expected) <= 2e-13 * scale[-3:])
+        assert holomorphy_circle_residual(f, centers[0], point) == pytest.approx(got[0], abs=2e-13 * scale[-3])
 
 
 def test_holomorphy_circle_rejects_several_directions():

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from ballfourier.geometry import (
     BoundaryPoint,
+    GeometryError,
     Isometry,
     Point,
     apply,
@@ -35,6 +36,7 @@ from ballfourier.transforms import (
     OVERFLOW_EXPONENT,
     TransformUsageError,
     _poisson_far,
+    _support_data,
     asymptotic_limit_residual,
     boundary_slices,
     calibrate_kappa,
@@ -51,7 +53,7 @@ from ballfourier.transforms import (
     poisson,
     spherical_transform,
 )
-from sampling_helpers import translate_bump, zero_function
+from sampling_helpers import translate_bump, unit_vectors, zero_function
 
 
 def disk_setup(n_r=96, r_max=6.0, n_b=256):
@@ -354,16 +356,25 @@ def test_jeft_grid_matches_direct_on_both_sides_of_far_radius(disk_bumps):
         assert np.all(np.abs(got - ref) <= 1e-6 * np.maximum(np.abs(ref), 1e-12))
 
 
+def spectral_values(f, re_max):
+    """Real lam in [0, re_max], or complex lam with |Re lam| <= re_max inside the overflow guard."""
+    # one ulp below the guard, so that im_max * support_radius cannot round above it
+    im_max = np.nextafter(OVERFLOW_EXPONENT / f.support_radius, 0.0)
+    return st.one_of(
+        st.floats(0.0, re_max),
+        st.builds(complex, st.floats(-re_max, re_max), st.floats(-im_max, im_max)),
+    )
+
+
 @st.composite
-def slice_cases(draw):
-    """A bump on a disk or sphere grid and a few lam, real or inside the overflow guard."""
+def sampled_bumps(draw):
+    """A shifted, modulated bump on a disk or sphere grid."""
     dim = draw(st.sampled_from([2, 3]))
     if dim == 2:
         boundary = BoundaryGrid.disk(draw(st.integers(1, 40)))
     else:
         boundary = BoundaryGrid.sphere(draw(st.integers(2, 12)), draw(st.integers(3, 32)))
-    vectors = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
-    direction = vectors.filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+    direction = unit_vectors(dim)
     shift = draw(st.floats(0.0, 1.5))
     spec = BumpSpec(
         dim=dim,
@@ -373,12 +384,31 @@ def slice_cases(draw):
         axis=draw(direction),
     )
     radial = RadialGrid.gauss_legendre(draw(st.integers(4, 32)), spec.support_radius + 0.5)
-    im_max = OVERFLOW_EXPONENT / spec.support_radius
-    lam = st.one_of(
-        st.floats(0.0, 20.0),
-        st.builds(complex, st.floats(-20.0, 20.0), st.floats(-im_max, im_max)),
-    )
-    return sample_bump(spec, radial, boundary), draw(st.lists(lam, min_size=1, max_size=3))
+    return sample_bump(spec, radial, boundary)
+
+
+@st.composite
+def slice_cases(draw):
+    """A bump on a disk or sphere grid and a few lam, real or inside the overflow guard."""
+    f = draw(sampled_bumps())
+    return f, draw(st.lists(spectral_values(f, 20.0), min_size=1, max_size=3))
+
+
+@st.composite
+def chebyshev_cases(draw):
+    """A bump, 8 to 40 lam with |Re lam| <= 200 up to the overflow guard, and 1 to 5 directions."""
+    f = draw(sampled_bumps())
+    lams = draw(st.lists(spectral_values(f, 200.0), min_size=8, max_size=40))
+    return f, lams, np.array(draw(st.lists(unit_vectors(f.dim), min_size=1, max_size=5)))
+
+
+def dense_slice(f, lams, bs):
+    """The dense sum over every support-row sample and the sum of its terms' magnitudes, (n_lam, m) each."""
+    mask = f.support_mask
+    pts = f.support_points().reshape(-1, f.dim)
+    wv = (f.node_weights()[mask] * f.values[mask]).ravel()
+    kernels = np.exp((-1j * np.asarray(lams)[:, None, None] + 0.5 * (f.dim - 1)) * busemann_field(pts, bs))
+    return np.einsum("i,kij->kj", wv, kernels), np.einsum("i,kij->kj", np.abs(wv), np.abs(kernels))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -390,6 +420,57 @@ def test_fft_slice_matches_dense_oracle(case):
     dense = boundary_slices(f, lams, f.boundary.directions)
     assert fast.shape == dense.shape == (len(lams), len(f.boundary))
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chebyshev_cases())
+def test_chebyshev_slice_matches_dense_sum(case):
+    """The panelled Chebyshev route against the dense sum, relative to sum |c_j e^{z B_j}|."""
+    f, lams, bs = case
+    got = boundary_slices(f, lams, bs)
+    ref, scale = dense_slice(f, lams, bs)
+    assert got.shape == (len(lams), len(bs))
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_few_lams_at_explicit_directions_take_dense_sum_bit_for_bit(dim, disk_bumps, ball_bumps):
+    """Below 8 lam explicit directions keep the dense sum, so helgason_forward and the far rule are unchanged."""
+    f = (disk_bumps if dim == 2 else ball_bumps)[1]
+    bs = np.random.default_rng(4).standard_normal((3, dim))
+    bs /= np.linalg.norm(bs, axis=1, keepdims=True)
+    lams = [0.7, 2.5, 1.5 - 0.6j, 0.4j, 9.0, 3.3 + 1.0j, 0.0, 12.0]
+    pts, wv = _support_data(f)
+    rho = 0.5 * (dim - 1)
+    B = busemann_field(pts, bs)
+    ref = np.array([wv @ np.exp((-1j * lam + rho) * B) for lam in lams])
+    for n in (1, 7):
+        assert np.array_equal(boundary_slices(f, lams[:n], bs), ref[:n])
+    one = wv @ np.exp((-1j * lams[2] + rho) * busemann_field(pts, bs[1:2]))
+    assert helgason_forward(f, lams[2], bs[1]) == one[0]
+    # from 8 lam on the Chebyshev route takes over
+    _, scale = dense_slice(f, lams, bs)
+    assert np.all(np.abs(boundary_slices(f, lams, bs) - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n_lam", [1, 8])
+def test_slices_reject_bad_directions(n_lam, disk_bumps):
+    f = disk_bumps[1]
+    lams = np.linspace(0.5, 4.0, n_lam)
+    for bs in ([[2.0, 0.0]], [[1.0, 1e-5]], [[1.0, 0.0, 0.0]], np.ones((2, 1)), np.ones((1, 2, 2))):
+        with pytest.raises(TransformUsageError):
+            boundary_slices(f, lams, bs)
+    # a d-vector is one direction
+    assert boundary_slices(f, lams, [0.6, 0.8]).shape == (n_lam, 1)
+
+
+def test_poisson_rejects_points_outside_the_ball(disk_bumps):
+    f = disk_bumps[1]
+    sl = boundary_slices(f, [1.3])[0]
+    for x in ([1.0, 0.0], [0.0, -1.0 + 1e-13], [[0.2, 0.1], [0.8, 0.8]]):
+        with pytest.raises(GeometryError):
+            poisson(sl, f.boundary, 1.3, x)
+    assert np.isfinite(poisson(sl, f.boundary, 1.3, [0.3, -0.9]))
 
 
 SPHERE_SHAPES = [(n_theta, n_phi) for n_theta in (1, 2, 3, 5, 24) for n_phi in (1, 2, 3, 4, 7, 48)]
