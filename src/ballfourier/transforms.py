@@ -449,16 +449,18 @@ def _poisson_far(F_eval, dim: int, lam: complex, x, angular_scale: float):
 
 
 def spherical_transform(f: SampledFunction, lam):
-    """Spherical transform of a K-invariant function: integral of f phi_(-lam) dmu."""
+    """Spherical transform of a K-invariant function: integral of f phi_(-lam) dmu.
+
+    One spherical_phi call builds the (n_lam, n_support) table of every lam
+    at the support nodes, contracted with the weighted profile.
+    """
     if not f.is_radial():
         raise TransformUsageError("spherical_transform requires a K-invariant (radial) input")
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     prof = f.radial_profile()
     w = f.node_weights().sum(axis=1)  # S_{d-1} w_i sinh^{d-1}(r_i)
     mask = f.support_mask
-    out = np.array(
-        [np.sum(w[mask] * prof[mask] * spherical_phi(f.dim, l, f.radial.nodes[mask])) for l in lams]
-    )
+    out = np.sum(w[mask] * prof[mask] * spherical_phi(f.dim, lams, f.radial.nodes[mask]), axis=1)
     return out[0] if np.ndim(lam) == 0 else out
 
 
@@ -474,14 +476,12 @@ def jeft_direct(f: SampledFunction, lam: complex, x):
     """Convolution oracle: quadrature of f(y) phi_lam(dist(x, y)) over dmu(y).
 
     The group convolution with the spherical function descends to this
-    point-pair kernel because phi_lam is K-bi-invariant.
+    point-pair kernel because phi_lam is K-bi-invariant.  One spherical_phi
+    call covers the whole (n_x, n_samples) distance matrix.
     """
     coords = np.atleast_2d(_as_coords(x, f.dim))
     pts, wv = _support_data(f)
-    D = pairwise_dist(coords, pts)
-    vals = np.array(
-        [np.sum(wv * spherical_phi(f.dim, lam, D[i])) for i in range(len(coords))]
-    )
+    vals = np.sum(wv * spherical_phi(f.dim, lam, pairwise_dist(coords, pts)), axis=1)
     return vals[0] if np.ndim(_as_coords(x, f.dim)) == 1 else vals
 
 
@@ -503,8 +503,7 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
     radii = np.array([dist(np.zeros(f.dim), p) for p in xs])
     if f.is_radial():
         ft = spherical_transform(f, lams)
-        phis = np.array([spherical_phi(f.dim, lam, radii) for lam in lams])
-        return ft[:, None] * phis
+        return ft[:, None] * spherical_phi(f.dim, lams, radii)
     out = np.empty((len(lams), len(xs)), dtype=complex)
     near = radii <= FAR_RADIUS[f.dim]
     if np.any(near):

@@ -113,6 +113,25 @@ def test_support_radius_recovery_shifted(dim):
     assert 1.9 <= est.radius_estimate <= 2.1
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_type_estimate_of_unmodulated_bump_reads_no_samples(dim, shift):
+    # pw-recovery samples its support-recovery bumps on one direction: the
+    # estimate must not depend on the boundary grid of the samples
+    center = Isometry.translation(np.eye(dim)[0] * np.tanh(0.5 * shift)) if shift else None
+    spec = BumpSpec(dim=dim, radius=1.5, center=center)
+    radial = RadialGrid.gauss_legendre(128, spec.support_radius + 4.0)
+    if dim == 2:
+        full, one = BoundaryGrid.disk(128), BoundaryGrid.disk(1)
+    else:
+        full, one = BoundaryGrid.sphere(24, 48), BoundaryGrid.sphere(1, 1)
+    a = estimate_type(sample_bump(spec, radial, full))
+    b = estimate_type(sample_bump(spec, radial, one))
+    for name in ("boundary_points", "sigma_grid", "log_magnitudes", "slopes", "fit_residuals", "window_starts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.radius_estimate == b.radius_estimate
+
+
 def test_type_estimate_scale_invariance():
     f = dense_disk(2.0, n_r=384)
     g = sample_bump(replace(f.bump, amplitude=10.0), f.radial, f.boundary)

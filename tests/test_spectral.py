@@ -84,6 +84,20 @@ def test_phi2_matches_conical_function_oracle():
 
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
+def test_phi2_small_and_large_lam_share_one_call():
+    # every lam of a call takes the rule of the largest node count, here
+    # lam = 48 at r = 16; the small lam must keep their accuracy on it
+    lams = np.array([0.0, 0.4, 2.7, 15.0, 48.0])
+    r = np.array([0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 12.0, 14.0, 16.0])
+    got = spherical_phi(2, lams, r)
+    assert got.shape == (len(lams), len(r))
+    for k, lam in enumerate(lams):
+        for j, rj in enumerate(r):
+            ref = conical_oracle(lam, rj)
+            assert abs(got[k, j] - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
 def test_phi2_imaginary_axis_matches_conical_function_oracle():
     # lam = -i sigma is the exponential-type probe; at sigma = 1/2, 3/2 the
     # degree -1/2 + sigma of the conical function is an integer
@@ -106,6 +120,54 @@ def test_phi2_mixed_radii_in_one_call():
         for k, rk in enumerate(r):
             ref = conical_oracle(lam, rk)
             assert abs(got[k] - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@st.composite
+def lam_batches(draw):
+    """1-40 spectral values of one kind and radii in [0, 18] with r = 0 among them, |Im lam| r_max <= 40."""
+    r = np.array([0.0] + draw(st.lists(st.floats(0.0, 18.0), min_size=1, max_size=20)))
+    im_max = 40.0 / max(float(r.max()), 1.0)
+    n = draw(st.integers(1, 40))
+    re = st.floats(-48.0, 48.0)
+    im = st.floats(-im_max, im_max)
+    kind = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    if kind == "real":
+        lams = draw(st.lists(re, min_size=n, max_size=n))
+    elif kind == "imaginary":
+        lams = [1j * x for x in draw(st.lists(im, min_size=n, max_size=n))]
+    else:
+        lams = draw(st.lists(st.builds(complex, re, im), min_size=n, max_size=n))
+    return np.array(lams, dtype=complex), r
+
+
+@pytest.mark.parametrize("dim,bound", [(2, 1e-12), (3, 1e-15)])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(batch=lam_batches())
+def test_phi_lam_array_matches_per_lam_calls(dim, bound, batch):
+    lams, r = batch
+    got = spherical_phi(dim, lams, r)
+    ref = np.array([spherical_phi(dim, lam, r) for lam in lams])
+    assert got.shape == ref.shape == (len(lams), len(r))
+    assert np.all(np.abs(got - ref) <= bound * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_phi_shape_rule(dim):
+    r = np.array([[0.0, 0.5, 1.0], [2.0, 4.0, 8.0]])
+    lams = np.array([0.3, 2.0 - 0.5j, -1.5j])
+    one = spherical_phi(dim, 1.0, r)
+    assert one.shape == r.shape
+    assert np.array_equal(one, spherical_phi(dim, 1.0, r.ravel()).reshape(r.shape))
+    assert spherical_phi(dim, 1.0, np.ones((2, 3))).shape == (2, 3)
+    table = spherical_phi(dim, lams, r)
+    assert table.shape == (3, 2, 3)
+    for k, lam in enumerate(lams):
+        assert np.allclose(table[k], spherical_phi(dim, lam, r), rtol=1e-12, atol=1e-12)
+    assert spherical_phi(dim, lams, 1.5).shape == (3,)
+    assert spherical_phi(dim, lams[:0], r).shape == (0, 2, 3)
+    assert np.isscalar(spherical_phi(dim, 0.7, 1.5))
+    with pytest.raises(GeometryError):
+        spherical_phi(dim, np.ones((2, 2)), 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.7, 9.0, 2.0 - 0.5j, -3.0j])
