@@ -115,8 +115,7 @@ def scenario_jeft_equivalence(cfg: ScenarioConfig, rng):
     xs = _random_interior_points(rng, cfg.dim, 5, 0.1, 1.5)
     rows = []
     worst = 0.0
-    for lam, composed in zip(lams, jeft_grid(f, lams, xs)):
-        direct = jeft_direct(f, lam, xs)
+    for lam, composed, direct in zip(lams, jeft_grid(f, lams, xs), jeft_direct(f, lams, xs)):
         for j in range(len(xs)):
             rel = _rel(composed[j], direct[j])
             worst = max(worst, rel)

@@ -26,8 +26,7 @@ random calls of 1-40 lam (r <= 18, |Im lam| r <= 40).  Measured against
 the mpmath conical function for r <= 18: at most 9e-16 for real lam <= 48
 and 2.8e-15 on the imaginary axis (|Im lam| r <= 40).  Off both axes the
 cancellation of cos(Re lam u) cosh(Im lam u) amplifies rounding, to 6e-14 at
-lam = 32.8 - 0.7i, r = 18.  The exponentially graded rule
-(transforms.graded_rule) now serves only the far Poisson transform.
+lam = 32.8 - 0.7i, r = 18.
 
 The c-function is evaluated in closed form in both dimensions: 1/(i lam) for
 H^3 and c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) for H^2

@@ -5,18 +5,20 @@ their composition (the joint-eigenspace transform, both by factorization and
 by the distance-kernel convolution oracle), spherical transform, inversion,
 Plancherel, and the residuals used to verify the identities connecting them.
 
-Boundary integrals at evaluation points far from the origin switch to the
-exponentially graded angular rule graded_rule, tan(theta/2) = e^-r sinh(v):
-the Poisson kernel peak has width ~e^-r and a fixed product grid cannot
-resolve it.  One rule of 16-point Gauss-Legendre panels in v serves both
-dimensions; in d = 2 it reproduces phi_lam(dist(x, y)) as a Poisson
-transform to 2.6e-12 relative at lam = 9.3, r = 7 (worst of 64
-directions).  The far Poisson transform is its only user.  jeft_grid is the
-one place that picks the joint-eigenspace route.
+jeft_grid is the one place that picks the joint-eigenspace route.  Near the
+origin it is the paper's factorization, the Poisson transform of the grid
+slices.  Beyond FAR_RADIUS the product grid cannot resolve the Poisson
+kernel peak, of width ~e^-r at radius r, and the route is the
+distance-kernel convolution jeft_direct.  By the addition formula
 
-The far Poisson transform and the Laplace-Beltrami stencil depend on the
-dimension only through the boundary sphere S^{d-1}: both are built on the
-d - 1 orthonormal tangent vectors at omega = x/|x| (_tangent_frame).
+    phi_lam(d(x, y)) = Int_B e^{(i lam + rho) A(x, b)} e^{(-i lam + rho) A(y, b)} db
+
+(Helgason, Groups and Geometric Analysis, Ch. IV) the convolution is the
+Poisson transform of the same discrete slice, exact in b.
+
+The Laplace-Beltrami stencil depends on the dimension only through the
+boundary sphere S^{d-1}: it is built on the d - 1 orthonormal tangent
+vectors at omega = x/|x| (_tangent_frame).
 
 The forward slice has three routes, all picked in boundary_slices:
 
@@ -62,7 +64,6 @@ from .grids import (
     azimuthal_layout,
     integrate_spectrum,
     k_average_profile,
-    legendre_rule,
 )
 from .spectral import (
     c_function,
@@ -72,7 +73,7 @@ from .spectral import (
 )
 
 # Beyond these radii the product boundary grid cannot resolve the Poisson
-# kernel peak and the graded rule takes over.
+# kernel peak and jeft_grid takes the distance-kernel convolution.
 FAR_RADIUS = {2: 3.2, 3: 2.2}
 
 # Normalization of the inversion and Plancherel formulas against |c(lam)|^-2,
@@ -93,14 +94,12 @@ _CHEB_ORDER = 20
 # VM) a dense kernel term costs about 34 ns per (sample, lam) and the route's
 # extra work about 134 ns per sample (sort, 21-term recurrence, panel
 # products), so the two break even near 5 lam.  Below 8 lam the dense sum is
-# kept, bit for bit (helgason_forward and the far Poisson rule).
+# kept, bit for bit (helgason_forward passes one lam).
 _CHEB_MIN_LAMS = 8
 # Samples per block of the Chebyshev moment table.
 _MOMENT_BLOCK = 8192
 # Largest allowed | |b| - 1 | of an explicit direction.
 _UNIT_TOL = 1e-12
-# Azimuthal nodes of the d = 3 graded Poisson rule.
-_FAR_N_PHI = 96
 # Finite-difference step of laplace_beltrami_residual.
 _STENCIL_STEP = 1e-2
 
@@ -381,73 +380,6 @@ def _tangent_frame(omega: np.ndarray) -> np.ndarray:
     return np.array([p, np.cross(omega, p)])
 
 
-def graded_rule(lam: complex, r_max: float, max_step: float = np.inf):
-    """Nodes v and weights of the far Poisson rule on [0, r_max + 38].
-
-    The substitution tan(theta/2) = e^{-r} sinh(v) resolves the Poisson
-    kernel peak, of width ~e^{-r} at radius r, in a uniform strip of v.  The
-    step resolves the oscillation rate 2|Re lam| and the peak at v = 0, of
-    width ~1/sqrt|Im lam|, that the growth rate 2|Im lam| builds, and is
-    capped by ``max_step``.  Composite 16-point Gauss-Legendre panels of
-    width min(1, 6 step) integrate the measure sin^{d-2}(theta) d(theta) in
-    both dimensions.  In d = 2 they reproduce the kernel identity against
-    phi_lam(dist(x, y)) at lam = 9.3, r = 7 to 2.6e-12 relative (worst of 64
-    directions; the half-line trapezoid they replaced read 1.4e-7).
-
-    The far Poisson transform is its only user.  The H^2 spherical function
-    takes a midpoint rule on its Mehler-Dirichlet integral instead (see
-    spectral), with about |Re lam| r/2 nodes and no tail, within 3e-15 of
-    the mpmath conical function on the real and imaginary axes.
-    """
-    lam = complex(lam)
-    h = min(2.0 * np.pi / (2.0 * abs(lam.real) + 2.0 * abs(lam.imag) + 30.0), max_step)
-    v_max = r_max + 38.0
-    panel = min(1.0, 6.0 * h)
-    xg, wg = legendre_rule(16)
-    edges = np.linspace(0.0, v_max, int(np.ceil(v_max / panel)) + 1)
-    lo, hi = edges[:-1], edges[1:]
-    v = (0.5 * (hi - lo)[:, None] * (xg + 1.0)[None, :] + lo[:, None]).ravel()
-    w = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
-    return v, w
-
-
-def _poisson_far(F_eval, dim: int, lam: complex, x, angular_scale: float):
-    """Graded Poisson transform at a far interior point.
-
-    ``F_eval`` maps an (m, d) array of boundary directions to boundary values.
-    ``angular_scale`` is the smallest angular feature of F (about e^{-R_f}),
-    which limits the step of the graded rule.  The boundary integral is a
-    sweep over rings at polar angle theta about omega = x/|x|: the ring mean
-    of F, weighted by sin^{d-2}(theta) d(theta) over its total mass (pi for
-    d = 2, 2 for d = 3).  A d = 2 ring is the pair of points at +-theta.
-    """
-    coords = _as_coords(x)
-    r, omega = point_to_polar(coords)
-    rho = half_root_sum(dim)
-    lam = complex(lam)
-    # the boundary density's angular feature scale also caps the step
-    v, w = graded_rule(lam, r, max_step=angular_scale / 3.0)
-    t = np.exp(-r) * np.sinh(v)  # tan(theta/2)
-    # kernel in log form: (cosh r - sinh r cos theta) = e^{-r} cosh^2 v / (1 + t^2)
-    log_base = -r + 2.0 * np.log(np.cosh(v)) - np.log1p(t * t)
-    kernel = np.exp(-(1j * lam + rho) * log_base)
-    sin_t = 2.0 * t / (1.0 + t * t)
-    cos_t = (1.0 - t * t) / (1.0 + t * t)
-    # dtheta/dv sin^{d-2}(theta)
-    dens = 2.0 * np.exp(-r) * np.cosh(v) / (1.0 + t * t) * sin_t ** (dim - 2)
-    n_phi = 2 if dim == 2 else _FAR_N_PHI
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    ring = np.stack([np.cos(phi), np.sin(phi)][: dim - 1], axis=1) @ _tangent_frame(omega)
-    total = 0.0 + 0.0j
-    block = max(1, _CHUNK // (n_phi * 8))
-    for i in range(0, len(v), block):
-        sl = slice(i, i + block)
-        bs = cos_t[sl, None, None] * omega[None, None, :] + sin_t[sl, None, None] * ring[None, :, :]
-        Fv = np.asarray(F_eval(bs.reshape(-1, dim))).reshape(-1, n_phi)
-        total += np.sum((w[sl] * kernel[sl] * dens[sl]) * Fv.mean(axis=1))
-    return total / (np.pi if dim == 2 else 2.0)
-
-
 def spherical_transform(f: SampledFunction, lam):
     """Spherical transform of a K-invariant function: integral of f phi_(-lam) dmu.
 
@@ -467,22 +399,32 @@ def spherical_transform(f: SampledFunction, lam):
 def jeft(f: SampledFunction, lam: complex, x):
     """Joint-eigenspace transform at one point: jeft_grid(f, [lam], x).
 
-    The route (radial, near or far) is picked by jeft_grid's route table.
+    The route (radial, near or far) is picked by jeft_grid's route table:
+    the far route is the convolution jeft_direct.
     """
     return complex(jeft_grid(f, [lam], x)[0, 0])
 
 
-def jeft_direct(f: SampledFunction, lam: complex, x):
+def jeft_direct(f: SampledFunction, lam, x):
     """Convolution oracle: quadrature of f(y) phi_lam(dist(x, y)) over dmu(y).
 
     The group convolution with the spherical function descends to this
-    point-pair kernel because phi_lam is K-bi-invariant.  One spherical_phi
-    call covers the whole (n_x, n_samples) distance matrix.
+    point-pair kernel because phi_lam is K-bi-invariant.  ``lam`` is a
+    scalar or a 1-D array of n values, with the shape rule of spherical_phi:
+    a scalar lam gives the point shape (a scalar for one point, (n_x,) for
+    an (n_x, d) array), n lam give (n,) + that shape.  The support data and
+    the (n_x, n_samples) distance matrix are built once per call; each lam
+    takes one spherical_phi call over the whole matrix, so every lam of an
+    array reads bit for bit what a scalar call with it reads.  It is also
+    the far route of jeft_grid.
     """
-    coords = np.atleast_2d(_as_coords(x, f.dim))
+    coords = _as_coords(x, f.dim)
     pts, wv = _support_data(f)
-    vals = np.sum(wv * spherical_phi(f.dim, lam, pairwise_dist(coords, pts)), axis=1)
-    return vals[0] if np.ndim(_as_coords(x, f.dim)) == 1 else vals
+    D = pairwise_dist(np.atleast_2d(coords), pts)
+    vals = np.array([np.sum(wv * spherical_phi(f.dim, l, D), axis=1) for l in np.atleast_1d(lam)])
+    if coords.ndim == 1:
+        vals = vals[:, 0]
+    return vals[0] if np.ndim(lam) == 0 else vals
 
 
 def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
@@ -495,8 +437,9 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
       phi_lam(|x|), exact because the slice is constant in b;
     - |x| <= FAR_RADIUS: ``poisson`` of the grid slices, one Busemann matrix
       for all lam and points;
-    - |x| > FAR_RADIUS: the graded rule ``_poisson_far`` over slices taken at
-      the rule's own directions, which the product grid cannot resolve.
+    - |x| > FAR_RADIUS, where the product grid cannot resolve the Poisson
+      kernel peak: the convolution ``jeft_direct``, one call for all lam and
+      far points.
     """
     lams = np.atleast_1d(lams)
     xs = np.atleast_2d(_as_coords(xs, f.dim))
@@ -508,12 +451,8 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
     near = radii <= FAR_RADIUS[f.dim]
     if np.any(near):
         out[:, near] = poisson(boundary_slices(f, lams), f.boundary, lams, xs[near])
-    scale = 2.0 * np.exp(-f.support_radius)
-    for j in np.nonzero(~near)[0]:
-        for k, lam in enumerate(lams):
-            out[k, j] = _poisson_far(
-                lambda bs: boundary_slices(f, [lam], bs)[0], f.dim, lam, xs[j], scale
-            )
+    if not np.all(near):
+        out[:, ~near] = jeft_direct(f, lams, xs[~near])
     return out
 
 

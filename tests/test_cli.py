@@ -158,8 +158,8 @@ def test_cli_reproducible_outputs(tmp_path, run_cli):
 
 
 def test_run_scenario_records_numeric_errors_as_failed_checks(tmp_path):
-    # radius 9 fits inside r_max 16 for validation but the far rule cannot be
-    # exercised: force an internal error via an impossible asymptotic range
+    # r_max 9 passes config validation but lies below the scenario's t = 10:
+    # the range guard of asymptotic_limit_residual raises inside the run
     cfg = parse_config(None, {"out_dir": str(tmp_path / "x"), "dim": 2})
     code = run_scenario("asymptotic", parse_config(None, {"r_max": "9.0", "radial_nodes": "64",
                                                           "bump_radius": "2.0", "out_dir": str(tmp_path / "x"),

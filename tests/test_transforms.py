@@ -13,7 +13,6 @@ from ballfourier.geometry import (
     apply,
     busemann,
     busemann_field,
-    dist,
     pairwise_dist,
     polar_to_point,
     random_isometry,
@@ -29,13 +28,12 @@ from ballfourier.grids import (
     integrate_B,
     sample_bump,
 )
-from ballfourier.spectral import spherical_phi
+from ballfourier.spectral import c_function, spherical_phi
 from ballfourier.transforms import (
     FAR_RADIUS,
     KAPPA,
     OVERFLOW_EXPONENT,
     TransformUsageError,
-    _poisson_far,
     _support_data,
     asymptotic_limit_residual,
     boundary_slices,
@@ -310,35 +308,6 @@ def test_dense_sums_drop_only_zero_samples(dim):
         assert np.max(np.abs(jeft_direct(f, lam, xs) - ref) / scale) <= 1e-14
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_far_poisson_reproduces_kernel_identity(dim):
-    """Graded far rule on the kernel product: integral equals phi_lam(dist(x, y))."""
-    rho = 0.5 * (dim - 1)
-    rng = np.random.default_rng(3)
-    for lam in (0.8, 2.0, 5.0, 9.3):
-        for r_far in (3.5, 4.0, 5.0, 7.0, 10.0):
-            w = rng.standard_normal(dim)
-            w /= np.linalg.norm(w)
-            x = polar_to_point(r_far, w)
-            y = polar_to_point(0.9, np.eye(dim)[0]).coords
-
-            def F_eval(bs):
-                return np.exp((-1j * lam + rho) * busemann_field(y[None, :], bs)[0])
-
-            got = _poisson_far(F_eval, dim, lam, x.coords, angular_scale=2.0 * np.exp(-0.9))
-            ref = spherical_phi(dim, lam, dist(x, Point(y)))
-            assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-9)
-
-
-def test_jeft_far_route_matches_direct_convolution_d2(disk_bumps):
-    f = disk_bumps[1]
-    x = polar_to_point(4.0, [0.8, 0.6])
-    for lam in (0.9, 2.1):
-        a = jeft(f, lam, x)
-        b = jeft_direct(f, lam, x)
-        assert abs(a - b) <= 1e-6 * max(abs(b), 1e-12)
-
-
 def test_jeft_many_matches_scalar(disk_bumps):
     f = disk_bumps[1]
     xs = np.array([[0.1, 0.2], [0.5, -0.1], [0.97, 0.0]])
@@ -347,13 +316,73 @@ def test_jeft_many_matches_scalar(disk_bumps):
         assert abs(vals[i] - jeft(f, 1.3, x)) <= 1e-12
 
 
-def test_jeft_grid_matches_direct_on_both_sides_of_far_radius(disk_bumps):
-    f = disk_bumps[1]
-    xs = np.array([polar_to_point(FAR_RADIUS[2] + dr, [0.8, 0.6]).coords for dr in (-0.05, 0.05)])
+def test_jeft_grid_matches_direct_on_both_sides_of_far_radius(disk_bumps, ball_bumps):
+    """The near route just inside FAR_RADIUS, the convolution just outside, in both dimensions.
+
+    Just inside FAR_RADIUS[3] the Poisson kernel peak, of width ~e^-r, is as
+    wide as the spacing of the 24 x 48 sphere: the d = 3 near side reads
+    2.9e-7 (lam = 0.9) and 8.7e-6 (lam = 2.1) relative to jeft_direct, the
+    d = 2 side 2.1e-9.
+    """
     lams = (0.9, 2.1)
-    for lam, got in zip(lams, jeft_grid(f, lams, xs)):
-        ref = jeft_direct(f, lam, xs)
-        assert np.all(np.abs(got - ref) <= 1e-6 * np.maximum(np.abs(ref), 1e-12))
+    for f, tol in ((disk_bumps[1], 1e-6), (ball_bumps[1], 1e-5)):
+        w = np.array([0.8, 0.6, 0.0])[: f.dim]
+        xs = np.array([polar_to_point(FAR_RADIUS[f.dim] + dr, w).coords for dr in (-0.05, 0.05)])
+        got = jeft_grid(f, lams, xs)
+        near, far = (jeft_direct(f, np.array(lams), x) for x in xs)
+        assert np.all(np.abs(got[:, 0] - near) <= tol * np.maximum(np.abs(near), 1e-12))
+        assert np.array_equal(got[:, 1], far)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jeft_far_route_is_direct_convolution_bit_for_bit(dim, disk_bumps, ball_bumps):
+    """Beyond FAR_RADIUS jeft_grid and jeft read what jeft_direct reads, for every lam and point."""
+    f = (disk_bumps if dim == 2 else ball_bumps)[1]
+    w = np.random.default_rng(8).standard_normal((3, dim))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    xs = np.array([polar_to_point(r, v).coords for r, v in zip((FAR_RADIUS[dim] + 0.3, 5.0, 8.0), w)])
+    lams = np.array([0.9, 2.1, 2.0 - 0.35j])
+    assert np.array_equal(jeft_grid(f, lams, xs), jeft_direct(f, lams, xs))
+    assert jeft(f, lams[2], xs[1]) == jeft_direct(f, lams[2], xs[1])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jeft_direct_lam_array_matches_scalar_calls_bit_for_bit(dim, disk_bumps, ball_bumps):
+    """n lam give (n,) + the point shape, each row what a scalar call with that lam gives."""
+    f = (disk_bumps if dim == 2 else ball_bumps)[1]
+    lams = np.array([0.9, 2.1, 2.0 - 0.35j, 0.4j])
+    xs = np.array([polar_to_point(r, np.eye(dim)[k % dim]).coords for k, r in enumerate((0.3, 1.2, 4.0))])
+    table = jeft_direct(f, lams, xs)
+    one = jeft_direct(f, lams, xs[1])
+    assert table.shape == (len(lams), len(xs)) and one.shape == (len(lams),)
+    for k, lam in enumerate(lams):
+        assert np.array_equal(table[k], jeft_direct(f, lam, xs))
+        assert one[k] == jeft_direct(f, lam, xs[1])
+    assert np.ndim(jeft_direct(f, lams[0], xs[1])) == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flat_front_limit_to_second_term_at_far_points(dim):
+    """The flat-front limit of a shifted, modulated bump with its second term eliminated.
+
+    e^{(-i lam + rho) t} jeft(f, lam, a_t . o) = c(lam) fhat(lam, b0) + C e^{-2 i lam t} + ...
+    (Helgason), so L = (V(10) - q V(8)) / (1 - q) with q = e^{-2 i lam 2}
+    removes C.  Both points lie beyond FAR_RADIUS, so this checks the far
+    route against the forward slice; V(10) alone reads about 1.8e-3.
+    """
+    radial = RadialGrid.gauss_legendre(128, 16.0)
+    boundary = BoundaryGrid.disk(64) if dim == 2 else BoundaryGrid.sphere(12, 24)
+    e1, e2 = np.eye(dim)[:2]
+    spec = BumpSpec(
+        dim=dim, radius=2.0, center=Isometry.translation(np.tanh(0.25) * e1), alpha=0.6,
+        axis=(e1 + e2) / np.sqrt(2.0),
+    )
+    f = sample_bump(spec, radial, boundary)
+    lam, rho = 2.0 - 0.35j, 0.5 * (dim - 1)
+    v8, v10 = (np.exp((-1j * lam + rho) * t) * jeft(f, lam, polar_to_point(t, e1)) for t in (8.0, 10.0))
+    q = np.exp(-2j * lam * 2.0)
+    target = c_function(dim, lam) * helgason_forward(f, lam, e1)
+    assert abs((v10 - q * v8) / (1.0 - q) - target) <= 1e-6 * abs(target)
 
 
 def spectral_values(f, re_max):
@@ -435,7 +464,7 @@ def test_chebyshev_slice_matches_dense_sum(case):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_few_lams_at_explicit_directions_take_dense_sum_bit_for_bit(dim, disk_bumps, ball_bumps):
-    """Below 8 lam explicit directions keep the dense sum, so helgason_forward and the far rule are unchanged."""
+    """Below 8 lam explicit directions keep the dense sum, so helgason_forward is unchanged."""
     f = (disk_bumps if dim == 2 else ball_bumps)[1]
     bs = np.random.default_rng(4).standard_normal((3, dim))
     bs /= np.linalg.norm(bs, axis=1, keepdims=True)
