@@ -175,6 +175,31 @@ def test_phi_shape_rule(dim):
         spherical_phi(dim, np.ones((2, 2)), 1.0)
 
 
+def poisson_transform_of_one_d2(lam, r, psi):
+    """Integral over the circle of P(x, b)^(1/2 + i lam), x at radius tanh(r/2) and angle psi.
+
+    The uniform rule converges like exp(-n log coth(r/2)), the half-width of
+    the kernel's analytic strip.  1 - |x| and 1 - |x|^2 are written in r:
+    forming them from |x| cancels digits at far radii.
+    """
+    n = int(np.ceil(60.0 / np.log(1.0 / np.tanh(0.5 * r))))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    s = np.tanh(0.5 * r)
+    dist2 = (2.0 / (np.exp(r) + 1.0)) ** 2 + 4.0 * s * np.sin(0.5 * (theta - psi)) ** 2
+    log_kernel = -2.0 * np.log(np.cosh(0.5 * r)) - np.log(dist2)
+    return np.mean(np.exp((0.5 + 1j * lam) * log_kernel))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.7, 9.0, 2.0 - 0.5j, -3.0j])
+def test_phi2_matches_far_poisson_transform_of_one(lam):
+    # phi_lam is the Poisson transform of the constant 1 at any point of
+    # radius r: an independent route to the same value at far radii
+    for r, psi in ((3.0, 0.3), (6.0, 2.0), (10.0, -1.1)):
+        ref = poisson_transform_of_one_d2(lam, r, psi)
+        got = spherical_phi(2, lam, r)
+        assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "lam,r",
