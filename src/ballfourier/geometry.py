@@ -227,13 +227,23 @@ def busemann(x, b) -> float:
 
 
 def busemann_field(xs: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Busemann bracket matrix for interior coords xs (n, d) against boundary bs (m, d)."""
+    """Busemann bracket matrix for interior coords xs (n, d) against boundary bs (m, d).
+
+    log(1 - |x|^2) - log(|x|^2 - 2 x.b + 1), using |x - b|^2 = |x|^2 - 2 x.b + 1
+    on the unit sphere.  Every step after the product x.b works in place in
+    the one (n, m) output buffer; scaling by 2 is exact, so the values are
+    those of the one-expression formula bit for bit.
+    """
     xs = np.asarray(xs, dtype=float)
     bs = np.asarray(bs, dtype=float)
     x2 = np.sum(xs * xs, axis=1)
-    # |x - b|^2 = |x|^2 - 2 x.b + 1 on the unit sphere
-    d2 = x2[:, None] - 2.0 * xs @ bs.T + 1.0
-    return np.log1p(-x2)[:, None] - np.log(d2)
+    out = xs @ bs.T
+    out *= 2.0
+    np.subtract(x2[:, None], out, out=out)
+    out += 1.0
+    np.log(out, out=out)
+    np.subtract(np.log1p(-x2)[:, None], out, out=out)
+    return out
 
 
 def polar_to_point(r: float, omega) -> Point:

@@ -265,10 +265,13 @@ class SampledFunction:
     def support_mask(self) -> np.ndarray:
         return self.radial.nodes <= self.support_radius
 
+    def radial_weights(self) -> np.ndarray:
+        """S_{d-1} w_i sinh^{d-1}(r_i) of each radial node, shape (n_r,)."""
+        return sphere_area(self.dim) * (self.radial.weights * volume_weight(self.radial.nodes, self.dim))
+
     def node_weights(self) -> np.ndarray:
-        """Quadrature weights of dmu on the grid, shape (n_r, m)."""
-        w_r = self.radial.weights * volume_weight(self.radial.nodes, self.dim)
-        return sphere_area(self.dim) * w_r[:, None] * self.boundary.weights[None, :]
+        """Quadrature weights of dmu on the grid, shape (n_r, m): radial_weights x boundary weights."""
+        return self.radial_weights()[:, None] * self.boundary.weights[None, :]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Off-grid evaluation through the analytic descriptor (required)."""

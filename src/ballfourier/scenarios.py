@@ -74,9 +74,7 @@ def _boundary(cfg: ScenarioConfig) -> BoundaryGrid:
 
 
 def _grids(cfg: ScenarioConfig):
-    radial = RadialGrid.gauss_legendre(cfg.radial_nodes, cfg.r_max)
-    sgrid = SpectralGrid.gauss_legendre(cfg.spectral_nodes, cfg.lambda_max)
-    return radial, _boundary(cfg), sgrid
+    return RadialGrid.gauss_legendre(cfg.radial_nodes, cfg.r_max), _boundary(cfg)
 
 
 def _bump_spec(cfg: ScenarioConfig, alpha=None, shift=None, radius=None) -> BumpSpec:
@@ -109,7 +107,7 @@ def _rel(a, b):
 
 
 def scenario_jeft_equivalence(cfg: ScenarioConfig, rng):
-    radial, boundary, _ = _grids(cfg)
+    radial, boundary = _grids(cfg)
     f = sample_bump(_bump_spec(cfg), radial, boundary)
     lams = rng.uniform(0.4, 3.2, 4)
     xs = _random_interior_points(rng, cfg.dim, 5, 0.1, 1.5)
@@ -183,7 +181,8 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
 
 
 def scenario_plancherel(cfg: ScenarioConfig, rng):
-    radial, boundary, sgrid = _grids(cfg)
+    radial, boundary = _grids(cfg)
+    sgrid = SpectralGrid.gauss_legendre(cfg.spectral_nodes, cfg.lambda_max)
     f = sample_bump(_bump_spec(cfg), radial, boundary)
     tol = 1e-3 if cfg.dim == 3 else 1e-2
     rep = plancherel_residual(f, sgrid)
@@ -199,7 +198,8 @@ def scenario_plancherel(cfg: ScenarioConfig, rng):
 
 
 def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
-    radial, boundary, sgrid = _grids(cfg)
+    radial, boundary = _grids(cfg)
+    sgrid = SpectralGrid.gauss_legendre(cfg.spectral_nodes, cfg.lambda_max)
     f = sample_bump(_bump_spec(cfg), radial, boundary)
     checks = []
     rows = []
@@ -213,21 +213,23 @@ def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
 
 
 def scenario_functional_equation(cfg: ScenarioConfig, rng):
-    radial, boundary, _ = _grids(cfg)
+    radial, boundary = _grids(cfg)
     f = sample_bump(_bump_spec(cfg), radial, boundary)
-    rows = []
-    worst = 0.0
-    for i in range(5):
-        g = random_isometry(rng, cfg.dim, max_shift=0.4)
+    gs, xs, lams = [], [], []
+    for _ in range(5):
+        gs.append(random_isometry(rng, cfg.dim, max_shift=0.4))
         w = rng.standard_normal(cfg.dim)
         w /= np.linalg.norm(w)
-        x = polar_to_point(rng.uniform(0.2, 0.9), w)
-        lam = rng.uniform(0.5, 2.8)
-        res = functional_equation_residual(f, g, x, lam)
-        worst = max(worst, res)
-        rows.append((i, float(lam), res))
-    g0 = random_isometry(rng, cfg.dim, max_shift=0.4)
-    trivial = functional_equation_residual(f, g0, np.zeros(cfg.dim), 1.3)
+        xs.append(polar_to_point(rng.uniform(0.2, 0.9), w).coords)
+        lams.append(rng.uniform(0.5, 2.8))
+    # the origin case: the K-orbit of o is the single point g0 . o
+    gs.append(random_isometry(rng, cfg.dim, max_shift=0.4))
+    xs.append(np.zeros(cfg.dim))
+    lams.append(1.3)
+    res = functional_equation_residual(f, gs, np.array(xs), np.array(lams))
+    rows = [(i, float(lam), float(r)) for i, (lam, r) in enumerate(zip(lams[:5], res[:5]))]
+    worst = float(np.max(res[:5]))
+    trivial = float(res[5])
     checks = [
         CheckResult("functional_equation_max_residual", worst, 1e-5, worst <= 1e-5),
         CheckResult("functional_equation_origin_case", trivial, 1e-10, trivial <= 1e-10),
@@ -237,7 +239,7 @@ def scenario_functional_equation(cfg: ScenarioConfig, rng):
 
 
 def scenario_asymptotic(cfg: ScenarioConfig, rng):
-    radial, boundary, _ = _grids(cfg)
+    radial, boundary = _grids(cfg)
     f = sample_bump(_bump_spec(cfg), radial, boundary)
     b0 = np.zeros(cfg.dim)
     b0[0] = 1.0
@@ -264,19 +266,21 @@ def scenario_asymptotic(cfg: ScenarioConfig, rng):
 
 
 def scenario_eigen(cfg: ScenarioConfig, rng):
-    radial, boundary, _ = _grids(cfg)
+    radial, boundary = _grids(cfg)
     f = sample_bump(_bump_spec(cfg), radial, boundary)
     cases = [(1.0, 1.0)]
     for _ in range(4):
         cases.append((rng.uniform(0.6, 2.6), rng.uniform(0.6, 1.8)))
+    xs = []
+    for _, r in cases:
+        w = rng.standard_normal(cfg.dim)
+        w /= np.linalg.norm(w)
+        xs.append(polar_to_point(r, w).coords)
+    results = eigen_equation_residual(f, np.array([lam for lam, _ in cases]), np.array(xs))
     rows = []
     worst = 0.0
     skipped = 0
-    for lam, r in cases:
-        w = rng.standard_normal(cfg.dim)
-        w /= np.linalg.norm(w)
-        x = polar_to_point(r, w)
-        chk = eigen_equation_residual(f, lam, x)
+    for (lam, r), chk in zip(cases, results):
         if chk.skipped:
             skipped += 1
             continue

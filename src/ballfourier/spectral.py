@@ -56,8 +56,8 @@ class FitConditioningError(RuntimeError):
 # Series fallbacks near removable singularities.
 _SMALL_PRODUCT = 1e-4
 _SMALL_RADIUS = 1e-6
-# Elements per row block of _phi2_mehler: its temporaries stay in cache.
-_PHI2_BLOCK = 2**16
+# Elements per row block of _phi3 and _phi2_mehler: their temporaries stay in cache.
+_PHI_BLOCK = 2**16
 # phi_lam(r) is 1 to double precision below this radius; clamping r there
 # keeps g_- g_+ ~ r^2 sin^2(theta) from underflowing and r = 0 from giving 0/0.
 _PHI2_MIN_RADIUS = 1e-150
@@ -68,18 +68,27 @@ _STIRLING_MIN_RE = 15.0
 
 
 def _phi3(lams: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Closed form sin(lam r)/(lam sinh r), shape (n_lam, n_r), with removable singularities handled."""
+    """Closed form sin(lam r)/(lam sinh r), shape (n_lam, n_r), with removable singularities handled.
+
+    Evaluated in blocks of about _PHI_BLOCK (lam, r) entries, so that the
+    complex temporaries stay in cache; every entry is computed as over the
+    whole table.
+    """
     out = np.empty((len(lams), len(r)), dtype=complex)
     lam = lams[:, None]
-    tiny_r = r < _SMALL_RADIUS
-    out[:, tiny_r] = 1.0 - (lam * lam + 1.0) * r[tiny_r] ** 2 / 6.0
-    rr = r[~tiny_r]
-    w = lam * rr
-    small = np.abs(w) < _SMALL_PRODUCT
-    sinc = np.empty(w.shape, dtype=complex)
-    sinc[small] = 1.0 - w[small] ** 2 / 6.0 + w[small] ** 4 / 120.0
-    sinc[~small] = np.sin(w[~small]) / w[~small]
-    out[:, ~tiny_r] = sinc * rr / np.sinh(rr)
+    block = max(1, _PHI_BLOCK // max(len(lams), 1))
+    for i in range(0, len(r), block):
+        rb = r[i : i + block]
+        ob = out[:, i : i + block]
+        tiny_r = rb < _SMALL_RADIUS
+        ob[:, tiny_r] = 1.0 - (lam * lam + 1.0) * rb[tiny_r] ** 2 / 6.0
+        rr = rb[~tiny_r]
+        w = lam * rr
+        small = np.abs(w) < _SMALL_PRODUCT
+        sinc = np.empty(w.shape, dtype=complex)
+        sinc[small] = 1.0 - w[small] ** 2 / 6.0 + w[small] ** 4 / 120.0
+        sinc[~small] = np.sin(w[~small]) / w[~small]
+        ob[:, ~tiny_r] = sinc * rr / np.sinh(rr)
     return out
 
 
@@ -114,7 +123,7 @@ def _phi2_mehler(lams: np.ndarray, r: np.ndarray) -> np.ndarray:
     one_minus = 2.0 * np.sin(0.5 * theta) ** 2
     one_plus = 2.0 * np.cos(0.5 * theta) ** 2
     out = np.zeros((len(lams), len(r)), dtype=complex)
-    block = max(1, _PHI2_BLOCK // m)
+    block = max(1, _PHI_BLOCK // m)
     for i in range(0, len(r), block):
         rows = slice(i, i + block)
         rb = np.maximum(r[rows, None], _PHI2_MIN_RADIUS)

@@ -40,6 +40,7 @@ The forward slice has three routes, all picked in boundary_slices:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,10 @@ KAPPA = 1.0 / (2.0 * np.pi**2)
 OVERFLOW_EXPONENT = 40.0
 
 _CHUNK = 4_000_000
+# Kernel entries per row block of poisson: 1 MB of complex kernel, in place
+# of a 1152 x 1152 Busemann matrix and kernel (31 MB) for one K-orbit on the
+# 24 x 48 sphere.
+_POISSON_BLOCK = 2**16
 # Chebyshev order of the panelled slice.  On a panel of half-width h with
 # |z| h <= 1 the coefficients 2 I_m(z h) of e^{z h x} fall below 1e-19 by
 # m = 20.
@@ -115,12 +120,17 @@ class TransformRangeError(ValueError):
 def _support_data(f: SampledFunction):
     """Points and weight x value of the nonzero samples in the support rows.
 
-    A zero sample adds 0 to every kernel sum, so dropping it is exact.
+    A zero sample adds 0 to every kernel sum, so dropping it is exact.  The
+    coordinates tanh(r/2) omega are masked one axis at a time, with the
+    products of support_points: gathering whole (n_support, m, d) points by
+    the mask is a loop of length d per sample.
     """
     mask = f.support_mask
     vals = f.values[mask]
     keep = vals != 0
-    return f.support_points()[keep], (f.node_weights()[mask] * vals)[keep]
+    t = np.tanh(0.5 * f.radial.nodes[mask])[:, None]
+    pts = np.stack([(t * f.boundary.directions[:, c])[keep] for c in range(f.dim)], axis=1)
+    return pts, (f.radial_weights()[mask][:, None] * f.boundary.weights)[keep] * vals[keep]
 
 
 def helgason_forward(f: SampledFunction, lam: complex, b):
@@ -302,7 +312,15 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -
     the 576 row pairs for n_theta = 24 (109,200 in place of 774,144 for the
     eigen-d3 grid), and n_orbits = 1 in d = 2 (n_rows = 1).  An even sequence
     has an even DFT, so the kernel's FFT is a real cosine matrix on the half
-    azimuth; the samples' FFT and the final inverse FFT are plain FFTs.
+    azimuth; the samples' FFT and the final inverse FFT are plain FFTs.  The
+    transformed representatives are spread back to every row pair by one
+    ``np.take`` along the orbit axis.
+
+    Per lam on the eigen-d3 grid (2-vCPU VM, medians) the multiply takes
+    0.4 ms, the exponential 3.3 ms, the cosine matrix product 0.7 ms, the
+    orbit gather 1.3 ms (6.5 ms as a fancy-index copy) and the two products
+    with the samples' FFT 1.4 ms; the Busemann values, shared by every lam of
+    the call, take 3.7 ms.  Callers with several lam pass them in one call.
     """
     half = n_phi // 2 + 1
     mask = f.support_mask
@@ -331,7 +349,8 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -
             np.exp(kernel, out=kernel)
             # the real cosine matrix acts on the interleaved real and imaginary parts
             k_hat = (cosine @ kernel.reshape(half, -1).view(float)).view(complex)
-            k_hat = k_hat.reshape(half, -1, kernel.shape[-1])[:, :, orbit].reshape(half, -1, n_rows)
+            k_hat = np.take(k_hat.reshape(half, -1, kernel.shape[-1]), orbit.ravel(), axis=2)
+            k_hat = k_hat.reshape(half, -1, n_rows)
             acc[k, :, :half] += (g[:half] @ k_hat)[:, 0].T
             acc[k, :, half:] += (g[half:] @ k_hat[n_phi - half : 0 : -1])[:, 0].T
     return np.fft.ifft(acc, axis=-1).reshape(len(lams), n_rows * n_phi)
@@ -341,10 +360,14 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
     """Poisson transform of boundary samples F at interior point(s) x.
 
     ``F`` may also be stacked, shape (n_lam, m), with ``lam`` an array of
-    n_lam values: row k is transformed at lam[k], all rows share one Busemann
-    matrix, and the values have shape (n_lam, n_x).  A single point x drops
-    the last axis.  Raises GeometryError unless every point satisfies
-    |x| < 1 - BALL_TOL, the rule of ``Point``.
+    n_lam values: row k is transformed at lam[k], and the values have shape
+    (n_lam, n_x).  A single point x drops the last axis.  The kernel is
+    built in row blocks of about _POISSON_BLOCK entries: each block of
+    points takes one Busemann matrix, shared by every lam, and per lam one
+    exponential and one product with the weighted row.  Every value is the
+    same row-by-boundary dot product as over the whole (n_x, m) kernel.
+    Raises GeometryError unless every point satisfies |x| < 1 - BALL_TOL,
+    the rule of ``Point``.
     """
     coords = _as_coords(x)
     if np.any(np.linalg.norm(np.atleast_2d(coords), axis=-1) >= 1.0 - BALL_TOL):
@@ -356,14 +379,21 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
             f"got F {F.shape}, lam {np.shape(lam)}"
         )
     rho = half_root_sum(boundary.dim)
-    B = busemann_field(np.atleast_2d(coords), boundary.directions)
-    kernel = np.empty(B.shape, dtype=complex)  # one buffer, reused for every lam
-    vals = []
-    for l, row in zip(np.atleast_1d(lam), np.atleast_2d(F)):
-        np.multiply(1j * complex(l) + rho, B, out=kernel)
-        np.exp(kernel, out=kernel)
-        vals.append(kernel @ (boundary.weights * row))
-    vals = np.array(vals)
+    pts = np.atleast_2d(coords)
+    lams = np.atleast_1d(lam)
+    vals = np.empty((len(lams), len(pts)), dtype=complex)
+    # equal blocks of at least two rows: numpy takes a one-row product as a
+    # dot product, which rounds differently from the rows of a matrix product
+    n_blocks = max(1, len(pts) // max(2, _POISSON_BLOCK // max(len(boundary), 1)))
+    edges = [len(pts) * j // n_blocks for j in range(n_blocks + 1)]
+    kernel = np.empty((-(-len(pts) // n_blocks), len(boundary)), dtype=complex)  # reused by every block and lam
+    for a, b in zip(edges[:-1], edges[1:]):
+        B = busemann_field(pts[a:b], boundary.directions)
+        block = kernel[: b - a]
+        for k, (l, row) in enumerate(zip(lams, np.atleast_2d(F))):
+            np.multiply(1j * complex(l) + rho, B, out=block)
+            np.exp(block, out=block)
+            vals[k, a:b] = block @ (boundary.weights * row)
     if coords.ndim == 1:
         vals = vals[:, 0]
     return vals[0] if F.ndim == 1 else vals
@@ -436,7 +466,7 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
     - radial (K-invariant) input, any point: spherical transform times
       phi_lam(|x|), exact because the slice is constant in b;
     - |x| <= FAR_RADIUS: ``poisson`` of the grid slices, one Busemann matrix
-      for all lam and points;
+      per row block of points, shared by all lam;
     - |x| > FAR_RADIUS, where the product grid cannot resolve the Poisson
       kernel peak: the convolution ``jeft_direct``, one call for all lam and
       far points.
@@ -550,17 +580,39 @@ def kaverage_bridge_residual(f: SampledFunction, g: Isometry, sgrid: SpectralGri
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
 
-def functional_equation_residual(f: SampledFunction, g: Isometry, x, lam: complex) -> float:
-    """Rotation-averaged jeft around g . (k x) against phi_lam(|x|) jeft(f, lam, g.0)."""
+def functional_equation_residual(f: SampledFunction, g, x, lam):
+    """Rotation-averaged jeft around g . (k x) against phi_lam(|x|) jeft(f, lam, g.0).
+
+    One isometry ``g``, one point ``x`` and a scalar ``lam`` give one float.
+    A sequence of n isometries, an (n, d) array of points and a 1-D array of
+    n lam give the n residuals of the cases (g[k], x[k], lam[k]) as an
+    array, from one boundary_slices call for all lam; each reads bit for bit
+    what its scalar call reads.  At x = o the K-orbit of g . (k x) is the one
+    point g.0, where the Poisson transform is evaluated once.
+    """
     coords = _as_coords(x, f.dim)
-    norm = float(np.linalg.norm(coords))
-    pts = apply_array(g, norm * f.boundary.directions)
-    sl = boundary_slices(f, [lam])[0]
-    vals = poisson(sl, f.boundary, lam, pts)
-    lhs = np.sum(f.boundary.weights * vals)
-    r_x = dist(np.zeros(f.dim), coords)
-    rhs = spherical_phi(f.dim, lam, r_x) * poisson(sl, f.boundary, lam, g.origin_image())
-    return float(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    scalar = np.ndim(lam) == 0
+    gs = [g] if scalar else list(g)
+    pts = coords[None] if scalar else coords
+    lams = np.atleast_1d(lam)
+    if lams.ndim != 1 or pts.ndim != 2 or not len(gs) == len(pts) == len(lams):
+        raise TransformUsageError(
+            f"functional_equation_residual needs one isometry, point and lam, or n of each; "
+            f"got {len(gs)} isometries, points {coords.shape}, lam {np.shape(lam)}"
+        )
+    slices = boundary_slices(f, lams)
+    out = np.empty(len(lams))
+    for k, (gk, p, l) in enumerate(zip(gs, pts, lams)):
+        at_origin = poisson(slices[k], f.boundary, l, gk.origin_image())
+        norm = float(np.linalg.norm(p))
+        if norm == 0.0:
+            lhs = np.sum(f.boundary.weights) * at_origin
+        else:
+            vals = poisson(slices[k], f.boundary, l, apply_array(gk, norm * f.boundary.directions))
+            lhs = np.sum(f.boundary.weights * vals)
+        rhs = spherical_phi(f.dim, l, dist(np.zeros(f.dim), p)) * at_origin
+        out[k] = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -650,11 +702,26 @@ def laplace_beltrami_residual(u, dim: int, lam: float, x) -> EigenCheck:
     return EigenCheck(float(res), False)
 
 
-def eigen_equation_residual(f: SampledFunction, lam: float, x) -> EigenCheck:
-    """Eigen-equation residual of the transform output u(y) = jeft(f, lam, y)."""
-    sl = boundary_slices(f, [lam])[0]
+def eigen_equation_residual(f: SampledFunction, lam, x):
+    """Eigen-equation residual of the transform output u(y) = jeft(f, lam, y).
 
-    def u(pts):
-        return poisson(sl, f.boundary, lam, pts)
-
-    return laplace_beltrami_residual(u, f.dim, lam, x)
+    A scalar lam and one point give one EigenCheck.  A 1-D array of n lam
+    and an (n, d) array of points give a list of n EigenChecks, case k at
+    (lam[k], x[k]), from one boundary_slices call for all lam; each reads
+    bit for bit what its scalar call reads.
+    """
+    coords = _as_coords(x, f.dim)
+    scalar = np.ndim(lam) == 0
+    lams = np.atleast_1d(lam)
+    pts = coords[None] if scalar else coords
+    if lams.ndim != 1 or pts.ndim != 2 or len(pts) != len(lams):
+        raise TransformUsageError(
+            f"eigen_equation_residual needs one lam and point, or n of each; "
+            f"got lam {np.shape(lam)}, points {coords.shape}"
+        )
+    slices = boundary_slices(f, lams)
+    checks = [
+        laplace_beltrami_residual(functools.partial(poisson, sl, f.boundary, l), f.dim, l, p)
+        for sl, l, p in zip(slices, lams, pts)
+    ]
+    return checks[0] if scalar else checks

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ballfourier.config import ConfigError, ScenarioConfig, parse_config
@@ -185,3 +186,21 @@ def test_scenario_error_note_names_the_raising_function(tmp_path, monkeypatch):
 
 def _failing_step(dim):
     raise FloatingPointError(f"step {dim} diverged")
+
+
+@pytest.mark.parametrize("name", ["eigen", "functional-equation"])
+def test_residual_scenarios_take_one_slice_call(name, monkeypatch):
+    """eigen and functional-equation draw their cases first and slice every lam in one call."""
+    from ballfourier import transforms
+
+    calls = []
+    slices = transforms.boundary_slices
+
+    def counted(f, lams, bs=None):
+        calls.append(len(lams))
+        return slices(f, lams, bs)
+
+    monkeypatch.setattr(transforms, "boundary_slices", counted)
+    checks, _ = scenarios.SCENARIOS[name](scenario_base_config(name, 2), np.random.default_rng(1))
+    assert all(c.passed for c in checks)
+    assert calls == [5 if name == "eigen" else 6]

@@ -192,6 +192,20 @@ def test_bulk_helpers_match_scalar_forms():
             assert B[i, j] == pytest.approx(busemann(Point(xs[i]), BoundaryPoint(bs[j])), abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_busemann_field_is_the_one_expression_formula_bit_for_bit(dim):
+    """The in-place evaluation against log(1 - |x|^2) - log(|x|^2 - 2 x.b + 1) written out."""
+    rng = np.random.default_rng(40 + dim)
+    w = rng.standard_normal((300, dim))
+    xs = np.tanh(0.5 * rng.uniform(0.0, 8.0, 300))[:, None] * w / np.linalg.norm(w, axis=1, keepdims=True)
+    bs = rng.standard_normal((70, dim))
+    bs /= np.linalg.norm(bs, axis=1, keepdims=True)
+    x2 = np.sum(xs * xs, axis=1)
+    ref = np.log1p(-x2)[:, None] - np.log(x2[:, None] - 2.0 * xs @ bs.T + 1.0)
+    assert np.array_equal(busemann_field(xs, bs), ref)
+    assert np.array_equal(busemann_field(xs[:1], bs[:1]), ref[:1, :1])
+
+
 def test_mobius_translation_requires_interior_target():
     with pytest.raises(GeometryError):
         MobiusTranslation(np.array([1.0, 0.0]))

@@ -46,6 +46,31 @@ def test_phi3_closed_form_value():
     assert got == pytest.approx(0.7160229, abs=5e-8)
 
 
+def test_phi3_blocks_match_unblocked_closed_form_bit_for_bit():
+    """The blocked closed form against the whole-table formula, with both series branches at block edges."""
+    from ballfourier.spectral import _PHI_BLOCK, _SMALL_PRODUCT, _SMALL_RADIUS, _phi3
+
+    lams = np.array([1e-3, 0.7, 2.4 - 0.6j])
+    block = _PHI_BLOCK // len(lams)
+    r = np.random.default_rng(5).uniform(0.0, 12.0, 3 * block + 17)
+    # tiny radii and small products lam r on both sides of the block edges
+    r[[0, block - 1, block, 2 * block + 1, len(r) - 1]] = [0.0, 3e-7, 0.05, 1e-2, 8e-7]
+    lam = lams[:, None]
+    ref = np.empty((len(lams), len(r)), dtype=complex)
+    tiny_r = r < _SMALL_RADIUS
+    ref[:, tiny_r] = 1.0 - (lam * lam + 1.0) * r[tiny_r] ** 2 / 6.0
+    rr = r[~tiny_r]
+    w = lam * rr
+    small = np.abs(w) < _SMALL_PRODUCT
+    assert np.any(small) and np.any(tiny_r)
+    sinc = np.empty(w.shape, dtype=complex)
+    sinc[small] = 1.0 - w[small] ** 2 / 6.0 + w[small] ** 4 / 120.0
+    sinc[~small] = np.sin(w[~small]) / w[~small]
+    ref[:, ~tiny_r] = sinc * rr / np.sinh(rr)
+    assert np.array_equal(_phi3(lams, r), ref)
+    assert np.array_equal(spherical_phi(3, lams, r), ref)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_phi_weyl_symmetry(dim):
     r = np.linspace(0.0, 8.0, 17)

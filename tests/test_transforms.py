@@ -183,6 +183,31 @@ def test_stacked_poisson_equals_per_lam_calls(dim, disk_bumps, ball_bumps):
     assert one.shape == (3,) and np.array_equal(one, ref_one)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_poisson_matches_whole_kernel_bit_for_bit(dim, disk_bumps, ball_bumps):
+    """Row blocks of the Poisson kernel against one (n_x, m) kernel built in the test, stacked lam.
+
+    The point counts span one to several blocks and include one row past a
+    whole number of blocks.
+    """
+    from ballfourier.transforms import _POISSON_BLOCK
+
+    f = disk_bumps[1] if dim == 2 else ball_bumps[1]
+    m = len(f.boundary)
+    lams = np.array([0.4, 1.7, 3.1 - 0.2j])
+    slices = boundary_slices(f, lams)
+    rng = np.random.default_rng(17)
+    rows = _POISSON_BLOCK // m
+    for n_x in (2, rows + 1, 3 * rows + 1, 4 * rows + 5):
+        w = rng.standard_normal((n_x, dim))
+        xs = np.tanh(0.5 * rng.uniform(0.0, 2.0, n_x))[:, None] * w / np.linalg.norm(w, axis=1, keepdims=True)
+        B = busemann_field(xs, f.boundary.directions)
+        ref = np.array([np.exp((1j * lam + 0.5 * (dim - 1)) * B) @ (f.boundary.weights * row)
+                        for lam, row in zip(lams, slices)])
+        assert np.array_equal(poisson(slices, f.boundary, lams, xs), ref)
+        assert np.array_equal(poisson(slices[1], f.boundary, lams[1], xs), ref[1])
+
+
 def test_poisson_rejects_mismatched_lams(disk_bumps):
     f = disk_bumps[1]
     slices = boundary_slices(f, [0.4, 1.7])
@@ -273,6 +298,22 @@ def test_jeft_direct_radial_case_matches_spherical_transform(disk_bumps):
     for lam in (0.7, 2.2):
         got = jeft_direct(f, lam, np.zeros(2))
         assert abs(got - spherical_transform(f, lam)) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_support_data_is_masked_full_support_bit_for_bit(dim, disk_bumps, ball_bumps):
+    """Nonzero samples of the support rows only, against the masked full-support arrays."""
+    shifted = (disk_bumps if dim == 2 else ball_bumps)[1]
+    # nonzero values beyond the support radius are not part of the support
+    beyond = SampledFunction(dim, shifted.radial, shifted.boundary, shifted.values + 1.0, 1.0)
+    for f in (shifted, beyond):
+        mask = f.support_mask
+        vals = f.values[mask]
+        keep = vals != 0
+        pts, wv = _support_data(f)
+        assert np.array_equal(pts, f.support_points()[keep])
+        assert np.array_equal(wv, (f.node_weights()[mask] * vals)[keep])
+    assert 0 < len(wv) < np.count_nonzero(beyond.values)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -684,6 +725,27 @@ def test_functional_equation_random(dim, disk_bumps, ball_bumps):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_functional_equation_arrays_match_scalar_calls_bit_for_bit(dim, disk_bumps, ball_bumps):
+    f = disk_bumps[1] if dim == 2 else ball_bumps[1]
+    rng = np.random.default_rng(12)
+    gs = [random_isometry(rng, dim, max_shift=0.4) for _ in range(3)]
+    w = rng.standard_normal((3, dim))
+    xs = np.tanh(0.5 * np.array([0.3, 0.8, 0.0]))[:, None] * w / np.linalg.norm(w, axis=1, keepdims=True)
+    lams = np.array([0.6, 2.2, 1.3])
+    got = functional_equation_residual(f, gs, xs, lams)
+    ref = [functional_equation_residual(f, g, x, lam) for g, x, lam in zip(gs, xs, lams)]
+    assert got.shape == (3,) and np.array_equal(got, ref)
+    assert np.all(got <= 1e-5)
+    if dim == 2:
+        # the disk weights sum to 1 exactly, and the origin case reads the one point g.0
+        assert got[2] == 0.0
+    with pytest.raises(TransformUsageError):
+        functional_equation_residual(f, gs[:2], xs, lams)
+    with pytest.raises(TransformUsageError):
+        functional_equation_residual(f, gs, xs, lams[:2])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_asymptotic_limit_decreasing_and_small(dim):
     radial = RadialGrid.gauss_legendre(128, 12.0)
     boundary = BoundaryGrid.disk(64) if dim == 2 else BoundaryGrid.sphere(12, 24)
@@ -775,6 +837,21 @@ def test_eigen_residual_is_not_rounding(dim):
     base = worst(radial.weights)
     for toward in (np.inf, -np.inf):
         assert abs(worst(np.nextafter(radial.weights, toward)) - base) < 0.5 * base
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eigen_residual_arrays_match_scalar_calls_bit_for_bit(dim, disk_bumps, ball_bumps):
+    f = disk_bumps[1] if dim == 2 else ball_bumps[1]
+    w = np.random.default_rng(13).standard_normal((3, dim))
+    xs = np.tanh(0.5 * np.array([0.7, 1.0, 1.6]))[:, None] * w / np.linalg.norm(w, axis=1, keepdims=True)
+    lams = np.array([0.9, 1.0, 2.4])
+    got = eigen_equation_residual(f, lams, xs)
+    ref = [eigen_equation_residual(f, lam, x) for lam, x in zip(lams, xs)]
+    assert got == ref
+    assert all(not chk.skipped and chk.residual <= 1e-4 for chk in got)
+    for lam, x in ((lams[:2], xs), (lams, xs[0]), (lams[0], xs)):
+        with pytest.raises(TransformUsageError):
+            eigen_equation_residual(f, lam, x)
 
 
 def test_eigen_equation_requires_offset_from_origin(disk_bumps):
