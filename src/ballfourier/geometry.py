@@ -193,18 +193,29 @@ def apply(g: Isometry, x):
 
 
 def dist(x, y) -> float:
-    """Hyperbolic distance, arccosh(1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)))."""
+    """Hyperbolic distance, arccosh(1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2))).
+
+    Evaluated as 2 asinh(sqrt(|x-y|^2 / ((1-|x|^2)(1-|y|^2)))), the same
+    value by cosh(2a) = 1 + 2 sinh^2(a): arccosh(1 + u) loses the digits of u
+    below machine epsilon, so it returns 0 for points 1e-12 apart, while the
+    asinh form keeps full relative accuracy at every separation.
+    """
     cx = _as_coords(x)
     cy = _as_coords(y)
     if cx.shape != cy.shape:
         raise GeometryError("dist: dimension mismatch")
     d2 = float(np.sum((cx - cy) ** 2))
     den = (1.0 - float(cx @ cx)) * (1.0 - float(cy @ cy))
-    return float(np.arccosh(1.0 + 2.0 * d2 / den))
+    return float(2.0 * np.arcsinh(np.sqrt(d2 / den)))
 
 
 def pairwise_dist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Distance matrix between coordinate arrays xs (n, d) and ys (m, d)."""
+    """Distance matrix between coordinate arrays xs (n, d) and ys (m, d).
+
+    Unlike dist, this expands |x-y|^2 and takes arccosh(1 + u), so nearly
+    coincident pairs are accurate only to about sqrt(eps) absolute; it
+    builds the jeft_direct distance matrix, whose values the checks read.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     d2 = np.sum(xs * xs, axis=1)[:, None] - 2.0 * xs @ ys.T + np.sum(ys * ys, axis=1)[None, :]

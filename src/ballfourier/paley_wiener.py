@@ -100,17 +100,22 @@ def _fit_growth_rate(sigma: np.ndarray, logmag: np.ndarray, rho: float):
 
 
 def _centered_profile(f: SampledFunction):
-    """The centered profile of an unmodulated bump on a dense radial rule, or None.
+    """The centered profile of an unmodulated bump on the input's radial rule, or None.
 
-    One boundary direction suffices: the profile is radial.  Built once per
-    estimate_type call (see _imaginary_axis_log_magnitudes); other inputs get
-    None.
+    The Gauss-Legendre rule of ``f.radial`` is rescaled from [0, r_max] to
+    [0, bump radius], so the profile gets every node of the input's rule
+    inside its support and no rule is built.  One boundary direction, e_1
+    with weight 1 (the grid of disk(1) and sphere(1, 1)), suffices: the
+    profile is radial.  Built once per estimate_type call (see
+    _imaginary_axis_log_magnitudes); other inputs get None.
     """
     spec = f.bump
     if spec is None or spec.alpha != 0.0:
         return None
-    boundary = BoundaryGrid.disk(1) if f.dim == 2 else BoundaryGrid.sphere(1, 1)
-    return sample_bump(replace(spec, center=None), RadialGrid.gauss_legendre(512, spec.radius), boundary)
+    scale = spec.radius / f.radial.r_max
+    radial = RadialGrid(f.radial.nodes * scale, f.radial.weights * scale, spec.radius)
+    boundary = BoundaryGrid(f.dim, np.eye(f.dim)[:1], np.ones(1))
+    return sample_bump(replace(spec, center=None), radial, boundary)
 
 
 def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: np.ndarray, profile) -> np.ndarray:
@@ -124,10 +129,12 @@ def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: n
         fhat(i sigma, b) = e^{(sigma + rho) A(c, b)} * (radial transform of
                            the centered profile at i sigma),
 
-    and both factors are evaluated with dense 1-d rules: the Busemann bracket
-    at each probe point and the spherical transform of ``profile``, from
-    _centered_profile.  Other inputs fall back to the product grid, whose
-    angular resolution then caps the usable sigma range.
+    and both factors are evaluated with 1-d rules: the Busemann bracket at
+    each probe point in closed form, and the spherical transform of
+    ``profile``, from _centered_profile, on every node of the input's radial
+    rule (phi_{-i sigma} costs one cosh per Mehler node in d = 2).  Other
+    inputs fall back to the product grid, whose angular resolution then caps
+    the usable sigma range.
     """
     rho = half_root_sum(f.dim)
     if profile is not None:
@@ -156,7 +163,9 @@ def estimate_type(f: SampledFunction, boundary_points=None) -> TypeEstimate:
     the global maximum estimates the circumscribed support radius about the
     origin.  A second pass rescales the sigma window's end from _SIGMA_MAX to
     ~36 / R-hat (under the overflow guard), which small supports need.
-    ``boundary_points`` defaults to a small probe grid.
+    ``boundary_points`` defaults to a small probe grid.  An unmodulated bump
+    is read through its descriptor and the nodes of its radial rule, never
+    its samples, and no quadrature rule is built for it.
     """
     bs = _default_probe_points(f.dim) if boundary_points is None else np.atleast_2d(
         np.asarray(boundary_points, dtype=float)

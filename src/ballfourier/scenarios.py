@@ -310,8 +310,8 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     artifacts = {}
     worst_rec = 0.0
     rule = legendre_rule(cfg.radial_nodes)
-    # estimate_type reads only the descriptor of an unmodulated bump, so one
-    # boundary direction carries all it needs of the samples
+    # estimate_type reads only the descriptor and the radial rule of an
+    # unmodulated bump, so one boundary direction carries all it needs
     one_direction = BoundaryGrid.disk(1) if cfg.dim == 2 else BoundaryGrid.sphere(1, 1)
     for radius in (1.0, 2.0, 3.0):
         for shift in (0.0, 1.0):
@@ -337,12 +337,14 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     centers = [complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(10)]
     holo = float(np.max(holomorphy_circle_residual(f, np.array(centers), b)))
     checks.append(CheckResult("holomorphy_circle_max", holo, 1e-8, holo <= 1e-8))
-    # real-axis decay: smooth passes all orders, the rough profile must fail one
+    # real-axis decay: smooth passes all orders, the rough profile must fail one.
+    # Both bumps are centred, so decay_report reads only their radial profile
+    # and one boundary direction carries it
     dgrid = SpectralGrid.gauss_legendre(300, 48.0)
     radial = RadialGrid.from_legendre(rule, 6.0)
-    smooth = sample_bump(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), radial, _boundary(cfg))
+    smooth = sample_bump(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), radial, one_direction)
     rough_spec = BumpSpec(dim=cfg.dim, radius=2.0, profile="indicator")
-    rough = sample_bump(rough_spec, radial, _boundary(cfg))
+    rough = sample_bump(rough_spec, radial, one_direction)
     rep_s = decay_report(smooth, b, sgrid=dgrid)
     rep_r = decay_report(rough, b, sgrid=dgrid)
     checks.append(CheckResult("decay_smooth_passes", float(rep_s.passed), 1.0, rep_s.passed))

@@ -19,13 +19,15 @@ n = |Re lam| r/2 + 2 sqrt(|Im lam| r) + 4 (|lam| r)^(1/3) + 5 sqrt(r) + 8
 nodes over the call's lam, rounded up to even; the symmetry about
 theta = pi/2 leaves half of them to evaluate.  The nodes, the amplitude
 r sin(theta) / sqrt(g_- g_+) and u = r cos(theta) are built once per
-cache-sized row block; each lam then costs a cosine per node (complex lam
-cos * cosh and sin * sinh in real arithmetic) and one contraction.  A shared
-rule measured within 1.8e-13 max(1, |phi|) of per-lam calls over 1,500
-random calls of 1-40 lam (r <= 18, |Im lam| r <= 40).  Measured against
-the mpmath conical function for r <= 18: at most 9e-16 for real lam <= 48
-and 2.8e-15 on the imaginary axis (|Im lam| r <= 40).  Off both axes the
-cancellation of cos(Re lam u) cosh(Im lam u) amplifies rounding, to 6e-14 at
+cache-sized row block; each lam then costs one contraction and per node a
+cosine (real lam), a cosh (purely imaginary lam, the exponential-type probe,
+where phi is real) or cos * cosh and sin * sinh in real arithmetic (any other
+complex lam).  A shared rule measured within 1.8e-13 max(1, |phi|) of
+per-lam calls over 1,500 random calls of 1-40 lam (r <= 18,
+|Im lam| r <= 40).  Measured against the mpmath conical function for
+r <= 18: at most 9e-16 for real lam <= 48 and 2.8e-15 on the imaginary axis
+(|Im lam| r <= 40).  Off both axes the cancellation of
+cos(Re lam u) cosh(Im lam u) amplifies rounding, to 6e-14 at
 lam = 32.8 - 0.7i, r = 18.
 
 The c-function is evaluated in closed form in both dimensions: 1/(i lam) for
@@ -105,7 +107,9 @@ def _phi2_mehler(lams: np.ndarray, r: np.ndarray) -> np.ndarray:
     even and the integrand symmetric about pi/2, so only the nodes in
     [0, pi/2] are evaluated.  All lam share the rule of the largest count,
     and with it the lam-independent amplitude and phase u = r cos(theta) of
-    each row block.
+    each row block.  On the imaginary axis cos(Re lam u) = 1 and
+    sin(Re lam u) = 0, so one cosh per node gives the same real part bit for
+    bit and an imaginary part of exactly 0.
     """
     r_max = float(np.max(r, initial=0.0))
     n = (
@@ -134,6 +138,8 @@ def _phi2_mehler(lams: np.ndarray, r: np.ndarray) -> np.ndarray:
         for k, lam in enumerate(lams):
             if lam.imag == 0.0:
                 out.real[k, rows] = np.mean(amp * np.cos(lam.real * u), axis=1)
+            elif lam.real == 0.0:
+                out.real[k, rows] = np.mean(amp * np.cosh(lam.imag * u), axis=1)
             else:
                 re_u = lam.real * u
                 im_u = lam.imag * u

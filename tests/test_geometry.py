@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ballfourier.geometry import (
     BoundaryPoint,
@@ -24,6 +24,13 @@ from ballfourier.geometry import (
 )
 from sampling_helpers import unit_vectors
 
+try:
+    import mpmath
+
+    HAVE_MPMATH = True
+except ImportError:  # pragma: no cover
+    HAVE_MPMATH = False
+
 LN3 = np.log(3.0)
 
 
@@ -33,10 +40,36 @@ def test_dist_identity():
 
 
 def test_dist_radial_matches_artanh_formula():
-    # r = 2 artanh(0.5) = ln 3, cross-checked against the arccosh form
+    # r = 2 artanh(0.5) = ln 3, two closed forms of the same radius
     x = Point([0.5, 0.0])
     assert dist(Point([0.0, 0.0]), x) == pytest.approx(LN3, abs=1e-14)
     assert dist(Point([0.0, 0.0]), x) == pytest.approx(2.0 * np.arctanh(0.5), abs=1e-14)
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dist_matches_mpmath_at_small_separations(dim):
+    """dist keeps full relative accuracy for nearly coincident points (1e-12 to 1e-4 apart).
+
+    The reference is arccosh(1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2))) at 50 digits
+    on the same double coordinates; arccosh(1 + u) in doubles returns 0 at
+    1e-12 apart.
+    """
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(7 + dim)
+    for _ in range(5):
+        w = rng.standard_normal(dim)
+        x = rng.uniform(0.0, 0.9) * w / np.linalg.norm(w)
+        for sep in 10.0 ** np.arange(-12, -3):
+            v = rng.standard_normal(dim)
+            y = x + sep * v / np.linalg.norm(v)
+            mx, my = ([mpmath.mpf(float(c)) for c in p] for p in (x, y))
+            d2 = sum((a - b) ** 2 for a, b in zip(mx, my))
+            den = (1 - sum(a * a for a in mx)) * (1 - sum(b * b for b in my))
+            ref = float(mpmath.acosh(1 + 2 * d2 / den))
+            got = dist(Point(x), Point(y))
+            assert ref > 0.0
+            assert abs(got - ref) <= 1e-14 * ref
 
 
 def test_dist_dimension_mismatch():
@@ -226,9 +259,9 @@ def isometry_cases(draw):
 def test_isometry_invariants_sweep(case):
     """Distance invariance, the Busemann cocycle and the boundary action, on random isometries.
 
-    Distances are compared only for points at least 1e-3 apart: dist evaluates
-    arccosh(1 + u), whose conditioning near u = 0 limits nearly coincident
-    points to about sqrt(eps) absolute accuracy.
+    Nearly coincident points are included: dist evaluates
+    2 asinh(sqrt(u / 2)) in place of arccosh(1 + u), which keeps its accuracy
+    as u -> 0.
     """
     g, x, y, b = case
     gb = apply_array(g, b.coords)
@@ -236,6 +269,5 @@ def test_isometry_invariants_sweep(case):
     o = Point(np.zeros(len(b.coords)))
     lhs = busemann(apply(g, x), gb)
     assert abs(lhs - (busemann(x, b) + busemann(apply(g, o), gb))) <= 1e-12
-    assume(np.linalg.norm(x.coords - y.coords) >= 1e-3)
     d = dist(x, y)
     assert abs(dist(apply(g, x), apply(g, y)) - d) <= 1e-12 * (1.0 + d)

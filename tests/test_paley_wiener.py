@@ -132,6 +132,51 @@ def test_type_estimate_of_unmodulated_bump_reads_no_samples(dim, shift):
     assert a.radius_estimate == b.radius_estimate
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_type_estimate_builds_no_legendre_rule(dim, monkeypatch):
+    """The centred profile is sampled on the input's own radial rule, rescaled; no rule is built.
+
+    The probe points are passed in, because the default d=3 probe set is
+    BoundaryGrid.sphere(3, 4), whose 3-node polar rule is built per call.
+    """
+    import ballfourier.grids as grids
+
+    spec = BumpSpec(dim=dim, radius=1.5, center=Isometry.translation(np.eye(dim)[0] * 0.3))
+    radial = RadialGrid.gauss_legendre(384, spec.support_radius + 4.0)
+    if dim == 2:
+        f = sample_bump(spec, radial, BoundaryGrid.disk(1))
+        probes = BoundaryGrid.disk(8).directions
+    else:
+        f = sample_bump(spec, radial, BoundaryGrid.sphere(1, 1))
+        probes = BoundaryGrid.sphere(3, 4).directions
+    calls = []
+    rule = grids.legendre_rule
+    monkeypatch.setattr(grids, "legendre_rule", lambda n: calls.append(n) or rule(n))
+    est = estimate_type(f, boundary_points=probes)
+    if dim == 2:
+        estimate_type(f)
+    assert calls == []
+    assert abs(est.radius_estimate - spec.support_radius) <= 0.05 * spec.support_radius
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_type_estimate_agrees_on_384_and_512_node_inputs(dim):
+    """pw-recovery's six bumps (radius 1, 2, 3 at shift 0, 1): the profile takes the input's node count.
+
+    384 and 512 radial nodes give one radius estimate.
+    """
+    one = BoundaryGrid.disk(1) if dim == 2 else BoundaryGrid.sphere(1, 1)
+    for radius in (1.0, 2.0, 3.0):
+        for shift in (0.0, 1.0):
+            center = Isometry.translation(np.eye(dim)[0] * np.tanh(0.5 * shift)) if shift else None
+            spec = BumpSpec(dim=dim, radius=radius, center=center)
+            a, b = (
+                estimate_type(sample_bump(spec, RadialGrid.gauss_legendre(n, spec.support_radius + 4.0), one))
+                for n in (384, 512)
+            )
+            assert abs(a.radius_estimate - b.radius_estimate) <= 1e-6 * b.radius_estimate
+
+
 def test_type_estimate_scale_invariance():
     f = dense_disk(2.0, n_r=384)
     g = sample_bump(replace(f.bump, amplitude=10.0), f.radial, f.boundary)
@@ -180,6 +225,25 @@ def test_decay_rough_profile_fails_some_order():
     rep = decay_report(f, BoundaryPoint([1.0, 0.0]), sgrid=DECAY_GRID)
     assert not rep.passed
     assert any(not rep.verdicts[n] for n in rep.orders if n <= 4)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("profile", ["smooth", "indicator"])
+def test_decay_report_of_centred_bump_on_one_direction_matches_full_grid(dim, profile):
+    """A centred bump is radial: its decay report on one direction is the full grid's, to rounding."""
+    spec = BumpSpec(dim=dim, radius=2.0, profile=profile)
+    radial = RadialGrid.gauss_legendre(512 if dim == 2 else 384, 6.0)
+    if dim == 2:
+        full, one = BoundaryGrid.disk(128), BoundaryGrid.disk(1)
+    else:
+        full, one = BoundaryGrid.sphere(24, 48), BoundaryGrid.sphere(1, 1)
+    b = np.eye(dim)[0]
+    a = decay_report(sample_bump(spec, radial, full), b, sgrid=DECAY_GRID)
+    c = decay_report(sample_bump(spec, radial, one), b, sgrid=DECAY_GRID)
+    assert a.orders == c.orders
+    assert a.verdicts == c.verdicts and a.passed == c.passed == (profile == "smooth")
+    for n in a.orders:
+        assert np.allclose(a.window_sups[n], c.window_sups[n], rtol=1e-12, atol=0.0)
 
 
 def test_decay_zero_function_vacuous_pass():

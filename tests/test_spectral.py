@@ -130,7 +130,8 @@ def test_phi2_small_and_large_lam_share_one_call():
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
 def test_phi2_imaginary_axis_matches_conical_function_oracle():
     # lam = -i sigma is the exponential-type probe; at sigma = 1/2, 3/2 the
-    # degree -1/2 + sigma of the conical function is an integer
+    # degree -1/2 + sigma of the conical function is an integer.  phi is real
+    # there, and its imaginary part is exactly zero
     for sigma in (0.25, 0.5, 1.0, 1.5, 2.5, 4.0, 7.5, 12.0, 20.0, 30.0, 40.0):
         for r in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0):
             if sigma * r > 40.0:
@@ -138,6 +139,7 @@ def test_phi2_imaginary_axis_matches_conical_function_oracle():
             ref = conical_oracle(-1j * sigma, r)
             got = spherical_phi(2, -1j * sigma, r)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+            assert got.imag == 0.0
 
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
