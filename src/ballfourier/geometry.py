@@ -212,16 +212,24 @@ def dist(x, y) -> float:
 def pairwise_dist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Distance matrix between coordinate arrays xs (n, d) and ys (m, d).
 
-    Unlike dist, this expands |x-y|^2 and takes arccosh(1 + u), so nearly
-    coincident pairs are accurate only to about sqrt(eps) absolute; it
-    builds the jeft_direct distance matrix, whose values the checks read.
+    The form of dist, 2 asinh(sqrt(|x-y|^2 / ((1-|x|^2)(1-|y|^2)))), with
+    |x-y|^2 summed from direct differences one axis at a time, so nearly
+    coincident pairs keep full relative accuracy and no (n, m, d) temporary
+    is built.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    d2 = np.sum(xs * xs, axis=1)[:, None] - 2.0 * xs @ ys.T + np.sum(ys * ys, axis=1)[None, :]
-    den = (1.0 - np.sum(xs * xs, axis=1))[:, None] * (1.0 - np.sum(ys * ys, axis=1))[None, :]
-    arg = 1.0 + 2.0 * np.maximum(d2, 0.0) / den
-    return np.arccosh(np.maximum(arg, 1.0))
+    d2 = np.zeros((len(xs), len(ys)))
+    diff = np.empty_like(d2)
+    for c in range(xs.shape[1]):
+        np.subtract.outer(xs[:, c], ys[:, c], out=diff)
+        np.square(diff, out=diff)
+        d2 += diff
+    d2 /= np.multiply.outer(1.0 - np.sum(xs * xs, axis=1), 1.0 - np.sum(ys * ys, axis=1))
+    np.sqrt(d2, out=d2)
+    np.arcsinh(d2, out=d2)
+    d2 *= 2.0
+    return d2
 
 
 def busemann(x, b) -> float:

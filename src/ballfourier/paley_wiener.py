@@ -226,9 +226,9 @@ def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None) -> DecayRepo
     if sgrid is None:
         sgrid = SpectralGrid.gauss_legendre(200, 24.0)
     bs = np.atleast_2d(_as_coords(b, f.dim))
-    if f.is_radial():
+    try:  # spherical_transform scans the samples for K-invariance once
         mags = np.abs(spherical_transform(f, sgrid.nodes))
-    else:
+    except TransformUsageError:
         mags = np.abs(boundary_slices(f, sgrid.nodes, bs)[:, 0])
     lam = sgrid.nodes
     lo = (lam >= 0.25 * sgrid.lam_max) & (lam < 0.5 * sgrid.lam_max)

@@ -36,6 +36,17 @@ The forward slice has three routes, all picked in boundary_slices:
   Against the dense sum it measured within 5e-14 of sum |c_j e^{z B_j}|
   (worst of 80 random shifted and modulated bumps, 40 lam each, with
   |Re lam| <= 200 and |Im lam| up to the overflow guard).
+
+Before any of them, boundary_slices and spherical_transform take the lam
+route of _lam_route, the Paley-Wiener theorem in numerical form: both are
+entire in lam of exponential type support_radius, since |A(x, b)| <= d(o, x)
+and phi_lam(r) has type r.  On an interval of half-width L such a function
+is fixed to rounding by N + 1 Chebyshev values, N = ceil(omega +
+12 omega^(1/3) + 16) with omega = L support_radius, so a call with more
+real lam than that evaluates the N + 1 Chebyshev-Lobatto points of
+[min lam, max lam] and interpolates barycentrically; complex lam, a scalar
+and short lists pass through bit for bit.  The 200 lam of the d = 2
+plancherel profile take 83 slices.
 """
 
 from __future__ import annotations
@@ -148,7 +159,11 @@ def helgason_forward(f: SampledFunction, lam: complex, b):
 def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     """Forward transform on a lam grid in one pass: values of shape (n_lam, m).
 
-    The one place that picks the slice route:
+    The one place that picks the slice route.  First the lam route
+    (``_lam_route``): more real lam than the Paley-Wiener degree rule needs
+    on [min lam, max lam] are interpolated from the slices at its
+    Chebyshev-Lobatto nodes; any other lam pass through.  Then, for the lam
+    that are evaluated:
 
     - ``bs=None`` on the directions of ``BoundaryGrid.disk`` or
       ``BoundaryGrid.sphere`` (``azimuthal_layout``): an exact circular
@@ -173,27 +188,90 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
         raise TransformRangeError(
             f"|Im lam| * support = {growth:.1f} exceeds the overflow guard {OVERFLOW_EXPONENT}"
         )
-    if bs is None:
-        layout = azimuthal_layout(f.boundary)
+    layout = azimuthal_layout(f.boundary) if bs is None else None
+    if bs is None and layout is None:
+        bs = f.boundary.directions
+    if bs is not None:
+        bs = np.atleast_2d(np.asarray(bs, dtype=float))
+        if bs.ndim != 2 or bs.shape[1] != f.dim:
+            raise TransformUsageError(f"directions must have shape (m, {f.dim}), got {bs.shape}")
+        if np.any(np.abs(np.linalg.norm(bs, axis=1) - 1.0) > _UNIT_TOL):
+            raise TransformUsageError("directions must be unit vectors")
+
+    def slices(lams):
         if layout is not None:
             return _slices_fft(f, lams, *layout)
-        bs = f.boundary.directions
-    bs = np.atleast_2d(np.asarray(bs, dtype=float))
-    if bs.ndim != 2 or bs.shape[1] != f.dim:
-        raise TransformUsageError(f"directions must have shape (m, {f.dim}), got {bs.shape}")
-    if np.any(np.abs(np.linalg.norm(bs, axis=1) - 1.0) > _UNIT_TOL):
-        raise TransformUsageError("directions must be unit vectors")
-    if len(lams) >= _CHEB_MIN_LAMS:
-        return _slices_chebyshev(f, lams, bs)
-    pts, wv = _support_data(f)
-    rho = half_root_sum(f.dim)
-    out = np.empty((len(lams), len(bs)), dtype=complex)
-    step = max(1, _CHUNK // max(len(pts), 1))
-    for i in range(0, len(bs), step):
-        B = busemann_field(pts, bs[i : i + step])
-        for k, lam in enumerate(lams):
-            out[k, i : i + step] = wv @ np.exp((-1j * lam + rho) * B)
-    return out
+        if len(lams) >= _CHEB_MIN_LAMS:
+            return _slices_chebyshev(f, lams, bs)
+        pts, wv = _support_data(f)
+        rho = half_root_sum(f.dim)
+        out = np.empty((len(lams), len(bs)), dtype=complex)
+        step = max(1, _CHUNK // max(len(pts), 1))
+        for i in range(0, len(bs), step):
+            B = busemann_field(pts, bs[i : i + step])
+            for k, lam in enumerate(lams):
+                out[k, i : i + step] = wv @ np.exp((-1j * lam + rho) * B)
+        return out
+
+    return _lam_route(slices, lams, f.support_radius)
+
+
+def _pw_degree(omega: float) -> int:
+    """Chebyshev degree N = ceil(omega + 12 omega^(1/3) + 16) of the lam route.
+
+    A function of exponential type R on an interval of half-width L is, in
+    x in [-1, 1], a superposition of e^{-i omega s x} with |s| <= 1 and
+    omega = L R, whose Chebyshev coefficients are 2 (-i)^n J_n(omega s).
+    Past n = omega they fall like the Airy tail, and at this N,
+    |J_N(omega)| <= 1e-17 for every omega <= 200.
+    """
+    return int(np.ceil(omega + 12.0 * np.cbrt(omega) + 16.0))
+
+
+def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
+    """evaluate(lams), or its barycentric interpolant from _pw_degree(omega) + 1 Chebyshev values.
+
+    ``evaluate`` maps a 1-D array of lam to values whose first axis is lam,
+    and each value is an entire function of lam of exponential type at most
+    ``radius`` (Paley-Wiener): a sum of c_j e^{-i lam B_j} with |B_j| <=
+    ``radius`` and lam-independent c_j.  When ``lams`` are real, finite,
+    form a 1-D array and number more than N + 1, with N = _pw_degree(omega)
+    and omega = (max lam - min lam) radius / 2, the values come from the
+    N + 1 Chebyshev-Lobatto points of [min lam, max lam] by the second-kind
+    barycentric formula (Berrut and Trefethen, SIAM Review 46, 2004), with
+    weights (-1)^k, halved at both ends.  A lam equal to a node returns that
+    node's value exactly; both ends of the interval are nodes.  For real lam
+    every term has a lam-independent magnitude, so the error is the
+    truncation of the Chebyshev series plus rounding, both relative to
+    sum |c_j|: measured within 2.9e-15 of per-lam FFT slices and 7.1e-16 of
+    per-lam spherical transforms.  Every other call is evaluate(lams)
+    itself, bit for bit.
+    """
+    if lams.ndim != 1 or np.any(lams.imag) or not np.all(np.isfinite(lams)):
+        return evaluate(lams)
+    lo, hi = float(np.min(lams.real)), float(np.max(lams.real))
+    n = _pw_degree(0.5 * (hi - lo) * radius)
+    if len(lams) <= n + 1:
+        return evaluate(lams)
+    # Chebyshev-Lobatto points in ascending order; sin keeps them symmetric
+    x = np.sin(0.5 * np.pi * np.arange(-n, n + 1, 2) / n)
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    nodes[[0, -1]] = lo, hi
+    vals = evaluate(nodes.astype(lams.dtype))
+    weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    diff = lams.real[:, None] - nodes
+    hit = diff == 0.0
+    on_node = np.any(hit, axis=1)
+    diff[hit] = 1.0
+    coef = weights / diff
+    # exact node values: the first matching node with coefficient 1, the rest 0
+    coef[on_node] = 0.0
+    coef[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
+    coef /= np.sum(coef, axis=1, keepdims=True)
+    # the real coefficients act on the interleaved real and imaginary parts
+    flat = np.ascontiguousarray(vals.reshape(n + 1, -1), dtype=complex)
+    return (coef @ flat.view(float)).view(complex).reshape((len(lams),) + vals.shape[1:])
 
 
 def _slices_chebyshev(f: SampledFunction, lams: np.ndarray, bs: np.ndarray) -> np.ndarray:
@@ -413,16 +491,23 @@ def _tangent_frame(omega: np.ndarray) -> np.ndarray:
 def spherical_transform(f: SampledFunction, lam):
     """Spherical transform of a K-invariant function: integral of f phi_(-lam) dmu.
 
-    One spherical_phi call builds the (n_lam, n_support) table of every lam
-    at the support nodes, contracted with the weighted profile.
+    Route table: a 1-D array of more real lam than the Paley-Wiener degree
+    rule needs is interpolated from spherical_phi at its Chebyshev-Lobatto
+    nodes (``_lam_route``; phi_lam(r) has exponential type r <=
+    support_radius); any other lam, complex ones and a scalar among them,
+    take one spherical_phi call for the (n_lam, n_support) table at the
+    support nodes, contracted with the weighted profile.
     """
     if not f.is_radial():
         raise TransformUsageError("spherical_transform requires a K-invariant (radial) input")
-    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-    prof = f.radial_profile()
-    w = f.node_weights().sum(axis=1)  # S_{d-1} w_i sinh^{d-1}(r_i)
     mask = f.support_mask
-    out = np.sum(w[mask] * prof[mask] * spherical_phi(f.dim, lams, f.radial.nodes[mask]), axis=1)
+    weighted = (f.radial_weights() * f.radial_profile())[mask]  # S_{d-1} w_i sinh^{d-1}(r_i) f(r_i)
+    nodes = f.radial.nodes[mask]
+
+    def transform(lams):
+        return np.sum(weighted * spherical_phi(f.dim, lams, nodes), axis=1)
+
+    out = _lam_route(transform, np.atleast_1d(np.asarray(lam, dtype=complex)), f.support_radius)
     return out[0] if np.ndim(lam) == 0 else out
 
 

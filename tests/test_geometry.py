@@ -72,6 +72,31 @@ def test_dist_matches_mpmath_at_small_separations(dim):
             assert abs(got - ref) <= 1e-14 * ref
 
 
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath oracle unavailable")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pairwise_dist_matches_mpmath_at_small_separations(dim):
+    """pairwise_dist keeps full relative accuracy 1e-12, 1e-10 and 1e-8 apart, like dist.
+
+    The 50-digit reference is the one of test_dist_matches_mpmath_at_small_separations;
+    arccosh(1 + u) with |x - y|^2 expanded read 2.1e-8 at 1e-12 apart (true 2.8e-12).
+    """
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(17 + dim)
+    w = rng.standard_normal((4, dim))
+    xs = rng.uniform(0.0, 0.9, (4, 1)) * w / np.linalg.norm(w, axis=1, keepdims=True)
+    for sep in (1e-12, 1e-10, 1e-8):
+        v = rng.standard_normal((3, dim))
+        ys = xs[rng.integers(0, 4, 3)] + sep * v / np.linalg.norm(v, axis=1, keepdims=True)
+        D = pairwise_dist(xs, ys)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                mx, my = ([mpmath.mpf(float(c)) for c in p] for p in (x, y))
+                d2 = sum((a - b) ** 2 for a, b in zip(mx, my))
+                den = (1 - sum(a * a for a in mx)) * (1 - sum(b * b for b in my))
+                ref = float(mpmath.acosh(1 + 2 * d2 / den))
+                assert abs(D[i, j] - ref) <= 1e-14 * ref
+
+
 def test_dist_dimension_mismatch():
     with pytest.raises(GeometryError):
         dist(Point([0.1, 0.0]), Point([0.1, 0.0, 0.0]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import jv
 
 from ballfourier.geometry import (
     BoundaryPoint,
@@ -29,11 +30,16 @@ from ballfourier.grids import (
     sample_bump,
 )
 from ballfourier.spectral import c_function, spherical_phi
+from ballfourier import transforms
 from ballfourier.transforms import (
     FAR_RADIUS,
     KAPPA,
     OVERFLOW_EXPONENT,
     TransformUsageError,
+    _lam_route,
+    _pw_degree,
+    _slices_chebyshev,
+    _slices_fft,
     _support_data,
     asymptotic_limit_residual,
     boundary_slices,
@@ -501,6 +507,165 @@ def test_chebyshev_slice_matches_dense_sum(case):
     ref, scale = dense_slice(f, lams, bs)
     assert got.shape == (len(lams), len(bs))
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def terms_magnitude(f, bs):
+    """sum_j |c_j e^{(-i lam + rho) B_j}| at each direction, the same for every real lam, shape (m,)."""
+    return dense_slice(f, [0.0], bs)[1][0]
+
+
+def radial_terms_magnitude(f):
+    """sum_i |w_i f(r_i) phi_lam(r_i)| bound for real lam: |phi_lam| <= phi_0 = 1 at every r."""
+    return float(np.sum(np.abs(f.radial_weights() * f.radial_profile())[f.support_mask]))
+
+
+@st.composite
+def real_lam_sweeps(draw, radius):
+    """More real lam on an interval than the Paley-Wiener degree rule needs there, in random order."""
+    lo = draw(st.floats(-30.0, 30.0))
+    width = draw(st.floats(0.05, 20.0))
+    needed = _pw_degree(0.5 * width * radius) + 1
+    count = needed + draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = lo + width * rng.random(count - 2)
+    return rng.permutation(np.concatenate([[lo, lo + width], inner]))
+
+
+@st.composite
+def lam_route_cases(draw):
+    """A shifted, modulated bump, a real lam sweep for the lam route and 1 to 4 directions."""
+    f = draw(sampled_bumps())
+    bs = np.array(draw(st.lists(unit_vectors(f.dim), min_size=1, max_size=4)))
+    return f, draw(real_lam_sweeps(f.support_radius)), bs
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lam_route_cases())
+def test_lam_route_slices_match_per_lam_evaluation(case):
+    """Interpolated slices on the FFT and Chebyshev routes against one call per lam.
+
+    One lam at explicit directions is the dense sum; the bound is relative
+    to sum |c_j e^{z B_j}|, which real lam leave unchanged.
+    """
+    f, lams, bs = case
+    for dirs in (None, bs):
+        got = boundary_slices(f, lams, dirs)
+        per_lam = np.array([boundary_slices(f, [lam], dirs)[0] for lam in lams])
+        scale = terms_magnitude(f, f.boundary.directions if dirs is None else dirs)
+        assert got.shape == per_lam.shape
+        assert np.all(np.abs(got - per_lam) <= 1e-14 * scale)
+
+
+@st.composite
+def radial_lam_route_cases(draw):
+    """A centred bump on a disk or sphere grid and a real lam sweep for the lam route."""
+    dim = draw(st.sampled_from([2, 3]))
+    boundary = BoundaryGrid.disk(draw(st.integers(1, 16))) if dim == 2 else BoundaryGrid.sphere(
+        draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    )
+    spec = BumpSpec(dim=dim, radius=draw(st.floats(0.3, 3.0)))
+    radial = RadialGrid.gauss_legendre(draw(st.integers(4, 96)), spec.support_radius + draw(st.floats(0.0, 1.0)))
+    return sample_bump(spec, radial, boundary), draw(real_lam_sweeps(spec.support_radius))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(radial_lam_route_cases())
+def test_lam_route_spherical_transform_matches_per_lam_evaluation(case):
+    f, lams = case
+    got = spherical_transform(f, lams)
+    per_lam = np.array([spherical_transform(f, lam) for lam in lams])
+    assert np.all(np.abs(got - per_lam) <= 1e-14 * radial_terms_magnitude(f))
+
+
+def test_pw_degree_rule_against_bessel_values():
+    """|J_N(omega)| <= 1e-17 at N = _pw_degree(omega) for omega <= 200.
+
+    The Chebyshev coefficients of e^{-i omega s x} on [-1, 1] are
+    2 (-i)^n J_n(omega s), so these bound the truncation of the lam route.
+    """
+    omegas = np.concatenate([np.linspace(0.0, 200.0, 4001), [1e-3, 0.5, 199.99]])
+    degrees = np.array([_pw_degree(w) for w in omegas])
+    assert np.all(degrees > omegas)
+    assert np.max(np.abs(jv(degrees, omegas))) <= 1e-17
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lam_route_passes_other_calls_through_bit_for_bit(dim, disk_bumps, ball_bumps):
+    """Complex lam, a scalar lam and N + 1 >= n_lam real lam reach the routes unchanged."""
+    centered, shifted = disk_bumps if dim == 2 else ball_bumps
+    layout = azimuthal_layout(shifted.boundary)
+    bs = np.eye(dim)[:2]
+    width = 6.0
+    needed = _pw_degree(0.5 * width * shifted.support_radius) + 1
+    at_threshold = np.linspace(0.5, 0.5 + width, needed)
+    complex_lams = np.linspace(0.5, 0.5 + width, needed + 2) - 0.2j
+    for lams in (at_threshold, complex_lams):
+        lams = lams.astype(complex)
+        assert np.array_equal(boundary_slices(shifted, lams), _slices_fft(shifted, lams, *layout))
+        assert np.array_equal(boundary_slices(shifted, lams, bs), _slices_chebyshev(shifted, lams, bs))
+    mask = centered.support_mask
+    weighted = (centered.radial_weights() * centered.radial_profile())[mask]
+    nodes = centered.radial.nodes[mask]
+    needed = _pw_degree(0.5 * width * centered.support_radius) + 1
+    for lams in (np.linspace(0.5, 0.5 + width, needed), np.linspace(0.5, 0.5 + width, needed + 2) - 0.2j):
+        ref = np.sum(weighted * spherical_phi(dim, lams.astype(complex), nodes), axis=1)
+        assert np.array_equal(spherical_transform(centered, lams), ref)
+    ref = np.sum(weighted * spherical_phi(dim, np.array([1.3 + 0j]), nodes), axis=1)[0]
+    assert spherical_transform(centered, 1.3) == ref
+
+
+def test_lam_route_returns_node_values_exactly():
+    """A lam equal to a Chebyshev-Lobatto node, both ends included, reads the node's value bit for bit."""
+    rng = np.random.default_rng(3)
+    B = rng.uniform(-2.0, 2.0, 40)
+    c = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    seen = []
+
+    def evaluate(lams):
+        seen.append(lams.copy())
+        return np.exp(-1j * np.outer(lams, B)) @ c
+
+    # the ends are pinned: here the midpoint minus the half-width rounds to 0.09999999999999964
+    lams = rng.uniform(0.1, 9.7, 200)
+    lams[:2] = 0.1, 9.7
+    first = _lam_route(evaluate, lams, 2.0)
+    nodes = seen[-1]
+    assert len(nodes) == _pw_degree(0.5 * 9.6 * 2.0) + 1 < len(lams)
+    assert nodes[0] == 0.1 and nodes[-1] == 9.7
+    node_vals = evaluate(nodes)
+    assert first[0] == node_vals[0] and first[1] == node_vals[-1]
+    mixed = np.concatenate([lams, nodes[::7]])
+    got = _lam_route(evaluate, mixed, 2.0)
+    assert np.array_equal(seen[-1], nodes)
+    assert np.array_equal(got[len(lams) :], node_vals[::7])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lam_route_evaluates_slices_and_phi_at_the_nodes_only(dim, disk_bumps, ball_bumps, monkeypatch):
+    """boundary_slices and spherical_transform evaluate N + 1 lam, and an end lam reads its node value."""
+    centered, shifted = disk_bumps if dim == 2 else ball_bumps
+    calls = []
+
+    def recording(route):
+        def wrapped(*args):
+            out = route(*args)
+            calls.append((args[1], out))
+            return out
+
+        return wrapped
+
+    lams = SpectralGrid.gauss_legendre(200, 24.0).nodes
+    for f, name in ((shifted, "_slices_fft"), (centered, "spherical_phi")):
+        monkeypatch.setattr(transforms, name, recording(getattr(transforms, name)))
+        calls.clear()
+        got = boundary_slices(f, lams) if name == "_slices_fft" else spherical_transform(f, lams)
+        (nodes, vals), = calls
+        omega = 0.5 * (lams[-1] - lams[0]) * f.support_radius
+        assert len(nodes) == _pw_degree(omega) + 1 < len(lams)
+        if name == "spherical_phi":
+            mask = f.support_mask
+            vals = np.sum((f.radial_weights() * f.radial_profile())[mask] * vals, axis=1)
+        assert np.array_equal(got[[0, -1]], vals[[0, -1]])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
