@@ -28,6 +28,8 @@ from .transforms import (
     OVERFLOW_EXPONENT,
     TransformRangeError,
     TransformUsageError,
+    _as_directions,
+    _lam_batch,
     boundary_slices,
     spherical_transform,
 )
@@ -50,22 +52,20 @@ class TypeFitError(RuntimeError):
 def holomorphy_circle_residual(f: SampledFunction, center, b):
     """Mean-value test: the circle average of the transform minus its center value.
 
-    ``center`` is one complex value, giving a float, or an array of them,
-    giving an array of residuals of the same shape.  ``b`` is a single
-    boundary point.  All rings and centers share one forward-slice call,
-    which takes the Chebyshev route of boundary_slices (one ring and its
-    center are already 33 spectral values).
+    ``center`` is a 1-D array of n complex values, one value a batch of
+    one, giving n residuals of shape (n,).  ``b`` is a single boundary
+    point.  All rings and centers share one forward-slice call, which takes
+    the Chebyshev route of boundary_slices.
     """
     coords = _as_coords(b, f.dim)
     if coords.ndim != 1:
         raise TransformUsageError(f"expected a single boundary point, got shape {coords.shape}")
-    centers = np.asarray(center, dtype=complex)
+    centers = _lam_batch(center).astype(complex)
     angles = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
-    rings = centers.reshape(-1, 1) + _CIRCLE_RADIUS * np.exp(1j * angles)
-    vals = boundary_slices(f, np.append(rings, centers), coords[None, :])[:, 0]
-    n = centers.size
-    res = np.abs(vals[:-n].reshape(n, _CIRCLE_NODES).mean(axis=1) - vals[-n:])
-    return float(res[0]) if centers.ndim == 0 else res.reshape(centers.shape)
+    rings = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * angles)
+    vals = boundary_slices(f, np.append(rings, centers), coords)[:, 0]
+    n = len(centers)
+    return np.abs(vals[:-n].reshape(n, _CIRCLE_NODES).mean(axis=1) - vals[-n:])
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,12 @@ def estimate_type(f: SampledFunction, boundary_points=None) -> TypeEstimate:
     the global maximum estimates the circumscribed support radius about the
     origin.  A second pass rescales the sigma window's end from _SIGMA_MAX to
     ~36 / R-hat (under the overflow guard), which small supports need.
-    ``boundary_points`` defaults to a small probe grid.  An unmodulated bump
-    is read through its descriptor and the nodes of its radial rule, never
-    its samples, and no quadrature rule is built for it.
+    ``boundary_points`` defaults to a small probe grid; given ones are unit
+    vectors of shape (m, d), or raise TransformUsageError on either route.
+    An unmodulated bump is read through its descriptor and the nodes of its
+    radial rule, never its samples, and no quadrature rule is built for it.
     """
-    bs = _default_probe_points(f.dim) if boundary_points is None else np.atleast_2d(
-        np.asarray(boundary_points, dtype=float)
-    )
+    bs = _default_probe_points(f.dim) if boundary_points is None else _as_directions(boundary_points, f.dim)
     rho = half_root_sum(f.dim)
     profile = _centered_profile(f)
 
@@ -221,11 +220,14 @@ def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None) -> DecayRepo
     For K-invariant inputs the slice equals the spherical transform and the
     radial path is used: the product grid's angular rule aliases once the
     kernel bandwidth ~ lam * support exceeds its node count, and real-axis
-    tails sit far below that noise floor.
+    tails sit far below that noise floor.  ``b`` is one unit vector, checked
+    on both paths (TransformUsageError).
     """
     if sgrid is None:
         sgrid = SpectralGrid.gauss_legendre(200, 24.0)
-    bs = np.atleast_2d(_as_coords(b, f.dim))
+    bs = _as_directions(b, f.dim)
+    if len(bs) != 1:
+        raise TransformUsageError(f"decay_report takes one boundary point, got {len(bs)}")
     try:  # spherical_transform scans the samples for K-invariance once
         mags = np.abs(spherical_transform(f, sgrid.nodes))
     except TransformUsageError:

@@ -308,7 +308,6 @@ def scenario_eigen(cfg: ScenarioConfig, rng):
 def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     checks = []
     artifacts = {}
-    worst_rec = 0.0
     rule = legendre_rule(cfg.radial_nodes)
     # estimate_type reads only the descriptor and the radial rule of an
     # unmodulated bump, so one boundary direction carries all it needs
@@ -321,7 +320,6 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
             est = estimate_type(f)
             target = spec.support_radius
             rec = abs(est.radius_estimate - target) / target
-            worst_rec = max(worst_rec, rec)
             tag = f"R{radius:g}_shift{shift:g}"
             checks.append(
                 CheckResult(f"support_recovery_{tag}", rec, 0.05, rec <= 0.05,

@@ -20,22 +20,21 @@ The Laplace-Beltrami stencil depends on the dimension only through the
 boundary sphere S^{d-1}: it is built on the d - 1 orthonormal tangent
 vectors at omega = x/|x| (_tangent_frame).
 
-The forward slice has three routes, all picked in boundary_slices:
+The forward slice has two routes, both picked in boundary_slices:
 
 - at the directions of a disk or sphere grid it is an exact FFT convolution
   over the azimuth, whose kernel is folded by the grid's azimuth reflection
   and polar-row symmetries (109,200 exponentials per lam on the 24 x 48
   sphere with 28 support rows, 774,144 unfolded);
-- at explicit directions, or those of any other grid, with fewer than
-  _CHEB_MIN_LAMS = 8 spectral values it is the dense Busemann sum, one
-  exponential per (sample, lam); this is also the oracle of the other two;
-- with 8 or more spectral values it is a panelled Chebyshev series in the
-  Busemann value (_slices_chebyshev): P = ceil(max|z| range(B) / 2) equal
-  panels per direction, z = -i lam + rho, and N = 20 moments per panel built
-  once per call, so each lam costs N + 1 + P exponentials per direction.
-  Against the dense sum it measured within 5e-14 of sum |c_j e^{z B_j}|
-  (worst of 80 random shifted and modulated bumps, 40 lam each, with
-  |Re lam| <= 200 and |Im lam| up to the overflow guard).
+- at explicit directions, or those of any other grid, it is a panelled
+  Chebyshev series in the Busemann value (_slices_chebyshev):
+  P = ceil(max|z| range(B) / 2) equal panels per direction,
+  z = -i lam + rho, and N = 20 moments per panel built once per call, so
+  each lam costs N + 1 + P exponentials per direction.  Against the dense
+  Busemann sum, one exponential per (sample, lam) and the tests' oracle, it
+  measured within 5e-14 of sum |c_j e^{z B_j}| (worst of 80 random shifted
+  and modulated bumps, 40 lam each, with |Re lam| <= 200 and |Im lam| up to
+  the overflow guard).
 
 Before any of them, boundary_slices and spherical_transform take the lam
 route of _lam_route, the Paley-Wiener theorem in numerical form: both are
@@ -44,9 +43,14 @@ and phi_lam(r) has type r.  On an interval of half-width L such a function
 is fixed to rounding by N + 1 Chebyshev values, N = ceil(omega +
 12 omega^(1/3) + 16) with omega = L support_radius, so a call with more
 real lam than that evaluates the N + 1 Chebyshev-Lobatto points of
-[min lam, max lam] and interpolates barycentrically; complex lam, a scalar
-and short lists pass through bit for bit.  The 200 lam of the d = 2
+[min lam, max lam] and interpolates barycentrically; complex lam and short
+lists pass through bit for bit.  The 200 lam of the d = 2
 plancherel profile take 83 slices.
+
+spherical_transform, jeft_direct, invert and the residuals take batches
+and return batches: a scalar lam or a single point is a batch of one, and
+the output keeps its batch axes.  helgason_forward, jeft and poisson keep a
+one-point form as well.
 """
 
 from __future__ import annotations
@@ -105,13 +109,6 @@ _POISSON_BLOCK = 2**16
 # |z| h <= 1 the coefficients 2 I_m(z h) of e^{z h x} fall below 1e-19 by
 # m = 20.
 _CHEB_ORDER = 20
-# Fewest spectral values for which explicit directions take the Chebyshev
-# route, from a measured cost ratio.  On 82,000 samples (2-vCPU
-# VM) a dense kernel term costs about 34 ns per (sample, lam) and the route's
-# extra work about 134 ns per sample (sort, 21-term recurrence, panel
-# products), so the two break even near 5 lam.  Below 8 lam the dense sum is
-# kept, bit for bit (helgason_forward passes one lam).
-_CHEB_MIN_LAMS = 8
 # Samples per block of the Chebyshev moment table.
 _MOMENT_BLOCK = 8192
 # Largest allowed | |b| - 1 | of an explicit direction.
@@ -144,15 +141,37 @@ def _support_data(f: SampledFunction):
     return pts, (f.radial_weights()[mask][:, None] * f.boundary.weights)[keep] * vals[keep]
 
 
+def _lam_batch(lam) -> np.ndarray:
+    """lam as a 1-D array, a scalar as a batch of one; TransformUsageError for ndim >= 2."""
+    lams = np.atleast_1d(lam)
+    if lams.ndim != 1:
+        raise TransformUsageError(f"lam must be a scalar or a 1-D array, got shape {lams.shape}")
+    return lams
+
+
+def _as_directions(b, dim: int) -> np.ndarray:
+    """Boundary directions as an (m, dim) array, one direction given as a dim-vector.
+
+    Raises TransformUsageError unless every row has unit norm within 1e-12.
+    """
+    bs = np.atleast_2d(_as_coords(b))
+    if bs.ndim != 2 or bs.shape[1] != dim:
+        raise TransformUsageError(f"directions must have shape (m, {dim}), got {bs.shape}")
+    if np.any(np.abs(np.linalg.norm(bs, axis=1) - 1.0) > _UNIT_TOL):
+        raise TransformUsageError("directions must be unit vectors")
+    return bs
+
+
 def helgason_forward(f: SampledFunction, lam: complex, b):
     """Forward transform: quadrature of f(x) e^{(-i lam + rho)(A(x, b))} over dmu.
 
-    ``b`` may be a single boundary point or an (m, d) array of unit vectors;
-    lam may be complex (the integrand is entire in lam), inside the overflow
-    guard of boundary_slices.
+    One lam; ``b`` may be a single boundary point, giving one value, or an
+    (m, d) array of unit vectors, giving m values.  lam may be complex (the
+    integrand is entire in lam), inside the overflow guard of
+    boundary_slices, which evaluates it at explicit directions.
     """
     coords = _as_coords(b, f.dim)
-    out = boundary_slices(f, [lam], np.atleast_2d(coords))[0]
+    out = boundary_slices(f, [lam], coords)[0]
     return out[0] if coords.ndim == 1 else out
 
 
@@ -170,50 +189,27 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
       convolution in azimuth by FFT, with the kernel exponentiated once per
       orbit of the grid's azimuth reflection and polar-row symmetries
       (``_slices_fft``);
-    - an explicit ``bs``, or any other grid, with fewer than _CHEB_MIN_LAMS
-      spectral values: the dense sum, one Busemann matrix per chunk of
-      directions shared across the spectral nodes;
-    - the same with _CHEB_MIN_LAMS or more: panelled Chebyshev sums in the
+    - an explicit ``bs``, or any other grid: panelled Chebyshev sums in the
       Busemann value (``_slices_chebyshev``), within 1e-13 of the dense sum
       relative to the sum of the terms' magnitudes (5e-14 measured).
 
-    Raises TransformUsageError unless ``bs`` has shape (m, d) (one direction
-    may be given as a d-vector) with rows of unit norm within 1e-12, and
+    A scalar lam is one spectral value.  Raises TransformUsageError for lam
+    of ndim >= 2 and unless ``bs`` has shape (m, d) (one direction may be
+    given as a d-vector) with rows of unit norm within 1e-12, and
     TransformRangeError when max |Im lam| * support_radius exceeds
     OVERFLOW_EXPONENT.
     """
-    lams = np.asarray(lams, dtype=complex)
+    lams = _lam_batch(lams).astype(complex)
     growth = np.max(np.abs(lams.imag), initial=0.0) * f.support_radius
     if growth > OVERFLOW_EXPONENT:
         raise TransformRangeError(
             f"|Im lam| * support = {growth:.1f} exceeds the overflow guard {OVERFLOW_EXPONENT}"
         )
     layout = azimuthal_layout(f.boundary) if bs is None else None
-    if bs is None and layout is None:
-        bs = f.boundary.directions
-    if bs is not None:
-        bs = np.atleast_2d(np.asarray(bs, dtype=float))
-        if bs.ndim != 2 or bs.shape[1] != f.dim:
-            raise TransformUsageError(f"directions must have shape (m, {f.dim}), got {bs.shape}")
-        if np.any(np.abs(np.linalg.norm(bs, axis=1) - 1.0) > _UNIT_TOL):
-            raise TransformUsageError("directions must be unit vectors")
-
-    def slices(lams):
-        if layout is not None:
-            return _slices_fft(f, lams, *layout)
-        if len(lams) >= _CHEB_MIN_LAMS:
-            return _slices_chebyshev(f, lams, bs)
-        pts, wv = _support_data(f)
-        rho = half_root_sum(f.dim)
-        out = np.empty((len(lams), len(bs)), dtype=complex)
-        step = max(1, _CHUNK // max(len(pts), 1))
-        for i in range(0, len(bs), step):
-            B = busemann_field(pts, bs[i : i + step])
-            for k, lam in enumerate(lams):
-                out[k, i : i + step] = wv @ np.exp((-1j * lam + rho) * B)
-        return out
-
-    return _lam_route(slices, lams, f.support_radius)
+    if layout is not None:
+        return _lam_route(lambda l: _slices_fft(f, l, *layout), lams, f.support_radius)
+    bs = _as_directions(f.boundary.directions if bs is None else bs, f.dim)
+    return _lam_route(lambda l: _slices_chebyshev(f, l, bs), lams, f.support_radius)
 
 
 def _pw_degree(omega: float) -> int:
@@ -234,8 +230,8 @@ def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
     ``evaluate`` maps a 1-D array of lam to values whose first axis is lam,
     and each value is an entire function of lam of exponential type at most
     ``radius`` (Paley-Wiener): a sum of c_j e^{-i lam B_j} with |B_j| <=
-    ``radius`` and lam-independent c_j.  When ``lams`` are real, finite,
-    form a 1-D array and number more than N + 1, with N = _pw_degree(omega)
+    ``radius`` and lam-independent c_j.  ``lams`` is a 1-D array.  When they
+    are real, finite and number more than N + 1, with N = _pw_degree(omega)
     and omega = (max lam - min lam) radius / 2, the values come from the
     N + 1 Chebyshev-Lobatto points of [min lam, max lam] by the second-kind
     barycentric formula (Berrut and Trefethen, SIAM Review 46, 2004), with
@@ -247,7 +243,7 @@ def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
     per-lam spherical transforms.  Every other call is evaluate(lams)
     itself, bit for bit.
     """
-    if lams.ndim != 1 or np.any(lams.imag) or not np.all(np.isfinite(lams)):
+    if np.any(lams.imag) or not np.all(np.isfinite(lams)):
         return evaluate(lams)
     lo, hi = float(np.min(lams.real)), float(np.max(lams.real))
     n = _pw_degree(0.5 * (hi - lo) * radius)
@@ -491,12 +487,13 @@ def _tangent_frame(omega: np.ndarray) -> np.ndarray:
 def spherical_transform(f: SampledFunction, lam):
     """Spherical transform of a K-invariant function: integral of f phi_(-lam) dmu.
 
-    Route table: a 1-D array of more real lam than the Paley-Wiener degree
-    rule needs is interpolated from spherical_phi at its Chebyshev-Lobatto
-    nodes (``_lam_route``; phi_lam(r) has exponential type r <=
-    support_radius); any other lam, complex ones and a scalar among them,
-    take one spherical_phi call for the (n_lam, n_support) table at the
-    support nodes, contracted with the weighted profile.
+    Values of shape (n_lam,); a scalar lam is one spectral value.  Route
+    table: more real lam than the Paley-Wiener degree rule needs are
+    interpolated from spherical_phi at its Chebyshev-Lobatto nodes
+    (``_lam_route``; phi_lam(r) has exponential type r <= support_radius);
+    any other lam, complex ones among them, take one spherical_phi call for
+    the (n_lam, n_support) table at the support nodes, contracted with the
+    weighted profile.
     """
     if not f.is_radial():
         raise TransformUsageError("spherical_transform requires a K-invariant (radial) input")
@@ -507,8 +504,7 @@ def spherical_transform(f: SampledFunction, lam):
     def transform(lams):
         return np.sum(weighted * spherical_phi(f.dim, lams, nodes), axis=1)
 
-    out = _lam_route(transform, np.atleast_1d(np.asarray(lam, dtype=complex)), f.support_radius)
-    return out[0] if np.ndim(lam) == 0 else out
+    return _lam_route(transform, _lam_batch(lam).astype(complex), f.support_radius)
 
 
 def jeft(f: SampledFunction, lam: complex, x):
@@ -524,22 +520,16 @@ def jeft_direct(f: SampledFunction, lam, x):
     """Convolution oracle: quadrature of f(y) phi_lam(dist(x, y)) over dmu(y).
 
     The group convolution with the spherical function descends to this
-    point-pair kernel because phi_lam is K-bi-invariant.  ``lam`` is a
-    scalar or a 1-D array of n values, with the shape rule of spherical_phi:
-    a scalar lam gives the point shape (a scalar for one point, (n_x,) for
-    an (n_x, d) array), n lam give (n,) + that shape.  The support data and
+    point-pair kernel because phi_lam is K-bi-invariant.  Values of shape
+    (n_lam, n_x) for n_lam spectral values and an (n_x, d) array of points;
+    a scalar lam or a single point is a batch of one.  The support data and
     the (n_x, n_samples) distance matrix are built once per call; each lam
-    takes one spherical_phi call over the whole matrix, so every lam of an
-    array reads bit for bit what a scalar call with it reads.  It is also
-    the far route of jeft_grid.
+    takes one spherical_phi call over the whole matrix.  It is also the far
+    route of jeft_grid.
     """
-    coords = _as_coords(x, f.dim)
     pts, wv = _support_data(f)
-    D = pairwise_dist(np.atleast_2d(coords), pts)
-    vals = np.array([np.sum(wv * spherical_phi(f.dim, l, D), axis=1) for l in np.atleast_1d(lam)])
-    if coords.ndim == 1:
-        vals = vals[:, 0]
-    return vals[0] if np.ndim(lam) == 0 else vals
+    D = pairwise_dist(np.atleast_2d(_as_coords(x, f.dim)), pts)
+    return np.array([np.sum(wv * spherical_phi(f.dim, l, D), axis=1) for l in _lam_batch(lam)])
 
 
 def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
@@ -606,11 +596,10 @@ def calibrate_kappa(dim: int) -> float:
 def invert(f: SampledFunction, x, sgrid: SpectralGrid, kappa: float = KAPPA):
     """Pointwise inversion: kappa * integral of jeft(f, ., x) against |c|^-2 d lam.
 
-    ``x`` may be a single point, giving one InversionResult, or an (n, d)
-    array, giving a list of them that share one spectral sweep.
+    ``x`` is an (n, d) array of points, or a single point as a batch of
+    one; the n InversionResults, in a list, share one spectral sweep.
     """
-    coords = _as_coords(x, f.dim)
-    vals = jeft_grid(f, sgrid.nodes, coords)  # (n_lam, n_x)
+    vals = jeft_grid(f, sgrid.nodes, x)  # (n_lam, n_x)
     dens = plancherel_density_table(f.dim, sgrid.nodes)
     integrand = vals * dens[:, None]
     tail_mask = sgrid.nodes >= 0.9 * sgrid.lam_max
@@ -621,7 +610,7 @@ def invert(f: SampledFunction, x, sgrid: SpectralGrid, kappa: float = KAPPA):
         tail = float(np.sum(np.abs(col[tail_mask]) * sgrid.weights[tail_mask]) / mass) if mass > 0 else 0.0
         value = kappa * integrate_spectrum(col, sgrid)
         results.append(InversionResult(complex(value), tail, tail > 5e-3, kappa))
-    return results[0] if coords.ndim == 1 else results
+    return results
 
 
 @dataclass(frozen=True)
@@ -668,22 +657,19 @@ def kaverage_bridge_residual(f: SampledFunction, g: Isometry, sgrid: SpectralGri
 def functional_equation_residual(f: SampledFunction, g, x, lam):
     """Rotation-averaged jeft around g . (k x) against phi_lam(|x|) jeft(f, lam, g.0).
 
-    One isometry ``g``, one point ``x`` and a scalar ``lam`` give one float.
     A sequence of n isometries, an (n, d) array of points and a 1-D array of
-    n lam give the n residuals of the cases (g[k], x[k], lam[k]) as an
-    array, from one boundary_slices call for all lam; each reads bit for bit
-    what its scalar call reads.  At x = o the K-orbit of g . (k x) is the one
-    point g.0, where the Poisson transform is evaluated once.
+    n lam give the n residuals of the cases (g[k], x[k], lam[k]) as an array
+    of shape (n,), from one boundary_slices call for all lam; one isometry,
+    point or lam is a batch of one.  At x = o the K-orbit of g . (k x) is the
+    one point g.0, where the Poisson transform is evaluated once.
     """
-    coords = _as_coords(x, f.dim)
-    scalar = np.ndim(lam) == 0
-    gs = [g] if scalar else list(g)
-    pts = coords[None] if scalar else coords
-    lams = np.atleast_1d(lam)
-    if lams.ndim != 1 or pts.ndim != 2 or not len(gs) == len(pts) == len(lams):
+    gs = [g] if isinstance(g, Isometry) else list(g)
+    pts = np.atleast_2d(_as_coords(x, f.dim))
+    lams = _lam_batch(lam)
+    if pts.ndim != 2 or not len(gs) == len(pts) == len(lams):
         raise TransformUsageError(
-            f"functional_equation_residual needs one isometry, point and lam, or n of each; "
-            f"got {len(gs)} isometries, points {coords.shape}, lam {np.shape(lam)}"
+            f"functional_equation_residual needs n isometries, points and lam; "
+            f"got {len(gs)} isometries, points {pts.shape}, lam {lams.shape}"
         )
     slices = boundary_slices(f, lams)
     out = np.empty(len(lams))
@@ -697,7 +683,7 @@ def functional_equation_residual(f: SampledFunction, g, x, lam):
             lhs = np.sum(f.boundary.weights * vals)
         rhs = spherical_phi(f.dim, l, dist(np.zeros(f.dim), p)) * at_origin
         out[k] = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return float(out[0]) if scalar else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -790,23 +776,18 @@ def laplace_beltrami_residual(u, dim: int, lam: float, x) -> EigenCheck:
 def eigen_equation_residual(f: SampledFunction, lam, x):
     """Eigen-equation residual of the transform output u(y) = jeft(f, lam, y).
 
-    A scalar lam and one point give one EigenCheck.  A 1-D array of n lam
-    and an (n, d) array of points give a list of n EigenChecks, case k at
-    (lam[k], x[k]), from one boundary_slices call for all lam; each reads
-    bit for bit what its scalar call reads.
+    A 1-D array of n lam and an (n, d) array of points give a list of n
+    EigenChecks, case k at (lam[k], x[k]), from one boundary_slices call for
+    all lam; a scalar lam or a single point is a batch of one.
     """
-    coords = _as_coords(x, f.dim)
-    scalar = np.ndim(lam) == 0
-    lams = np.atleast_1d(lam)
-    pts = coords[None] if scalar else coords
-    if lams.ndim != 1 or pts.ndim != 2 or len(pts) != len(lams):
+    lams = _lam_batch(lam)
+    pts = np.atleast_2d(_as_coords(x, f.dim))
+    if pts.ndim != 2 or len(pts) != len(lams):
         raise TransformUsageError(
-            f"eigen_equation_residual needs one lam and point, or n of each; "
-            f"got lam {np.shape(lam)}, points {coords.shape}"
+            f"eigen_equation_residual needs n lam and n points; got lam {lams.shape}, points {pts.shape}"
         )
     slices = boundary_slices(f, lams)
-    checks = [
+    return [
         laplace_beltrami_residual(functools.partial(poisson, sl, f.boundary, l), f.dim, l, p)
         for sl, l, p in zip(slices, lams, pts)
     ]
-    return checks[0] if scalar else checks

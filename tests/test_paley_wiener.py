@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ballfourier.geometry import BoundaryPoint, Isometry, busemann_field, random_rotation
+from ballfourier.geometry import BoundaryPoint, Isometry, random_rotation
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump
 from ballfourier.paley_wiener import (
     TransformRangeError,
@@ -13,8 +13,8 @@ from ballfourier.paley_wiener import (
     estimate_type,
     holomorphy_circle_residual,
 )
-from ballfourier.transforms import TransformUsageError, _support_data, boundary_slices, helgason_forward
-from sampling_helpers import zero_function
+from ballfourier.transforms import TransformUsageError, boundary_slices, helgason_forward
+from sampling_helpers import dense_slice, zero_function
 
 
 def dense_disk(radius, shift=0.0, alpha=0.0, profile="smooth", n_r=512):
@@ -54,14 +54,13 @@ def test_holomorphy_circle_mean_value():
     f = dense_disk(1.0, shift=0.3, alpha=0.4, n_r=256)
     b = BoundaryPoint([0.0, 1.0])
     rng = np.random.default_rng(14)
-    for _ in range(10):
-        center = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
-        assert holomorphy_circle_residual(f, center, b) <= 1e-8
+    centers = [complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(10)]
+    assert np.all(holomorphy_circle_residual(f, np.array(centers), b) <= 1e-8)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_holomorphy_circle_matches_per_node_forward_loop(dim):
-    """Rings and centers of several circles in one slice call against one dense helgason_forward per node.
+    """Rings and centers of several circles in one slice call against the dense slice oracle.
 
     The batched call takes the Chebyshev route, so values agree to rounding,
     measured against the sum of the terms' magnitudes sum |c_j e^{z B_j}|.
@@ -77,17 +76,15 @@ def test_holomorphy_circle_matches_per_node_forward_loop(dim):
     rings = centers[:, None] + 0.1 * np.exp(2j * np.pi * np.arange(32) / 32)
     lams = np.append(rings, centers)
     batched = boundary_slices(f, lams, b[None, :])[:, 0]
-    dense = np.array([helgason_forward(f, z, b) for z in lams])
-    pts, wv = _support_data(f)
-    kernels = np.exp(np.outer(-1j * lams + 0.5 * (dim - 1), busemann_field(pts, b[None, :])[:, 0]))
-    scale = np.abs(kernels) @ np.abs(wv)
+    dense, scale = (a[:, 0] for a in dense_slice(f, lams, b[None, :]))
     assert np.all(np.abs(batched - dense) <= 1e-13 * scale)
     expected = np.abs(dense[:-3].reshape(3, 32).mean(axis=1) - dense[-3:])
     for point in (b, BoundaryPoint(b)):
         got = holomorphy_circle_residual(f, centers, point)
         assert got.shape == (3,)
         assert np.all(np.abs(got - expected) <= 2e-13 * scale[-3:])
-        assert holomorphy_circle_residual(f, centers[0], point) == pytest.approx(got[0], abs=2e-13 * scale[-3])
+        one = holomorphy_circle_residual(f, centers[:1], point)
+        assert one.shape == (1,) and one[0] == pytest.approx(got[0], abs=2e-13 * scale[-3])
 
 
 def test_holomorphy_circle_rejects_several_directions():
@@ -205,6 +202,38 @@ def test_type_estimate_rotation_invariance():
     a = estimate_type(f, boundary_points=probes)
     b = estimate_type(f_rot, boundary_points=probes @ rot.matrix.T)
     assert abs(a.radius_estimate - b.radius_estimate) <= 1e-6
+
+
+BAD_DIRECTIONS = ([0.9, 0.0], [1.1, 0.0], [1.5, 0.0], [0.0, 0.0], [[1.0, 0.0, 0.0]], np.ones((1, 2, 2)))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_type_estimate_rejects_bad_probe_directions(alpha):
+    """Both routes check the probes: alpha = 0 reads the descriptor, alpha = 0.5 the samples.
+
+    Unchecked, the descriptor route read 1.707 at |b| = 0.9 and 2.357 at
+    |b| = 1.1 for this support radius 2, and raised TypeFitError at 1.5.
+    """
+    spec = BumpSpec(dim=2, radius=1.0, center=Isometry.translation([np.tanh(0.5), 0.0]), alpha=alpha)
+    f = sample_bump(spec, RadialGrid.gauss_legendre(256, 6.0), BoundaryGrid.disk(1))
+    for bad in BAD_DIRECTIONS:
+        with pytest.raises(TransformUsageError):
+            estimate_type(f, boundary_points=bad)
+    if alpha == 0.0:
+        est = estimate_type(f, boundary_points=[1.0, 0.0])
+        assert abs(est.radius_estimate - 2.0) <= 0.05 * 2.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_decay_report_rejects_bad_directions(alpha):
+    """The radial path (alpha = 0) never reads b, and still checks it; so does the slice path."""
+    spec = BumpSpec(dim=2, radius=1.0, alpha=alpha)
+    f = sample_bump(spec, RadialGrid.gauss_legendre(64, 3.0), BoundaryGrid.disk(16))
+    sgrid = SpectralGrid.gauss_legendre(40, 8.0)
+    for bad in BAD_DIRECTIONS + ([5.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(TransformUsageError):
+            decay_report(f, bad, sgrid=sgrid)
+    assert decay_report(f, BoundaryPoint([0.6, 0.8]), sgrid=sgrid).orders
 
 
 DECAY_GRID = SpectralGrid.gauss_legendre(300, 48.0)

@@ -57,7 +57,7 @@ from ballfourier.transforms import (
     poisson,
     spherical_transform,
 )
-from sampling_helpers import translate_bump, unit_vectors, zero_function
+from sampling_helpers import dense_slice, translate_bump, unit_vectors, zero_function
 
 
 def disk_setup(n_r=96, r_max=6.0, n_b=256):
@@ -104,7 +104,7 @@ def test_zero_function_transforms_to_zero():
     f = zero_function(2, radial, boundary)
     assert helgason_forward(f, 1.0, BoundaryPoint([1.0, 0.0])) == 0
     assert jeft(f, 1.0, Point([0.2, 0.0])) == 0
-    assert jeft_direct(f, 1.0, Point([0.2, 0.0])) == 0
+    assert np.array_equal(jeft_direct(f, [1.0], [[0.2, 0.0]]), [[0.0]])
 
 
 @pytest.mark.parametrize("setup", ["disk", "ball"])
@@ -114,13 +114,13 @@ def test_radial_transform_is_boundary_independent(setup, disk_bumps, ball_bumps)
         sl = boundary_slices(f, [lam])[0]
         scale = np.max(np.abs(sl))
         assert np.max(np.abs(sl - sl.mean())) <= 1e-9 * scale
-        ft = spherical_transform(f, lam)
+        ft = spherical_transform(f, [lam])[0]
         assert abs(sl.mean() - ft) <= 1e-9 * abs(ft)
 
 
 def test_spherical_transform_rejects_non_radial(disk_bumps):
     with pytest.raises(TransformUsageError):
-        spherical_transform(disk_bumps[1], 1.0)
+        spherical_transform(disk_bumps[1], [1.0])
 
 
 def test_spherical_transform_d3_sine_reduction_oracle():
@@ -138,7 +138,7 @@ def test_spherical_transform_d3_sine_reduction_oracle():
             limit=200,
         )
         oracle = 4.0 * np.pi / lam * oracle_re
-        got = spherical_transform(f, lam)
+        got = spherical_transform(f, [lam])[0]
         assert abs(got - oracle) <= 1e-8 * abs(oracle)
 
 
@@ -261,7 +261,7 @@ def test_jeft_at_origin_equals_spherical_transform(disk_bumps, ball_bumps):
     for f in (disk_bumps[0], ball_bumps[0]):
         for lam in (0.9, 3.0):
             got = jeft(f, lam, np.zeros(f.dim))
-            ft = spherical_transform(f, lam)
+            ft = spherical_transform(f, [lam])[0]
             assert abs(got - ft) <= 1e-9 * max(abs(ft), 1e-6)
 
 
@@ -295,15 +295,15 @@ def test_jeft_equals_direct_convolution(dim, disk_bumps, ball_bumps):
             w /= np.linalg.norm(w)
             x = polar_to_point(rng.uniform(0.1, 1.5), w)
             a = jeft(f, lam, x)
-            b = jeft_direct(f, lam, x)
+            b = jeft_direct(f, [lam], x.coords[None])[0, 0]
             assert abs(a - b) <= 1e-6 * max(abs(b), 1e-9)
 
 
 def test_jeft_direct_radial_case_matches_spherical_transform(disk_bumps):
     f = disk_bumps[0]
-    for lam in (0.7, 2.2):
-        got = jeft_direct(f, lam, np.zeros(2))
-        assert abs(got - spherical_transform(f, lam)) <= 1e-9
+    lams = np.array([0.7, 2.2])
+    got = jeft_direct(f, lams, np.zeros((1, 2)))[:, 0]
+    assert np.all(np.abs(got - spherical_transform(f, lams)) <= 1e-9)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -352,7 +352,7 @@ def test_dense_sums_drop_only_zero_samples(dim):
     for lam in (0.7, 2.5):
         phis = np.array([spherical_phi(dim, lam, row) for row in D])
         ref, scale = phis @ wv, np.abs(phis) @ np.abs(wv)
-        assert np.max(np.abs(jeft_direct(f, lam, xs) - ref) / scale) <= 1e-14
+        assert np.max(np.abs(jeft_direct(f, [lam], xs)[0] - ref) / scale) <= 1e-14
 
 
 def test_jeft_many_matches_scalar(disk_bumps):
@@ -376,7 +376,7 @@ def test_jeft_grid_matches_direct_on_both_sides_of_far_radius(disk_bumps, ball_b
         w = np.array([0.8, 0.6, 0.0])[: f.dim]
         xs = np.array([polar_to_point(FAR_RADIUS[f.dim] + dr, w).coords for dr in (-0.05, 0.05)])
         got = jeft_grid(f, lams, xs)
-        near, far = (jeft_direct(f, np.array(lams), x) for x in xs)
+        near, far = (jeft_direct(f, np.array(lams), x[None])[:, 0] for x in xs)
         assert np.all(np.abs(got[:, 0] - near) <= tol * np.maximum(np.abs(near), 1e-12))
         assert np.array_equal(got[:, 1], far)
 
@@ -390,22 +390,22 @@ def test_jeft_far_route_is_direct_convolution_bit_for_bit(dim, disk_bumps, ball_
     xs = np.array([polar_to_point(r, v).coords for r, v in zip((FAR_RADIUS[dim] + 0.3, 5.0, 8.0), w)])
     lams = np.array([0.9, 2.1, 2.0 - 0.35j])
     assert np.array_equal(jeft_grid(f, lams, xs), jeft_direct(f, lams, xs))
-    assert jeft(f, lams[2], xs[1]) == jeft_direct(f, lams[2], xs[1])
+    assert jeft(f, lams[2], xs[1]) == jeft_direct(f, lams[2:3], xs[1:2])[0, 0]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_jeft_direct_lam_array_matches_scalar_calls_bit_for_bit(dim, disk_bumps, ball_bumps):
-    """n lam give (n,) + the point shape, each row what a scalar call with that lam gives."""
+    """n lam and n_x points give (n, n_x), each row what a one-lam call gives; a scalar lam is a batch of one."""
     f = (disk_bumps if dim == 2 else ball_bumps)[1]
     lams = np.array([0.9, 2.1, 2.0 - 0.35j, 0.4j])
     xs = np.array([polar_to_point(r, np.eye(dim)[k % dim]).coords for k, r in enumerate((0.3, 1.2, 4.0))])
     table = jeft_direct(f, lams, xs)
-    one = jeft_direct(f, lams, xs[1])
-    assert table.shape == (len(lams), len(xs)) and one.shape == (len(lams),)
-    for k, lam in enumerate(lams):
-        assert np.array_equal(table[k], jeft_direct(f, lam, xs))
-        assert one[k] == jeft_direct(f, lam, xs[1])
-    assert np.ndim(jeft_direct(f, lams[0], xs[1])) == 0
+    one = jeft_direct(f, lams, xs[1:2])
+    assert table.shape == (len(lams), len(xs)) and one.shape == (len(lams), 1)
+    for k in range(len(lams)):
+        assert np.array_equal(table[k], jeft_direct(f, lams[k : k + 1], xs)[0])
+        assert one[k, 0] == jeft_direct(f, lams[k : k + 1], xs[1:2])[0, 0]
+    assert np.array_equal(jeft_direct(f, lams[0], xs[1]), jeft_direct(f, lams[:1], xs[1:2]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -472,19 +472,10 @@ def slice_cases(draw):
 
 @st.composite
 def chebyshev_cases(draw):
-    """A bump, 8 to 40 lam with |Re lam| <= 200 up to the overflow guard, and 1 to 5 directions."""
+    """A bump, 1 to 40 lam with |Re lam| <= 200 up to the overflow guard, and 1 to 5 directions."""
     f = draw(sampled_bumps())
-    lams = draw(st.lists(spectral_values(f, 200.0), min_size=8, max_size=40))
+    lams = draw(st.lists(spectral_values(f, 200.0), min_size=1, max_size=40))
     return f, lams, np.array(draw(st.lists(unit_vectors(f.dim), min_size=1, max_size=5)))
-
-
-def dense_slice(f, lams, bs):
-    """The dense sum over every support-row sample and the sum of its terms' magnitudes, (n_lam, m) each."""
-    mask = f.support_mask
-    pts = f.support_points().reshape(-1, f.dim)
-    wv = (f.node_weights()[mask] * f.values[mask]).ravel()
-    kernels = np.exp((-1j * np.asarray(lams)[:, None, None] + 0.5 * (f.dim - 1)) * busemann_field(pts, bs))
-    return np.einsum("i,kij->kj", wv, kernels), np.einsum("i,kij->kj", np.abs(wv), np.abs(kernels))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -493,7 +484,7 @@ def test_fft_slice_matches_dense_oracle(case):
     f, lams = case
     assert azimuthal_layout(f.boundary) is not None
     fast = boundary_slices(f, lams)
-    dense = boundary_slices(f, lams, f.boundary.directions)
+    dense, _ = dense_slice(f, lams, f.boundary.directions)
     assert fast.shape == dense.shape == (len(lams), len(f.boundary))
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -507,6 +498,32 @@ def test_chebyshev_slice_matches_dense_sum(case):
     ref, scale = dense_slice(f, lams, bs)
     assert got.shape == (len(lams), len(bs))
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chebyshev_slice_inside_one_full_panel_matches_dense_sum(dim):
+    """One panel with |z| h just under 1 and its weight on an interior sample, against the dense sum.
+
+    The route interpolates e^{w x}, |w| = |z| h, at N + 1 Chebyshev-Lobatto
+    points, so the panel ends are exact and the error sits between the
+    nodes: about |w|^(N+1) / ((N + 1)! 2^(N-1)).  Three samples on the
+    radial line of the direction (B = r) put the end samples at x = -1 and
+    1 and the heavy one at x = -0.39.  Measured relative to sum |c_j e^{z B_j}|:
+    3e-16 at _CHEB_ORDER = 20, 7.6e-14 at 12, which the 1e-13 bound of the
+    sweep above lets through.
+    """
+    radial = RadialGrid.gauss_legendre(4, 1.0)
+    boundary = BoundaryGrid.disk(8) if dim == 2 else BoundaryGrid.sphere(2, 4)
+    values = np.zeros((len(radial), len(boundary)), dtype=complex)
+    values[[0, 1, 3], 0] = 1e-3, 1.0, 1e-3
+    f = SampledFunction(dim, radial, boundary, values, radial.r_max)
+    bs = boundary.directions[:1]
+    width = radial.nodes[3] - radial.nodes[0]
+    # |z| one part in 1e12 below 2 / width: a single panel, |z| h just under 1
+    lam = np.sqrt(((1.0 - 1e-12) * 2.0 / width) ** 2 - 0.25 * (dim - 1) ** 2)
+    got = boundary_slices(f, [lam], bs)
+    ref, scale = dense_slice(f, [lam], bs)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 def terms_magnitude(f, bs):
@@ -544,8 +561,8 @@ def lam_route_cases(draw):
 def test_lam_route_slices_match_per_lam_evaluation(case):
     """Interpolated slices on the FFT and Chebyshev routes against one call per lam.
 
-    One lam at explicit directions is the dense sum; the bound is relative
-    to sum |c_j e^{z B_j}|, which real lam leave unchanged.
+    The bound is relative to sum |c_j e^{z B_j}|, which real lam leave
+    unchanged.
     """
     f, lams, bs = case
     for dirs in (None, bs):
@@ -573,7 +590,7 @@ def radial_lam_route_cases(draw):
 def test_lam_route_spherical_transform_matches_per_lam_evaluation(case):
     f, lams = case
     got = spherical_transform(f, lams)
-    per_lam = np.array([spherical_transform(f, lam) for lam in lams])
+    per_lam = np.array([spherical_transform(f, [lam])[0] for lam in lams])
     assert np.all(np.abs(got - per_lam) <= 1e-14 * radial_terms_magnitude(f))
 
 
@@ -591,7 +608,7 @@ def test_pw_degree_rule_against_bessel_values():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lam_route_passes_other_calls_through_bit_for_bit(dim, disk_bumps, ball_bumps):
-    """Complex lam, a scalar lam and N + 1 >= n_lam real lam reach the routes unchanged."""
+    """Complex lam, one lam and N + 1 >= n_lam real lam reach the routes unchanged."""
     centered, shifted = disk_bumps if dim == 2 else ball_bumps
     layout = azimuthal_layout(shifted.boundary)
     bs = np.eye(dim)[:2]
@@ -610,8 +627,8 @@ def test_lam_route_passes_other_calls_through_bit_for_bit(dim, disk_bumps, ball_
     for lams in (np.linspace(0.5, 0.5 + width, needed), np.linspace(0.5, 0.5 + width, needed + 2) - 0.2j):
         ref = np.sum(weighted * spherical_phi(dim, lams.astype(complex), nodes), axis=1)
         assert np.array_equal(spherical_transform(centered, lams), ref)
-    ref = np.sum(weighted * spherical_phi(dim, np.array([1.3 + 0j]), nodes), axis=1)[0]
-    assert spherical_transform(centered, 1.3) == ref
+    ref = np.sum(weighted * spherical_phi(dim, np.array([1.3 + 0j]), nodes), axis=1)
+    assert np.array_equal(spherical_transform(centered, [1.3]), ref)
 
 
 def test_lam_route_returns_node_values_exactly():
@@ -668,26 +685,6 @@ def test_lam_route_evaluates_slices_and_phi_at_the_nodes_only(dim, disk_bumps, b
         assert np.array_equal(got[[0, -1]], vals[[0, -1]])
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_few_lams_at_explicit_directions_take_dense_sum_bit_for_bit(dim, disk_bumps, ball_bumps):
-    """Below 8 lam explicit directions keep the dense sum, so helgason_forward is unchanged."""
-    f = (disk_bumps if dim == 2 else ball_bumps)[1]
-    bs = np.random.default_rng(4).standard_normal((3, dim))
-    bs /= np.linalg.norm(bs, axis=1, keepdims=True)
-    lams = [0.7, 2.5, 1.5 - 0.6j, 0.4j, 9.0, 3.3 + 1.0j, 0.0, 12.0]
-    pts, wv = _support_data(f)
-    rho = 0.5 * (dim - 1)
-    B = busemann_field(pts, bs)
-    ref = np.array([wv @ np.exp((-1j * lam + rho) * B) for lam in lams])
-    for n in (1, 7):
-        assert np.array_equal(boundary_slices(f, lams[:n], bs), ref[:n])
-    one = wv @ np.exp((-1j * lams[2] + rho) * busemann_field(pts, bs[1:2]))
-    assert helgason_forward(f, lams[2], bs[1]) == one[0]
-    # from 8 lam on the Chebyshev route takes over
-    _, scale = dense_slice(f, lams, bs)
-    assert np.all(np.abs(boundary_slices(f, lams, bs) - ref) <= 1e-13 * scale)
-
-
 @pytest.mark.parametrize("n_lam", [1, 8])
 def test_slices_reject_bad_directions(n_lam, disk_bumps):
     f = disk_bumps[1]
@@ -697,6 +694,19 @@ def test_slices_reject_bad_directions(n_lam, disk_bumps):
             boundary_slices(f, lams, bs)
     # a d-vector is one direction
     assert boundary_slices(f, lams, [0.6, 0.8]).shape == (n_lam, 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slices_take_a_scalar_lam_as_one_and_reject_2d_lams(dim, disk_bumps, ball_bumps):
+    f = (disk_bumps if dim == 2 else ball_bumps)[1]
+    bs = np.eye(dim)[:2]
+    for dirs in (None, bs):
+        one = boundary_slices(f, 1.3, dirs)
+        assert one.shape == (1, len(f.boundary) if dirs is None else 2)
+        assert np.array_equal(one, boundary_slices(f, [1.3], dirs))
+        for lams in (np.ones((2, 2)), [[1.3]], np.ones((1, 3, 1))):
+            with pytest.raises(TransformUsageError):
+                boundary_slices(f, lams, dirs)
 
 
 def test_poisson_rejects_points_outside_the_ball(disk_bumps):
@@ -725,11 +735,12 @@ def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
     assert azimuthal_layout(boundary) is not None
     lams = [0.0, 2.7, 1.9 - 3.0j, 4.2 + 1.1j]
     fast = boundary_slices(f, lams)
-    dense = boundary_slices(f, lams, boundary.directions)
+    dense, _ = dense_slice(f, lams, boundary.directions)
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-def test_rotated_grid_takes_dense_route():
+def test_rotated_grid_takes_chebyshev_route():
+    """A grid without an azimuthal layout takes the explicit-direction route, checked against the dense oracle."""
     spec = BumpSpec(dim=3, radius=1.0, center=Isometry.translation([0.3, 0.1, -0.2]), alpha=0.5)
     radial, boundary = ball_setup(n_r=24, r_max=3.0, n_theta=6, n_phi=10)
     rot = random_rotation(np.random.default_rng(8), 3)
@@ -737,7 +748,10 @@ def test_rotated_grid_takes_dense_route():
     assert azimuthal_layout(rotated) is None
     f = sample_bump(spec, radial, rotated)
     lams = [0.7, 2.0 - 1.0j]
-    assert np.array_equal(boundary_slices(f, lams), boundary_slices(f, lams, rotated.directions))
+    got = boundary_slices(f, lams)
+    assert np.array_equal(got, _slices_chebyshev(f, np.array(lams, dtype=complex), rotated.directions))
+    ref, scale = dense_slice(f, lams, rotated.directions)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 def test_linearity_of_forward_transform(disk_bumps):
@@ -759,7 +773,7 @@ def test_kappa_calibration_matches_analytic_value():
 def test_invert_zero_function():
     radial, boundary = disk_setup(32, 5.0, 32)
     f = zero_function(2, radial, boundary)
-    res = invert(f, Point([0.1, 0.0]), SpectralGrid.gauss_legendre(50, 8.0))
+    res, = invert(f, [[0.1, 0.0]], SpectralGrid.gauss_legendre(50, 8.0))
     assert res.value == 0
 
 
@@ -768,7 +782,7 @@ def test_invert_centered_bump_d3_at_origin():
     boundary = BoundaryGrid.sphere(8, 16)
     f = sample_bump(BumpSpec(dim=3, radius=2.5), radial, boundary)
     sgrid = SpectralGrid.gauss_legendre(300, 40.0)
-    res = invert(f, Point(np.zeros(3)), sgrid)
+    res, = invert(f, np.zeros((1, 3)), sgrid)
     truth = np.exp(-1.0)
     assert abs(res.value - truth) / truth <= 1e-3
     assert not res.truncated
@@ -786,7 +800,7 @@ def test_invert_shifted_bump_d2():
         w /= np.linalg.norm(w)
         x = apply(spec.center, polar_to_point(rng.uniform(0.0, 0.6) * 2.0, w))
         truth = float(spec(x.coords))
-        res = invert(f, x, sgrid)
+        res, = invert(f, x.coords[None], sgrid)
         assert abs(res.value - truth) / truth <= 1e-2
 
 
@@ -797,7 +811,7 @@ def test_invert_on_point_array_matches_per_point(disk_bumps):
     results = invert(f, xs, sgrid)
     assert len(results) == len(xs)
     for x, res in zip(xs, results):
-        one = invert(f, x, sgrid)
+        one, = invert(f, x[None], sgrid)
         # batched and single-row products may round differently
         assert abs(res.value - one.value) <= 1e-13 * abs(one.value)
         assert res.tail_fraction == pytest.approx(one.tail_fraction, rel=1e-12)
@@ -808,7 +822,7 @@ def test_invert_reports_truncation_for_tiny_spectral_range():
     radial = RadialGrid.gauss_legendre(96, 6.5)
     boundary = BoundaryGrid.disk(32)
     f = sample_bump(BumpSpec(dim=2, radius=2.0), radial, boundary)
-    res = invert(f, Point([0.0, 0.0]), SpectralGrid.gauss_legendre(20, 1.0))
+    res, = invert(f, np.zeros((1, 2)), SpectralGrid.gauss_legendre(20, 1.0))
     assert res.truncated
     assert abs(res.value - np.exp(-1.0)) / np.exp(-1.0) > 1e-2
 
@@ -866,27 +880,28 @@ def test_kaverage_bridge_random_isometry_d2():
 def test_functional_equation_trivial_at_origin(disk_bumps):
     f = disk_bumps[1]
     g = Isometry.translation([0.3, 0.2])
-    res = functional_equation_residual(f, g, Point([0.0, 0.0]), 1.4)
-    assert res <= 1e-10
+    res = functional_equation_residual(f, [g], np.zeros((1, 2)), [1.4])
+    assert res.shape == (1,) and res[0] <= 1e-10
 
 
 def test_functional_equation_identity_map_radial(disk_bumps):
     f = disk_bumps[0]
-    res = functional_equation_residual(f, Isometry.identity(2), Point([0.35, 0.1]), 1.0)
-    assert res <= 1e-6
+    res = functional_equation_residual(f, [Isometry.identity(2)], [[0.35, 0.1]], [1.0])
+    assert res[0] <= 1e-6
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_functional_equation_random(dim, disk_bumps, ball_bumps):
     f = disk_bumps[1] if dim == 2 else ball_bumps[1]
     rng = np.random.default_rng(9)
+    gs, xs, lams = [], [], []
     for _ in range(2):
-        g = random_isometry(rng, dim, max_shift=0.4)
+        gs.append(random_isometry(rng, dim, max_shift=0.4))
         w = rng.standard_normal(dim)
         w /= np.linalg.norm(w)
-        x = polar_to_point(rng.uniform(0.2, 0.8), w)
-        lam = rng.uniform(0.5, 2.5)
-        assert functional_equation_residual(f, g, x, lam) <= 1e-5
+        xs.append(polar_to_point(rng.uniform(0.2, 0.8), w).coords)
+        lams.append(rng.uniform(0.5, 2.5))
+    assert np.all(functional_equation_residual(f, gs, np.array(xs), np.array(lams)) <= 1e-5)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -898,8 +913,9 @@ def test_functional_equation_arrays_match_scalar_calls_bit_for_bit(dim, disk_bum
     xs = np.tanh(0.5 * np.array([0.3, 0.8, 0.0]))[:, None] * w / np.linalg.norm(w, axis=1, keepdims=True)
     lams = np.array([0.6, 2.2, 1.3])
     got = functional_equation_residual(f, gs, xs, lams)
-    ref = [functional_equation_residual(f, g, x, lam) for g, x, lam in zip(gs, xs, lams)]
+    ref = [functional_equation_residual(f, [g], x[None], [lam])[0] for g, x, lam in zip(gs, xs, lams)]
     assert got.shape == (3,) and np.array_equal(got, ref)
+    assert np.array_equal(functional_equation_residual(f, gs[1], xs[1], lams[1]), got[1:2])
     assert np.all(got <= 1e-5)
     if dim == 2:
         # the disk weights sum to 1 exactly, and the origin case reads the one point g.0
@@ -939,7 +955,7 @@ def test_eigen_equation_for_transform_output(dim, lam, eig, disk_bumps, ball_bum
     assert eigenvalue_of(dim, lam) == pytest.approx(eig)
     f = disk_bumps[1] if dim == 2 else ball_bumps[1]
     x = polar_to_point(1.0, np.eye(dim)[0])
-    chk = eigen_equation_residual(f, lam, x)
+    chk, = eigen_equation_residual(f, [lam], x.coords[None])
     assert not chk.skipped
     assert chk.residual <= 1e-4
 
@@ -948,7 +964,7 @@ def test_eigen_equation_holds_for_rough_input():
     """The Poisson transform of any boundary slice is an eigenfunction, smooth input or not."""
     radial, boundary = disk_setup()
     f = sample_bump(BumpSpec(dim=2, radius=1.0, profile="indicator"), radial, boundary)
-    chk = eigen_equation_residual(f, 1.0, polar_to_point(1.0, np.eye(2)[0]))
+    chk, = eigen_equation_residual(f, [1.0], polar_to_point(1.0, np.eye(2)[0]).coords[None])
     assert not chk.skipped
     assert chk.residual <= 1e-4
 
@@ -997,7 +1013,9 @@ def test_eigen_residual_is_not_rounding(dim):
 
     def worst(weights):
         f = sample_bump(spec, RadialGrid(radial.nodes, weights, radial.r_max), boundary)
-        return max(eigen_equation_residual(f, lam, x).residual for lam, x in points)
+        lams = np.array([lam for lam, _ in points])
+        xs = np.array([x.coords for _, x in points])
+        return max(chk.residual for chk in eigen_equation_residual(f, lams, xs))
 
     base = worst(radial.weights)
     for toward in (np.inf, -np.inf):
@@ -1011,8 +1029,9 @@ def test_eigen_residual_arrays_match_scalar_calls_bit_for_bit(dim, disk_bumps, b
     xs = np.tanh(0.5 * np.array([0.7, 1.0, 1.6]))[:, None] * w / np.linalg.norm(w, axis=1, keepdims=True)
     lams = np.array([0.9, 1.0, 2.4])
     got = eigen_equation_residual(f, lams, xs)
-    ref = [eigen_equation_residual(f, lam, x) for lam, x in zip(lams, xs)]
+    ref = [eigen_equation_residual(f, [lam], x[None])[0] for lam, x in zip(lams, xs)]
     assert got == ref
+    assert eigen_equation_residual(f, lams[1], xs[1]) == got[1:2]
     assert all(not chk.skipped and chk.residual <= 1e-4 for chk in got)
     for lam, x in ((lams[:2], xs), (lams, xs[0]), (lams[0], xs)):
         with pytest.raises(TransformUsageError):
@@ -1021,13 +1040,13 @@ def test_eigen_residual_arrays_match_scalar_calls_bit_for_bit(dim, disk_bumps, b
 
 def test_eigen_equation_requires_offset_from_origin(disk_bumps):
     with pytest.raises(TransformUsageError):
-        eigen_equation_residual(disk_bumps[0], 1.0, Point([0.01, 0.0]))
+        eigen_equation_residual(disk_bumps[0], [1.0], [[0.01, 0.0]])
 
 
 def test_eigen_equation_skips_vanishing_values():
     radial, boundary = disk_setup(32, 5.0, 32)
     f = zero_function(2, radial, boundary)
-    chk = eigen_equation_residual(f, 1.0, Point([0.4, 0.0]))
+    chk, = eigen_equation_residual(f, [1.0], [[0.4, 0.0]])
     assert chk.skipped
 
 
