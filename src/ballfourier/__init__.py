@@ -28,7 +28,6 @@ from .grids import (
     SampledFunction,
     SpectralGrid,
     integrate_B,
-    integrate_spectrum,
     integrate_X,
     k_average_profile,
     sample_bump,

@@ -22,7 +22,6 @@ class ScenarioConfig:
     boundary_nodes: int = 256  # dim == 2
     boundary_theta: int = 48  # dim == 3
     boundary_phi: int = 96
-    spectral_nodes: int = 200
     lambda_max: float = 24.0
     bump_radius: float = 1.0
     bump_shift: float = 0.0  # hyperbolic distance of the bump center from the origin
@@ -35,7 +34,7 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
-        for key in ("radial_nodes", "boundary_nodes", "boundary_theta", "boundary_phi", "spectral_nodes"):
+        for key in ("radial_nodes", "boundary_nodes", "boundary_theta", "boundary_phi"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key.replace('_', '-')} must be positive")
         if self.r_max <= 0 or self.lambda_max <= 0:

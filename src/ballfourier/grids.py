@@ -155,7 +155,10 @@ def azimuthal_layout(boundary: BoundaryGrid):
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Gauss-Legendre nodes on (0, lam_max] for real-spectrum integrals."""
+    """Gauss-Legendre nodes on (0, lam_max]: the sampling grid of decay_report.
+
+    Spectral integrals size their own rules (transforms._pw_rule).
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -314,10 +317,6 @@ def integrate_X(f: SampledFunction) -> complex:
 def integrate_B(values: np.ndarray, boundary: BoundaryGrid) -> complex:
     """Normalized boundary integral (total mass 1) of samples on the grid."""
     return complex(np.sum(boundary.weights * np.asarray(values)))
-
-
-def integrate_spectrum(values: np.ndarray, grid: SpectralGrid) -> complex:
-    return complex(np.sum(grid.weights * np.asarray(values)))
 
 
 def k_average_profile(f: SampledFunction, post_map: Isometry) -> SampledFunction:

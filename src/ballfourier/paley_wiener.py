@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import busemann_field, half_root_sum, _as_coords
+from .geometry import busemann_field, half_root_sum
 from .grids import BoundaryGrid, RadialGrid, SampledFunction, SpectralGrid, sample_bump
 # TransformRangeError is re-exported: the guard lives in boundary_slices.
 from .transforms import (
@@ -53,17 +53,19 @@ def holomorphy_circle_residual(f: SampledFunction, center, b):
     """Mean-value test: the circle average of the transform minus its center value.
 
     ``center`` is a 1-D array of n complex values, one value a batch of
-    one, giving n residuals of shape (n,).  ``b`` is a single boundary
-    point.  All rings and centers share one forward-slice call, which takes
-    the Chebyshev route of boundary_slices.
+    one, giving n residuals of shape (n,).  ``b`` is one boundary direction,
+    a d-vector or a (1, d) array; TransformUsageError for any other number
+    of directions or a norm off 1 by more than 1e-12 (``_as_directions``).
+    All rings and centers share one forward-slice call, which takes the
+    Chebyshev route of boundary_slices.
     """
-    coords = _as_coords(b, f.dim)
-    if coords.ndim != 1:
-        raise TransformUsageError(f"expected a single boundary point, got shape {coords.shape}")
+    bs = _as_directions(b, f.dim)
+    if len(bs) != 1:
+        raise TransformUsageError(f"expected one boundary direction, got {len(bs)}")
     centers = _lam_batch(center).astype(complex)
     angles = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     rings = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * angles)
-    vals = boundary_slices(f, np.append(rings, centers), coords)[:, 0]
+    vals = boundary_slices(f, np.append(rings, centers), bs)[:, 0]
     n = len(centers)
     return np.abs(vals[:-n].reshape(n, _CIRCLE_NODES).mean(axis=1) - vals[-n:])
 

@@ -44,8 +44,8 @@ is fixed to rounding by N + 1 Chebyshev values, N = ceil(omega +
 12 omega^(1/3) + 16) with omega = L support_radius, so a call with more
 real lam than that evaluates the N + 1 Chebyshev-Lobatto points of
 [min lam, max lam] and interpolates barycentrically; complex lam and short
-lists pass through bit for bit.  The 200 lam of the d = 2
-plancherel profile take 83 slices.
+lists pass through bit for bit.  The same degree rule sizes every spectral
+integral (_pw_rule): no node count is configured.
 
 spherical_transform, jeft_direct, invert and the residuals take batches
 and return batches: a scalar lam or a single point is a batch of one, and
@@ -76,10 +76,10 @@ from .geometry import (
 from .grids import (
     BoundaryGrid,
     SampledFunction,
-    SpectralGrid,
     azimuthal_layout,
-    integrate_spectrum,
+    _affine,
     k_average_profile,
+    legendre_rule,
 )
 from .spectral import (
     c_function,
@@ -222,6 +222,27 @@ def _pw_degree(omega: float) -> int:
     |J_N(omega)| <= 1e-17 for every omega <= 200.
     """
     return int(np.ceil(omega + 12.0 * np.cbrt(omega) + 16.0))
+
+
+def _pw_rule(a: float, b: float, type_: float, dim: int):
+    """Gauss-Legendre nodes and weights for the integral over [a, b] of h(lam) |c(lam)|^-2.
+
+    h is entire of exponential type ``type_``, so it is its degree-N
+    Chebyshev truncation, N = _pw_degree((b - a) type_ / 2), and n =
+    ceil((N + 3) / 2) nodes integrate that times the d = 3 density lam^2
+    exactly.  The d = 2 density pi lam tanh(pi lam) has poles at +-i/2, on
+    which the error falls like rho^(-2n) for the Bernstein ellipse rho of
+    [a, b] through them, so d = 2 takes at least ln(1e17) / (2 ln rho)
+    nodes: 96 on the d = 2 plancherel profile, where 62 left the residual
+    5.5e-12 off a 400-node rule.
+    """
+    n = (_pw_degree(0.5 * (b - a) * type_) + 4) // 2
+    if dim == 2:
+        x = (0.5j - 0.5 * (a + b)) / (0.5 * (b - a))
+        root = np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
+        rho = max(abs(x + root), abs(x - root))
+        n = max(n, int(np.ceil(np.log(1e17) / (2.0 * np.log(rho)))))
+    return _affine(legendre_rule(n), a, b)
 
 
 def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
@@ -573,10 +594,12 @@ def calibrate_kappa(dim: int) -> float:
     """Oracle for KAPPA: the constant that makes a reference bump invert exactly.
 
     d = 3 returns KAPPA (sine-transform reduction of the radial inversion).
-    d = 2 requires exact inversion of a reference bump at the origin, on
-    dedicated dense grids, against the density |c|^{-2} of the c-function
-    fit at radii 12 and 14 (the oracle of the closed forms, not the closed
-    form itself); it is a cross-check, not used by the transforms.
+    d = 2 requires exact inversion of a reference bump of radius 2.5 at the
+    origin, on a dedicated dense radial grid, against the density |c|^{-2}
+    of the c-function fit at radii 12 and 14 (the oracle of the closed forms,
+    not the closed form itself); it is a cross-check, not used by the
+    transforms.  The spectral rule on [0, 30] is sized by _pw_rule from the
+    type 2.5 of the bump's spherical transform.
     """
     if dim == 3:
         return KAPPA
@@ -584,32 +607,38 @@ def calibrate_kappa(dim: int) -> float:
 
     radial = RadialGrid.gauss_legendre(256, 7.0)
     boundary = BoundaryGrid.disk(8)  # radial reference bump: boundary size irrelevant
-    sgrid = SpectralGrid.gauss_legendre(300, 30.0)
     ref = sample_bump(BumpSpec(dim=2, radius=2.5), radial, boundary)
-    ft = spherical_transform(ref, sgrid.nodes)
-    phis0 = np.ones(len(sgrid))  # phi_lam(0) = 1
-    dens = np.array([1.0 / abs(c_function(2, lam, fit_radii=(12.0, 14.0))) ** 2 for lam in sgrid.nodes])
-    raw = integrate_spectrum(ft * phis0 * dens, sgrid).real
+    lams, weights = _pw_rule(0.0, 30.0, ref.support_radius, 2)
+    ft = spherical_transform(ref, lams)  # times phi_lam(0) = 1
+    dens = np.array([1.0 / abs(c_function(2, lam, fit_radii=(12.0, 14.0))) ** 2 for lam in lams])
+    raw = np.sum(weights * ft * dens).real
     return float(np.exp(-1.0) / raw)
 
 
-def invert(f: SampledFunction, x, sgrid: SpectralGrid, kappa: float = KAPPA):
-    """Pointwise inversion: kappa * integral of jeft(f, ., x) against |c|^-2 d lam.
+def invert(f: SampledFunction, x, lam_max: float, kappa: float = KAPPA):
+    """Pointwise inversion: kappa * integral over [0, lam_max] of jeft(f, ., x) against |c|^-2 d lam.
 
     ``x`` is an (n, d) array of points, or a single point as a batch of
-    one; the n InversionResults, in a list, share one spectral sweep.
+    one; the n InversionResults, in a list, share one spectral sweep.  The
+    integrand at x is entire in lam of type d(o, x) + support_radius, so the
+    sweep takes the _pw_rule of type T = max d(o, x) + support_radius on
+    [0, 0.9 lam_max] and on [0.9 lam_max, lam_max]: the values of a batch
+    depend on its farthest point.  The tail fraction is the second rule's
+    share of the integral of |integrand|, and a tail above 5e-3 marks the
+    result as truncated.
     """
-    vals = jeft_grid(f, sgrid.nodes, x)  # (n_lam, n_x)
-    dens = plancherel_density_table(f.dim, sgrid.nodes)
-    integrand = vals * dens[:, None]
-    tail_mask = sgrid.nodes >= 0.9 * sgrid.lam_max
+    pts = np.atleast_2d(_as_coords(x, f.dim))
+    radius = max(dist(np.zeros(f.dim), p) for p in pts) + f.support_radius
+    head, tail = (_pw_rule(a, b, radius, f.dim) for a, b in ((0.0, 0.9 * lam_max), (0.9 * lam_max, lam_max)))
+    lams = np.concatenate([head[0], tail[0]])
+    weights = np.concatenate([head[1], tail[1]])
+    integrand = jeft_grid(f, lams, pts) * (weights * plancherel_density_table(f.dim, lams))[:, None]
+    in_tail = np.arange(len(lams)) >= len(head[0])
     results = []
-    for j in range(integrand.shape[1]):
-        col = integrand[:, j]
-        mass = np.sum(np.abs(col) * sgrid.weights)
-        tail = float(np.sum(np.abs(col[tail_mask]) * sgrid.weights[tail_mask]) / mass) if mass > 0 else 0.0
-        value = kappa * integrate_spectrum(col, sgrid)
-        results.append(InversionResult(complex(value), tail, tail > 5e-3, kappa))
+    for col in integrand.T:
+        mass = np.sum(np.abs(col))
+        frac = float(np.sum(np.abs(col[in_tail])) / mass) if mass > 0 else 0.0
+        results.append(InversionResult(complex(kappa * np.sum(col)), frac, frac > 5e-3, kappa))
     return results
 
 
@@ -620,37 +649,44 @@ class PlancherelReport:
     kappa: float
     residual: float
     kappa_implied: float
+    lams: np.ndarray  # the spectral nodes
     density: np.ndarray  # |c(lam)|^-2 at the spectral nodes
     slice_norms: np.ndarray  # squared L^2(B) norm of the boundary slice at each node
 
 
-def plancherel_residual(f: SampledFunction, sgrid: SpectralGrid, kappa: float = KAPPA) -> PlancherelReport:
-    """|  ||f||^2 - kappa * double integral of |fhat|^2 |c|^-2 | / ||f||^2."""
+def plancherel_residual(f: SampledFunction, lam_max: float, kappa: float = KAPPA) -> PlancherelReport:
+    """|  ||f||^2 - kappa * double integral of |fhat|^2 |c|^-2 | / ||f||^2 over [0, lam_max].
+
+    |fhat(lam, b)|^2 is entire in lam of type 2 support_radius, which sizes
+    the _pw_rule on [0, lam_max]; ``lams`` of the report are its nodes.
+    """
     lhs = float(np.sum(f.node_weights() * np.abs(f.values) ** 2))
-    dens = plancherel_density_table(f.dim, sgrid.nodes)
+    lams, weights = _pw_rule(0.0, lam_max, 2.0 * f.support_radius, f.dim)
+    dens = plancherel_density_table(f.dim, lams)
     if f.is_radial():
-        ft = spherical_transform(f, sgrid.nodes)
-        slice_norms = np.abs(ft) ** 2
+        slice_norms = np.abs(spherical_transform(f, lams)) ** 2
     else:
-        slices = boundary_slices(f, sgrid.nodes)
-        slice_norms = (np.abs(slices) ** 2) @ f.boundary.weights
-    rhs = float(np.sum(sgrid.weights * dens * slice_norms))
+        slice_norms = (np.abs(boundary_slices(f, lams)) ** 2) @ f.boundary.weights
+    rhs = float(np.sum(weights * dens * slice_norms))
     if lhs == 0.0:
-        return PlancherelReport(0.0, rhs, kappa, abs(rhs), 0.0, dens, slice_norms)
+        return PlancherelReport(0.0, rhs, kappa, abs(rhs), 0.0, lams, dens, slice_norms)
     residual = abs(lhs - kappa * rhs) / lhs
-    return PlancherelReport(lhs, rhs, kappa, residual, lhs / rhs, dens, slice_norms)
+    return PlancherelReport(lhs, rhs, kappa, residual, lhs / rhs, lams, dens, slice_norms)
 
 
-def kaverage_bridge_residual(f: SampledFunction, g: Isometry, sgrid: SpectralGrid) -> float:
-    """Max over the spectral grid of | jeft(f, lam, g.0) - sph(K-average of f o g) |.
+def kaverage_bridge_residual(f: SampledFunction, g: Isometry, lam_max: float) -> float:
+    """Max over the spectral nodes of | jeft(f, lam, g.0) - sph(K-average of f o g) |.
 
     The K-average is materialized as a radial sampled function first; the
-    residual is normalized by 1 + |jeft|.
+    residual is normalized by 1 + |jeft|.  The nodes are those of the
+    _pw_rule on [0, lam_max] of type d(o, g.0) + support_radius, the type
+    of both sides.
     """
     x0 = g.origin_image()
     prof = k_average_profile(f, g)
-    lhs = jeft_grid(f, sgrid.nodes, x0)[:, 0]
-    rhs = spherical_transform(prof, sgrid.nodes)
+    lams, _ = _pw_rule(0.0, lam_max, dist(np.zeros(f.dim), x0) + f.support_radius, f.dim)
+    lhs = jeft_grid(f, lams, x0)[:, 0]
+    rhs = spherical_transform(prof, lams)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
 

@@ -117,6 +117,46 @@ def test_cli_tol_override_can_fail_a_check(tmp_path, run_cli):
     assert "d3_fit_vs_closed_max_rel" in failed
 
 
+@pytest.mark.parametrize("tol", ["1", "2.5"])
+def test_tol_override_never_passes_a_failed_verdict(tmp_path, monkeypatch, tol):
+    def failing(cfg, rng):
+        return [scenarios._verdict("refinement_monotone", False)], {}
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "inversion", failing)
+    cfg = parse_config(None, {"out_dir": str(tmp_path), "dim": "2", "timing": "zero",
+                              "tolerances": (("refinement_monotone", float(tol)),)})
+    assert run_scenario("inversion", cfg) == 1
+    (check,) = json.loads((tmp_path / "results.json").read_text())["checks"]
+    assert (check["value"], check["tol"], check["pass"]) == (0.0, float(tol), False)
+
+
+def test_tol_override_can_fail_a_passed_verdict(tmp_path, run_cli):
+    out = tmp_path / "ct4"
+    r = run_cli("run", "c-table", "--out", str(out), "--tol", "fit_retry_on_singular_radii=-1")
+    assert r.returncode == 1
+    doc = json.loads((out / "results.json").read_text())
+    failed = {c["name"] for c in doc["checks"] if not c["pass"]}
+    assert failed == {"fit_retry_on_singular_radii"}
+
+
+def test_cli_removed_spectral_nodes_flag_exits_2(tmp_path, run_cli):
+    out = tmp_path / "inv"
+    r = run_cli("run", "inversion", "--spectral-nodes", "40", "--out", str(out))
+    assert r.returncode == 2
+    assert "--spectral-nodes" in r.stderr
+    assert not out.exists()
+
+
+def test_cli_removed_spectral_nodes_config_key_exits_2(tmp_path, run_cli):
+    path = tmp_path / "old.cfg"
+    path.write_text("spectral_nodes = 200\n")
+    out = tmp_path / "inv"
+    r = run_cli("run", "inversion", "--config", str(path), "--out", str(out))
+    assert r.returncode == 2
+    assert "spectral_nodes" in r.stderr
+    assert not out.exists()
+
+
 def test_cli_tol_override_for_unknown_check_is_usage_error(tmp_path, run_cli):
     out = tmp_path / "ct3"
     r = run_cli("run", "c-table", "--out", str(out), "--tol", "no_such_check=1e-3")
@@ -130,7 +170,7 @@ def test_cli_under_resolved_inversion_fails_with_truncation_warning(tmp_path, ru
     out = tmp_path / "inv"
     r = run_cli(
         "run", "inversion", "--dim", "3", "--out", str(out),
-        "--lambda-max", "1.0", "--spectral-nodes", "40",
+        "--lambda-max", "1.0",
     )
     assert r.returncode == 1
     doc = json.loads((out / "results.json").read_text())

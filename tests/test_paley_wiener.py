@@ -89,10 +89,12 @@ def test_holomorphy_circle_matches_per_node_forward_loop(dim):
 
 def test_holomorphy_circle_rejects_several_directions():
     f = dense_disk(1.0, n_r=64)
-    with pytest.raises(TransformUsageError):
-        holomorphy_circle_residual(f, 1.0 + 0.5j, BoundaryGrid.disk(4).directions)
-    with pytest.raises(TransformUsageError):
-        holomorphy_circle_residual(f, 1.0 + 0.5j, np.array([[1.0, 0.0]]))
+    one = holomorphy_circle_residual(f, 1.0 + 0.5j, np.array([1.0, 0.0]))
+    # a (1, d) array is one direction, as for boundary_slices
+    assert np.array_equal(holomorphy_circle_residual(f, 1.0 + 0.5j, np.array([[1.0, 0.0]])), one)
+    for bad in (BoundaryGrid.disk(4).directions, np.empty((0, 2)), [1.0, 1e-5], [[2.0, 0.0]], [1.0, 0.0, 0.0]):
+        with pytest.raises(TransformUsageError):
+            holomorphy_circle_residual(f, 1.0 + 0.5j, bad)
 
 
 @pytest.mark.parametrize("dim,radius", [(2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)])
