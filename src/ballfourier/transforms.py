@@ -224,8 +224,8 @@ def _pw_degree(omega: float) -> int:
     return int(np.ceil(omega + 12.0 * np.cbrt(omega) + 16.0))
 
 
-def _pw_rule(a: float, b: float, type_: float, dim: int):
-    """Gauss-Legendre nodes and weights for the integral over [a, b] of h(lam) |c(lam)|^-2.
+def _pw_count(a: float, b: float, type_: float, dim: int) -> int:
+    """Node count of the Gauss-Legendre rule for the integral over [a, b] of h(lam) |c(lam)|^-2.
 
     h is entire of exponential type ``type_``, so it is its degree-N
     Chebyshev truncation, N = _pw_degree((b - a) type_ / 2), and n =
@@ -234,15 +234,23 @@ def _pw_rule(a: float, b: float, type_: float, dim: int):
     which the error falls like rho^(-2n) for the Bernstein ellipse rho of
     [a, b] through them, so d = 2 takes at least ln(1e17) / (2 ln rho)
     nodes: 96 on the d = 2 plancherel profile, where 62 left the residual
-    5.5e-12 off a 400-node rule.
+    5.5e-12 off a 400-node rule.  Raises TransformUsageError unless a < b
+    and b is finite: a lam_max of zero or below gives no interval.
     """
+    if not (np.isfinite(b) and a < b):
+        raise TransformUsageError(f"a spectral rule needs a finite lam_max > 0; got the interval [{a}, {b}]")
     n = (_pw_degree(0.5 * (b - a) * type_) + 4) // 2
     if dim == 2:
         x = (0.5j - 0.5 * (a + b)) / (0.5 * (b - a))
         root = np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
         rho = max(abs(x + root), abs(x - root))
         n = max(n, int(np.ceil(np.log(1e17) / (2.0 * np.log(rho)))))
-    return _affine(legendre_rule(n), a, b)
+    return n
+
+
+def _pw_rule(a: float, b: float, type_: float, dim: int):
+    """Gauss-Legendre nodes and weights on [a, b] with _pw_count(a, b, type_, dim) nodes."""
+    return _affine(legendre_rule(_pw_count(a, b, type_, dim)), a, b)
 
 
 def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
@@ -620,25 +628,32 @@ def invert(f: SampledFunction, x, lam_max: float, kappa: float = KAPPA):
 
     ``x`` is an (n, d) array of points, or a single point as a batch of
     one; the n InversionResults, in a list, share one spectral sweep.  The
-    integrand at x is entire in lam of type d(o, x) + support_radius, so the
-    sweep takes the _pw_rule of type T = max d(o, x) + support_radius on
-    [0, 0.9 lam_max] and on [0.9 lam_max, lam_max]: the values of a batch
-    depend on its farthest point.  The tail fraction is the second rule's
-    share of the integral of |integrand|, and a tail above 5e-3 marks the
-    result as truncated.
+    integrand at x is entire in lam of type d(o, x) + support_radius, so
+    each point takes the _pw_rule of its own type on [0, 0.9 lam_max] and
+    on [0.9 lam_max, lam_max], and its result does not depend on the rest
+    of the batch.  The sweep evaluates jeft_grid once, on the union of the
+    distinct rules.  The tail fraction is the second rule's share of the
+    integral of |integrand|, and a tail above 5e-3 marks the result as
+    truncated.
     """
     pts = np.atleast_2d(_as_coords(x, f.dim))
-    radius = max(dist(np.zeros(f.dim), p) for p in pts) + f.support_radius
-    head, tail = (_pw_rule(a, b, radius, f.dim) for a, b in ((0.0, 0.9 * lam_max), (0.9 * lam_max, lam_max)))
-    lams = np.concatenate([head[0], tail[0]])
-    weights = np.concatenate([head[1], tail[1]])
-    integrand = jeft_grid(f, lams, pts) * (weights * plancherel_density_table(f.dim, lams))[:, None]
-    in_tail = np.arange(len(lams)) >= len(head[0])
+    pieces = ((0.0, 0.9 * lam_max), (0.9 * lam_max, lam_max))
+    counts = [
+        [_pw_count(a, b, dist(np.zeros(f.dim), p) + f.support_radius, f.dim) for a, b in pieces] for p in pts
+    ]
+    # a rule is fixed by its piece and node count: points of one count share it
+    keys = dict.fromkeys((k, n) for row in counts for k, n in enumerate(row))
+    rules = {(k, n): _affine(legendre_rule(n), *pieces[k]) for k, n in keys}
+    start = dict(zip(rules, np.cumsum([0] + [n for _, n in rules])))
+    lams = np.concatenate([nodes for nodes, _ in rules.values()])
+    vals = jeft_grid(f, lams, pts) * plancherel_density_table(f.dim, lams)[:, None]
     results = []
-    for col in integrand.T:
-        mass = np.sum(np.abs(col))
-        frac = float(np.sum(np.abs(col[in_tail])) / mass) if mass > 0 else 0.0
-        results.append(InversionResult(complex(kappa * np.sum(col)), frac, frac > 5e-3, kappa))
+    for j, row in enumerate(counts):
+        head, tail = (vals[start[k, n] : start[k, n] + n, j] * rules[k, n][1] for k, n in enumerate(row))
+        mass = np.sum(np.abs(head)) + np.sum(np.abs(tail))
+        frac = float(np.sum(np.abs(tail)) / mass) if mass > 0 else 0.0
+        value = complex(kappa * (np.sum(head) + np.sum(tail)))
+        results.append(InversionResult(value, frac, frac > 5e-3, kappa))
     return results
 
 
@@ -680,11 +695,12 @@ def kaverage_bridge_residual(f: SampledFunction, g: Isometry, lam_max: float) ->
     The K-average is materialized as a radial sampled function first; the
     residual is normalized by 1 + |jeft|.  The nodes are those of the
     _pw_rule on [0, lam_max] of type d(o, g.0) + support_radius, the type
-    of both sides.
+    of both sides.  They only sample a max and carry no density, so the
+    rule is the d = 3 one, sized by the type alone, in both dimensions.
     """
     x0 = g.origin_image()
+    lams, _ = _pw_rule(0.0, lam_max, dist(np.zeros(f.dim), x0) + f.support_radius, 3)
     prof = k_average_profile(f, g)
-    lams, _ = _pw_rule(0.0, lam_max, dist(np.zeros(f.dim), x0) + f.support_radius, f.dim)
     lhs = jeft_grid(f, lams, x0)[:, 0]
     rhs = spherical_transform(prof, lams)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))

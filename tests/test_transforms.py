@@ -26,6 +26,7 @@ from ballfourier.grids import (
     SampledFunction,
     SpectralGrid,
     azimuthal_layout,
+    _affine,
     integrate_B,
     legendre_rule,
     sample_bump,
@@ -766,12 +767,6 @@ def test_linearity_of_forward_transform(disk_bumps):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def _rule(n, a, b):
-    """The n-node Gauss-Legendre rule on [a, b]."""
-    x, w = legendre_rule(n)
-    return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
-
-
 @pytest.mark.parametrize("a,b,type_", [(0.0, 40.0, 5.0), (3.0, 11.0, 2.0), (36.0, 40.0, 4.1)])
 def test_pw_rule_integrates_degree_n_times_lam_squared_exactly(a, b, type_):
     """ceil((N + 3) / 2) nodes integrate T_N(x) lam^2, degree N + 2, exactly; one node fewer does not."""
@@ -783,11 +778,11 @@ def test_pw_rule_integrates_degree_n_times_lam_squared_exactly(a, b, type_):
         x = (lam - 0.5 * (a + b)) / (0.5 * (b - a))
         return np.polynomial.chebyshev.chebval(x, np.eye(n_deg + 1)[n_deg]) * plancherel_density_table(3, lam)
 
-    ref_lams, ref_weights = _rule(n_deg + 8, a, b)
+    ref_lams, ref_weights = _affine(legendre_rule(n_deg + 8), a, b)
     exact = np.sum(ref_weights * integrand(ref_lams))
     scale = b**3 - a**3
     assert abs(np.sum(weights * integrand(lams)) - exact) <= 1e-13 * scale
-    short = _rule(len(lams) - 1, a, b)
+    short = _affine(legendre_rule(len(lams) - 1), a, b)
     assert abs(np.sum(short[1] * integrand(short[0])) - exact) > 1e-6 * scale
 
 
@@ -798,7 +793,7 @@ def test_pw_rule_integrates_type_t_waves_against_the_density(dim):
     Measured within 2.1e-15 of the integral of |c|^-2; a 60-node rule is off by 3.6e-6 (d = 3).
     """
     lams, weights = _pw_rule(0.0, 40.0, 5.0, dim)
-    ref_lams, ref_weights = _rule(300, 0.0, 40.0)
+    ref_lams, ref_weights = _affine(legendre_rule(300), 0.0, 40.0)
 
     def integral(lam, w):
         return np.sum(w * np.cos(5.0 * lam) * plancherel_density_table(dim, lam))
@@ -811,7 +806,7 @@ def test_pw_rule_d2_resolves_the_density_poles():
     """pi lam tanh(pi lam) has poles at +-i/2: on [0, 24] d = 2 takes more nodes than the type asks."""
     lams, weights = _pw_rule(0.0, 24.0, 4.8, 2)
     assert len(lams) > len(_pw_rule(0.0, 24.0, 4.8, 3)[0])
-    ref_lams, ref_weights = _rule(2000, 0.0, 24.0)
+    ref_lams, ref_weights = _affine(legendre_rule(2000), 0.0, 24.0)
     exact = np.sum(ref_weights * plancherel_density_table(2, ref_lams) * np.exp(-0.1 * ref_lams**2))
     got = np.sum(weights * plancherel_density_table(2, lams) * np.exp(-0.1 * lams**2))
     assert abs(got - exact) <= 1e-14 * abs(exact)
@@ -842,10 +837,10 @@ def test_invert_tail_and_values_against_dense_rules(dim, inversion_cases):
     results = invert(f, xs, lam_max)
     parts = []
     for a, b in ((0.0, 0.9 * lam_max), (0.9 * lam_max, lam_max)):
-        lams, weights = _rule(1000, a, b)
+        lams, weights = _affine(legendre_rule(1000), a, b)
         parts.append(jeft_grid(f, lams, xs) * (weights * plancherel_density_table(dim, lams))[:, None])
     head, tail = (np.sum(np.abs(p), axis=0) for p in parts)
-    lams, weights = _rule(300, 0.0, lam_max)
+    lams, weights = _affine(legendre_rule(300), 0.0, lam_max)
     values = KAPPA * np.sum(jeft_grid(f, lams, xs) * (weights * plancherel_density_table(dim, lams))[:, None], axis=0)
     for res, t, v in zip(results, tail / (head + tail), values):
         assert res.tail_fraction == pytest.approx(t, rel=2e-2)
@@ -858,7 +853,7 @@ def test_plancherel_rhs_matches_a_300_node_rule(dim, inversion_cases):
     f, _, lam_max = inversion_cases[dim]
     rep = plancherel_residual(f, lam_max)
     assert np.array_equal(rep.lams, _pw_rule(0.0, lam_max, 2.0 * f.support_radius, dim)[0])
-    lams, weights = _rule(300, 0.0, lam_max)
+    lams, weights = _affine(legendre_rule(300), 0.0, lam_max)
     if f.is_radial():
         norms = np.abs(spherical_transform(f, lams)) ** 2
     else:
@@ -907,8 +902,7 @@ def test_invert_shifted_bump_d2():
 
 def test_invert_on_point_array_matches_per_point(disk_bumps):
     f = disk_bumps[1]
-    # the rule of a batch is sized by its farthest point: equal |x| share it
-    xs = np.array([[0.1, 0.2], [-0.2, 0.1]])
+    xs = np.array([[0.1, 0.2], [-0.4, 0.5]])
     results = invert(f, xs, 8.0)
     assert len(results) == len(xs)
     for x, res in zip(xs, results):
@@ -962,6 +956,17 @@ def test_kaverage_bridge_identity_case(disk_bumps):
     assert res <= 1e-9
 
 
+def test_kaverage_bridge_d2_nodes_follow_the_type_alone(disk_bumps, monkeypatch):
+    """The bridge integrates no density, so d = 2 takes the type's count, not the count raised for the poles."""
+    f = disk_bumps[0]
+    counts = []
+    grid = transforms.jeft_grid
+    monkeypatch.setattr(transforms, "jeft_grid", lambda f, lams, x: counts.append(len(lams)) or grid(f, lams, x))
+    kaverage_bridge_residual(f, Isometry.identity(2), 8.0)
+    assert counts == [transforms._pw_count(0.0, 8.0, f.support_radius, 3)]
+    assert counts[0] < transforms._pw_count(0.0, 8.0, f.support_radius, 2)
+
+
 def test_kaverage_bridge_random_isometry_d2():
     # no cancellation between the two sides here: the root-exponential radial
     # error of the bump must itself sit below the tolerance
@@ -985,6 +990,19 @@ def test_kaverage_bridge_random_isometries_d3():
     rng = np.random.default_rng(21)
     for _ in range(2):
         assert kaverage_bridge_residual(f, random_isometry(rng, 3, max_shift=0.5), 6.0) <= 1e-5
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam_max", [0.0, -1.0, np.inf, np.nan])
+def test_spectral_calls_reject_a_lam_max_without_interval(dim, lam_max):
+    boundary = BoundaryGrid.disk(16) if dim == 2 else BoundaryGrid.sphere(4, 8)
+    f = sample_bump(BumpSpec(dim=dim, radius=1.0), RadialGrid.gauss_legendre(16, 3.0), boundary)
+    with pytest.raises(TransformUsageError, match="lam_max"):
+        invert(f, np.zeros((1, dim)), lam_max)
+    with pytest.raises(TransformUsageError, match="lam_max"):
+        plancherel_residual(f, lam_max)
+    with pytest.raises(TransformUsageError, match="lam_max"):
+        kaverage_bridge_residual(f, Isometry.identity(dim), lam_max)
 
 
 def test_functional_equation_trivial_at_origin(disk_bumps):
