@@ -26,32 +26,65 @@ class ConfigurationError(ValueError):
 
 
 def legendre_rule(n: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in O(n^2) operations.
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: legendre_rules([n])[0]."""
+    return legendre_rules([n])[0]
+
+
+def legendre_rules(ns):
+    """Gauss-Legendre rules (nodes ascending, weights) on [-1, 1] for each order in ``ns``, in order.
 
     Three Newton steps on the three-term recurrence from Tricomi's asymptotic
-    nodes, then weights 2(1 - x^2) / (n P_{n-1}(x))^2.  Only the nonnegative
-    half is computed and mirrored, so the rule is exactly symmetric.
+    nodes, then weights 2(1 - x^2) / (n P_{n-1}(x))^2, in O(n^2) operations
+    per rule.  Only the nonnegative half is computed and mirrored, so each
+    rule is exactly symmetric.  The recurrence coefficients depend only on
+    the step j, so one recurrence runs over the half-nodes of every distinct
+    order (_legendre_pair), in max(ns) steps in place of sum(ns).  Every
+    entry takes the operations of its rule built alone, so each rule is that
+    rule bit for bit.
     """
-    if n <= 0:
+    ns = [int(n) for n in ns]
+    if any(n <= 0 for n in ns):
         raise ConfigurationError("Gauss-Legendre rule needs n > 0")
-    k = np.arange(1, n // 2 + 1)
-    x = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    if n % 2:
-        x = np.append(x, 0.0)
+    order = sorted(set(ns), reverse=True)
+    halves = []
+    for n in order:
+        k = np.arange(1, n // 2 + 1)
+        x = (1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+        halves.append(np.append(x, 0.0) if n % 2 else x)
+    ends = np.cumsum([0] + [len(x) for x in halves])
+    x = np.concatenate(halves)
+    n_of = np.repeat(np.array(order, dtype=float), np.diff(ends))
     for _ in range(3):
-        p, q = _legendre_pair(n, x)
-        x = x - p * (1.0 - x) * (1.0 + x) / (n * (q - x * p))
-    _, q = _legendre_pair(n, x)
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * q) ** 2
-    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+        p, q = _legendre_pair(x, order, ends)
+        x = x - p * (1.0 - x) * (1.0 + x) / (n_of * (q - x * p))
+    _, q = _legendre_pair(x, order, ends)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n_of * q) ** 2
+    rules = {}
+    for n, a, b in zip(order, ends[:-1], ends[1:]):
+        rules[n] = np.concatenate([-x[a : a + n // 2], x[a:b][::-1]]), np.concatenate([w[a : a + n // 2], w[a:b][::-1]])
+    return [rules[n] for n in ns]
 
 
-def _legendre_pair(n: int, x: np.ndarray):
-    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+def _legendre_pair(x: np.ndarray, order, ends):
+    """P_n(x) and P_{n-1}(x) of each node's own n, by the three-term recurrence.
+
+    ``x`` holds the half-nodes of the orders ``order`` (descending), order i
+    in x[ends[i] : ends[i + 1]].  The nodes of the orders n >= j are a prefix
+    of x, so the recurrence runs in stages, shortest order first: each stage
+    steps the prefix of the orders still running up to the next order and
+    then keeps that order's values.
+    """
+    p_n, p_prev_n = np.empty_like(x), np.empty_like(x)
     p_prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p_prev, p = p, (2.0 - 1.0 / j) * x * p - (1.0 - 1.0 / j) * p_prev
-    return p, p_prev
+    start = 2
+    for i in reversed(range(len(order))):
+        a, b = ends[i], ends[i + 1]
+        xs, p_prev, p = x[:b], p_prev[:b], p[:b]
+        for j in range(start, order[i] + 1):
+            p_prev, p = p, (2.0 - 1.0 / j) * xs * p - (1.0 - 1.0 / j) * p_prev
+        start = order[i] + 1
+        p_n[a:b], p_prev_n[a:b] = p[a:], p_prev[a:]
+    return p_n, p_prev_n
 
 
 def _affine(rule, a: float, b: float):

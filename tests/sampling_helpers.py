@@ -1,12 +1,14 @@
-"""Sampled functions, bump specs, hypothesis strategies and the dense slice oracle that only the tests build."""
+"""Sampled functions, bump specs, hypothesis strategies and the dense slice and convolution oracles that only the tests build."""
 
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ballfourier.geometry import Isometry, busemann_field
+from ballfourier.geometry import Isometry, busemann_field, pairwise_dist
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction
+from ballfourier.spectral import spherical_phi
+from ballfourier.transforms import _support_data
 
 
 def zero_function(dim: int, radial: RadialGrid, boundary: BoundaryGrid) -> SampledFunction:
@@ -36,3 +38,25 @@ def dense_slice(f: SampledFunction, lams, bs):
     wv = (f.node_weights()[mask] * f.values[mask]).ravel()
     kernels = np.exp((-1j * np.asarray(lams)[:, None, None] + 0.5 * (f.dim - 1)) * busemann_field(pts, bs))
     return np.einsum("i,kij->kj", wv, kernels), np.einsum("i,kij->kj", np.abs(wv), np.abs(kernels))
+
+
+def direct_convolution(f: SampledFunction, lams, xs):
+    """The per-sample convolution, the oracle of jeft_direct, and a bound on its terms' magnitudes.
+
+    One phi_lam per (nonzero support sample, lam): sum_j c_j phi_lam(d_j),
+    d_j = d(x, y_j), at the (n_x, d) points ``xs``, and the bound
+    sum_j |c_j| phi_{i Im lam}(d_j) >= sum_j |c_j phi_lam(d_j)|, since
+    |phi_lam| <= phi_{i Im lam} (Helgason, Groups and Geometric Analysis,
+    Ch. IV).  The bound does not vanish where phi_lam does, and spherical_phi's
+    rounding is of its size: at d = 9.6 and lam = 13.6, where phi_lam is
+    4.4e-5, spherical_phi is 8e-17 off the mpmath conical function.  Both
+    arrays have shape (n_lam, n_x).  Each lam takes one spherical_phi call
+    over the whole (n_x, n_samples) distance matrix.
+    """
+    pts, wv = _support_data(f)
+    D = pairwise_dist(np.atleast_2d(xs), pts)
+    vals, bound = [], []
+    for lam in np.atleast_1d(lams).astype(complex):
+        vals.append(np.sum(wv * spherical_phi(f.dim, lam, D), axis=1))
+        bound.append(spherical_phi(f.dim, 1j * abs(lam.imag), D).real @ np.abs(wv))
+    return np.array(vals), np.array(bound)

@@ -17,6 +17,7 @@ from ballfourier.grids import (
     integrate_X,
     k_average_profile,
     legendre_rule,
+    legendre_rules,
     sample_bump,
 )
 from ballfourier.spectral import spherical_phi
@@ -77,6 +78,17 @@ def test_legendre_rule_rejects_nonpositive_order():
     for n in (0, -3):
         with pytest.raises(ConfigurationError):
             legendre_rule(n)
+        with pytest.raises(ConfigurationError):
+            legendre_rules([4, n])
+
+
+def test_one_batch_of_legendre_rules_equals_the_one_n_rules_bit_for_bit():
+    """One recurrence over n = 1..600, asked in shuffled order with repeats, gives each one-n rule exactly."""
+    ns = np.random.default_rng(5).permutation(np.arange(1, 601))
+    ns = np.concatenate([ns, ns[:7]])
+    for n, (x, w) in zip(ns, legendre_rules(ns)):
+        x_one, w_one = legendre_rule(int(n))
+        assert np.array_equal(x, x_one) and np.array_equal(w, w_one), n
 
 
 @pytest.mark.parametrize("n", [16, 97, 384])

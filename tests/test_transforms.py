@@ -1,5 +1,7 @@
 """Transform stack: forward/Poisson/composition, inversion, Plancherel, residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,7 +62,7 @@ from ballfourier.transforms import (
     poisson,
     spherical_transform,
 )
-from sampling_helpers import dense_slice, translate_bump, unit_vectors, zero_function
+from sampling_helpers import dense_slice, direct_convolution, translate_bump, unit_vectors, zero_function
 
 
 def disk_setup(n_r=96, r_max=6.0, n_b=256):
@@ -398,17 +400,43 @@ def test_jeft_far_route_is_direct_convolution_bit_for_bit(dim, disk_bumps, ball_
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_jeft_direct_lam_array_matches_scalar_calls_bit_for_bit(dim, disk_bumps, ball_bumps):
-    """n lam and n_x points give (n, n_x), each row what a one-lam call gives; a scalar lam is a batch of one."""
+    """n lam and n_x points give (n, n_x); a point reads bit for bit what it reads alone.
+
+    A scalar lam is a batch of one, bit for bit.  The panels are sized by
+    the largest lam of the call, so a one-lam call and the same row of a
+    many-lam call are both bounded against the per-sample oracle instead.
+    """
     f = (disk_bumps if dim == 2 else ball_bumps)[1]
     lams = np.array([0.9, 2.1, 2.0 - 0.35j, 0.4j])
     xs = np.array([polar_to_point(r, np.eye(dim)[k % dim]).coords for k, r in enumerate((0.3, 1.2, 4.0))])
     table = jeft_direct(f, lams, xs)
     one = jeft_direct(f, lams, xs[1:2])
     assert table.shape == (len(lams), len(xs)) and one.shape == (len(lams), 1)
+    assert np.array_equal(one[:, 0], table[:, 1])
+    ref, scale = direct_convolution(f, lams, xs)
+    assert np.all(np.abs(table - ref) <= 1e-13 * scale)
     for k in range(len(lams)):
-        assert np.array_equal(table[k], jeft_direct(f, lams[k : k + 1], xs)[0])
-        assert one[k, 0] == jeft_direct(f, lams[k : k + 1], xs[1:2])[0, 0]
+        assert np.all(np.abs(jeft_direct(f, lams[k : k + 1], xs)[0] - ref[k]) <= 1e-13 * scale[k])
     assert np.array_equal(jeft_direct(f, lams[0], xs[1]), jeft_direct(f, lams[:1], xs[1:2]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_points_outside_the_ball_raise_geometry_error(dim, disk_bumps, ball_bumps):
+    """jeft_direct, jeft_grid and invert reject |x| >= 1 - BALL_TOL and NaN before any arithmetic."""
+    f = (disk_bumps if dim == 2 else ball_bumps)[1]
+    inside = np.full(dim, 0.2)
+    for norm in (1.0, 1.2, np.nan):
+        x = np.eye(dim)[0] * norm
+        for pts in (x, np.array([inside, x])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in (
+                    lambda: jeft_direct(f, [1.3], pts),
+                    lambda: jeft_grid(f, [1.3], pts),
+                    lambda: invert(f, pts, 8.0),
+                ):
+                    with pytest.raises(GeometryError):
+                        call()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -526,6 +554,61 @@ def test_chebyshev_slice_inside_one_full_panel_matches_dense_sum(dim):
     lam = np.sqrt(((1.0 - 1e-12) * 2.0 / width) ** 2 - 0.25 * (dim - 1) ** 2)
     got = boundary_slices(f, [lam], bs)
     ref, scale = dense_slice(f, [lam], bs)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+@st.composite
+def convolution_cases(draw):
+    """A bump on a disk or sphere grid, 1 to 3 points and 1 to 6 lam.
+
+    A point is the origin or lies at r <= 8.  A lam is real, or complex with
+    |Im lam| (r + support_radius) inside the overflow guard at the farthest
+    point: phi_lam(s) grows like e^{|Im lam| s}.
+    """
+    f = draw(sampled_bumps())
+    radii = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=1, max_size=3))
+    xs = np.array([polar_to_point(r, draw(unit_vectors(f.dim))).coords for r in radii])
+    im_max = np.nextafter(OVERFLOW_EXPONENT / (max(radii) + f.support_radius), 0.0)
+    lam = st.one_of(st.floats(0.0, 20.0), st.builds(complex, st.floats(-20.0, 20.0), st.floats(-im_max, im_max)))
+    return f, draw(st.lists(lam, min_size=1, max_size=6)), xs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(convolution_cases())
+def test_jeft_direct_matches_per_sample_convolution(case):
+    """The panelled Chebyshev convolution against the per-sample sum, relative to sum |c_j| phi_{i Im lam}(d_j).
+
+    Measured within 7e-15 of that bound over 3,900 random cases.
+    """
+    f, lams, xs = case
+    got = jeft_direct(f, lams, xs)
+    ref, scale = direct_convolution(f, lams, xs)
+    assert got.shape == (len(lams), len(xs))
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jeft_direct_inside_one_full_panel_matches_per_sample_sum(dim):
+    """One panel with rate h just under 1 and its weight on an interior sample, against the per-sample sum.
+
+    At x = o the distances are the radial nodes of the three samples on one
+    direction, so the end samples sit at the panel ends x = -1 and 1, where
+    the Lobatto interpolant of phi_lam is exact, and the heavy one at
+    x = -0.39.  Measured relative to the oracle's magnitude bound: 1.6e-16
+    (d = 2) and 1.2e-16 (d = 3) at _CHEB_ORDER = 20, 1.7e-13 and 1.9e-13 at
+    12, which the sweep above lets through: its panels are rarely full.
+    """
+    radial = RadialGrid.gauss_legendre(4, 1.0)
+    boundary = BoundaryGrid.disk(8) if dim == 2 else BoundaryGrid.sphere(2, 4)
+    values = np.zeros((len(radial), len(boundary)), dtype=complex)
+    values[[0, 1, 3], 0] = 1e-3, 1.0, 1e-3
+    f = SampledFunction(dim, radial, boundary, values, radial.r_max)
+    x = np.zeros((1, dim))
+    width = radial.nodes[3] - radial.nodes[0]
+    # rate = |lam + i rho| one part in 1e12 below 2 / width: a single panel, rate h just under 1
+    lam = np.sqrt(((1.0 - 1e-12) * 2.0 / width) ** 2 - 0.25 * (dim - 1) ** 2)
+    got = jeft_direct(f, [lam], x)
+    ref, scale = direct_convolution(f, [lam], x)
     assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
@@ -715,7 +798,7 @@ def test_slices_take_a_scalar_lam_as_one_and_reject_2d_lams(dim, disk_bumps, bal
 def test_poisson_rejects_points_outside_the_ball(disk_bumps):
     f = disk_bumps[1]
     sl = boundary_slices(f, [1.3])[0]
-    for x in ([1.0, 0.0], [0.0, -1.0 + 1e-13], [[0.2, 0.1], [0.8, 0.8]]):
+    for x in ([1.0, 0.0], [0.0, -1.0 + 1e-13], [[0.2, 0.1], [0.8, 0.8]], [np.nan, 0.0]):
         with pytest.raises(GeometryError):
             poisson(sl, f.boundary, 1.3, x)
     assert np.isfinite(poisson(sl, f.boundary, 1.3, [0.3, -0.9]))
