@@ -17,8 +17,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ScenarioConfig:
     dim: int = 3
-    radial_nodes: int = 96
-    r_max: float = 16.0
+    radial_nodes: int = 96  # Gauss-Legendre nodes on [0, support radius]
     boundary_nodes: int = 256  # dim == 2
     boundary_theta: int = 48  # dim == 3
     boundary_phi: int = 96
@@ -37,18 +36,14 @@ class ScenarioConfig:
         for key in ("radial_nodes", "boundary_nodes", "boundary_theta", "boundary_phi"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key.replace('_', '-')} must be positive")
-        if self.r_max <= 0 or self.lambda_max <= 0:
-            raise ConfigError("r-max and lambda-max must be positive")
+        if self.lambda_max <= 0:
+            raise ConfigError("lambda-max must be positive")
         if self.bump_radius <= 0:
             raise ConfigError("bump-radius must be positive")
+        if self.bump_shift < 0:
+            raise ConfigError("bump-shift must be nonnegative")
         if abs(self.bump_alpha) > 1:
             raise ConfigError("bump-alpha must satisfy |alpha| <= 1")
-        # quadrature headroom: support + 4 <= r_max
-        if self.bump_radius + self.bump_shift + 4.0 > self.r_max:
-            raise ConfigError(
-                f"bump support {self.bump_radius + self.bump_shift:.2f} needs "
-                f"r-max >= {self.bump_radius + self.bump_shift + 4.0:.2f}"
-            )
         if self.timing not in ("wall", "zero"):
             raise ConfigError("timing must be 'wall' or 'zero'")
         return self

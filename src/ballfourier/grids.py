@@ -328,9 +328,9 @@ class SampledFunction:
 
 
 def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> SampledFunction:
-    """Sample a bump on the product grid; support must fit inside r_max.
+    """Sample a bump on the product grid; its support must fit inside the rule's [0, r_max].
 
-    Only the support rows are evaluated; the rows beyond are exact zeros.
+    Only the support rows are evaluated; the rows beyond, if any, are exact zeros.
     """
     if spec.support_radius > radial.r_max:
         raise ConfigurationError(
@@ -353,13 +353,20 @@ def integrate_B(values: np.ndarray, boundary: BoundaryGrid) -> complex:
 
 
 def k_average_profile(f: SampledFunction, post_map: Isometry) -> SampledFunction:
-    """Materialize the K-average as a boundary-independent sampled function."""
-    t = np.tanh(0.5 * f.radial.nodes)
-    prof = np.empty(len(f.radial), dtype=complex)
-    for i, ti in enumerate(t):
+    """Materialize the K-average of f o post_map as a boundary-independent sampled function.
+
+    The average is supported on [0, support_radius + d(o, post_map . o)] and
+    is sampled on its own Gauss-Legendre rule over that range, at the node
+    density of f's support rows: a fitted f with post_map . o = o gets its
+    own rule back, bit for bit.
+    """
+    shift = dist(np.zeros(f.dim), post_map.origin_image())
+    support = f.support_radius + shift
+    n = int(np.ceil(np.count_nonzero(f.support_mask) * support / f.support_radius))
+    radial = RadialGrid.gauss_legendre(n, support)
+    prof = np.empty(n, dtype=complex)
+    for i, ti in enumerate(np.tanh(0.5 * radial.nodes)):
         pts = apply_array(post_map, ti * f.boundary.directions)
         prof[i] = np.sum(f.boundary.weights * f.evaluate(pts))
     values = np.repeat(prof[:, None], len(f.boundary), axis=1)
-    shift = dist(np.zeros(f.dim), post_map.origin_image())
-    support = min(f.support_radius + shift, f.radial.r_max)
-    return SampledFunction(f.dim, f.radial, f.boundary, values, support, bump=None)
+    return SampledFunction(f.dim, radial, f.boundary, values, support, bump=None)

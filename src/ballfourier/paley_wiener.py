@@ -104,12 +104,13 @@ def _fit_growth_rate(sigma: np.ndarray, logmag: np.ndarray, rho: float):
 def _centered_profile(f: SampledFunction):
     """The centered profile of an unmodulated bump on the input's radial rule, or None.
 
-    The Gauss-Legendre rule of ``f.radial`` is rescaled from [0, r_max] to
+    The Gauss-Legendre rule of ``f.radial`` is rescaled from its range
+    [0, r_max], the support [0, support_radius] in every scenario, to
     [0, bump radius], so the profile gets every node of the input's rule
-    inside its support and no rule is built.  One boundary direction, e_1
-    with weight 1 (the grid of disk(1) and sphere(1, 1)), suffices: the
-    profile is radial.  Built once per estimate_type call (see
-    _imaginary_axis_log_magnitudes); other inputs get None.
+    and no rule is built.  One boundary direction, e_1 with weight 1 (the
+    grid of disk(1) and sphere(1, 1)), suffices: the profile is radial.
+    Built once per estimate_type call (see _imaginary_axis_log_magnitudes);
+    other inputs get None.
     """
     spec = f.bump
     if spec is None or spec.alpha != 0.0:

@@ -22,6 +22,7 @@ from .grids import (
     BoundaryGrid,
     BumpSpec,
     RadialGrid,
+    SampledFunction,
     SpectralGrid,
     legendre_rule,
     sample_bump,
@@ -76,8 +77,9 @@ def _boundary(cfg: ScenarioConfig) -> BoundaryGrid:
     return BoundaryGrid.sphere(cfg.boundary_theta, cfg.boundary_phi)
 
 
-def _grids(cfg: ScenarioConfig):
-    return RadialGrid.gauss_legendre(cfg.radial_nodes, cfg.r_max), _boundary(cfg)
+def _fitted(spec: BumpSpec, rule, boundary: BoundaryGrid) -> SampledFunction:
+    """spec sampled on the Gauss-Legendre rule (x, w) of legendre_rule mapped onto its support."""
+    return sample_bump(spec, RadialGrid.from_legendre(rule, spec.support_radius), boundary)
 
 
 def _bump_spec(cfg: ScenarioConfig, alpha=None, shift=None, radius=None) -> BumpSpec:
@@ -114,8 +116,7 @@ def _rel(a, b):
 
 
 def scenario_jeft_equivalence(cfg: ScenarioConfig, rng):
-    radial, boundary = _grids(cfg)
-    f = sample_bump(_bump_spec(cfg), radial, boundary)
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
     lams = rng.uniform(0.4, 3.2, 4)
     xs = _random_interior_points(rng, cfg.dim, 5, 0.1, 1.5)
     rows = []
@@ -164,9 +165,8 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
     level_errs = []
     tail = 0.0
     for li, (nr, nb, nt, nph, lmax) in enumerate(levels):
-        radial = RadialGrid.gauss_legendre(nr, cfg.r_max)
         boundary = BoundaryGrid.disk(nb) if cfg.dim == 2 else BoundaryGrid.sphere(nt, nph)
-        f = sample_bump(spec, radial, boundary)
+        f = _fitted(spec, legendre_rule(nr), boundary)
         results = invert(f, pts, lmax)
         errs = [_rel(r.value, t) for r, t in zip(results, truths)]
         level_errs.append(max(errs))
@@ -185,8 +185,7 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
 
 
 def scenario_plancherel(cfg: ScenarioConfig, rng):
-    radial, boundary = _grids(cfg)
-    f = sample_bump(_bump_spec(cfg), radial, boundary)
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
     tol = 1e-3 if cfg.dim == 3 else 1e-2
     rep = plancherel_residual(f, cfg.lambda_max)
     kappa_dev = abs(rep.kappa_implied - rep.kappa) / rep.kappa
@@ -201,8 +200,7 @@ def scenario_plancherel(cfg: ScenarioConfig, rng):
 
 
 def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
-    radial, boundary = _grids(cfg)
-    f = sample_bump(_bump_spec(cfg), radial, boundary)
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
     checks = []
     rows = []
     for i in range(2):
@@ -215,8 +213,7 @@ def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
 
 
 def scenario_functional_equation(cfg: ScenarioConfig, rng):
-    radial, boundary = _grids(cfg)
-    f = sample_bump(_bump_spec(cfg), radial, boundary)
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
     gs, xs, lams = [], [], []
     for _ in range(5):
         gs.append(random_isometry(rng, cfg.dim, max_shift=0.4))
@@ -241,8 +238,7 @@ def scenario_functional_equation(cfg: ScenarioConfig, rng):
 
 
 def scenario_asymptotic(cfg: ScenarioConfig, rng):
-    radial, boundary = _grids(cfg)
-    f = sample_bump(_bump_spec(cfg), radial, boundary)
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
     b0 = np.zeros(cfg.dim)
     b0[0] = 1.0
     lam = 2.0 - 0.35j
@@ -268,8 +264,7 @@ def scenario_asymptotic(cfg: ScenarioConfig, rng):
 
 
 def scenario_eigen(cfg: ScenarioConfig, rng):
-    radial, boundary = _grids(cfg)
-    f = sample_bump(_bump_spec(cfg), radial, boundary)
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
     cases = [(1.0, 1.0)]
     for _ in range(4):
         cases.append((rng.uniform(0.6, 2.6), rng.uniform(0.6, 1.8)))
@@ -317,8 +312,7 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     for radius in (1.0, 2.0, 3.0):
         for shift in (0.0, 1.0):
             spec = _bump_spec(cfg, alpha=0.0, shift=shift, radius=radius)
-            radial = RadialGrid.from_legendre(rule, spec.support_radius + 4.0)
-            f = sample_bump(spec, radial, one_direction)
+            f = _fitted(spec, rule, one_direction)
             est = estimate_type(f)
             target = spec.support_radius
             rec = abs(est.radius_estimate - target) / target
@@ -330,8 +324,7 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
             artifacts[f"type_estimate_{tag}.csv"] = serialize.type_estimate_to_csv(est)
     # holomorphy of the extension: mean-value circles at random centers
     spec = _bump_spec(cfg, alpha=0.3, shift=0.3, radius=1.0)
-    radial = RadialGrid.from_legendre(rule, spec.support_radius + 4.0)
-    f = sample_bump(spec, radial, _boundary(cfg))
+    f = _fitted(spec, rule, _boundary(cfg))
     b = np.zeros(cfg.dim)
     b[0] = 1.0
     centers = [complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(10)]
@@ -341,10 +334,8 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     # Both bumps are centred, so decay_report reads only their radial profile
     # and one boundary direction carries it
     dgrid = SpectralGrid.gauss_legendre(300, 48.0)
-    radial = RadialGrid.from_legendre(rule, 6.0)
-    smooth = sample_bump(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), radial, one_direction)
-    rough_spec = BumpSpec(dim=cfg.dim, radius=2.0, profile="indicator")
-    rough = sample_bump(rough_spec, radial, one_direction)
+    smooth = _fitted(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), rule, one_direction)
+    rough = _fitted(BumpSpec(dim=cfg.dim, radius=2.0, profile="indicator"), rule, one_direction)
     rep_s = decay_report(smooth, b, sgrid=dgrid)
     rep_r = decay_report(rough, b, sgrid=dgrid)
     checks.append(_verdict("decay_smooth_passes", rep_s.passed))
@@ -392,8 +383,7 @@ def scenario_calibrate(cfg: ScenarioConfig, rng):
     # held-out spread: kappa implied by inversion of an independent bump at
     # independent points must match the calibrated value
     spec = BumpSpec(dim=2, radius=2.0, center=Isometry.translation([np.tanh(0.25), 0.0]))
-    radial = RadialGrid.gauss_legendre(128, 6.5)
-    f = sample_bump(spec, radial, BoundaryGrid.disk(128))
+    f = _fitted(spec, legendre_rule(54), BoundaryGrid.disk(128))
     pts = np.array(
         [apply_array(spec.center, polar_to_point(s, np.eye(2)[0]).coords) for s in (0.0, 0.5, 1.0)]
     )
@@ -434,53 +424,55 @@ SCENARIOS = {
 
 # Per-scenario default grid profiles (dim-dependent), applied under user
 # config; chosen so each scenario meets its tolerance within its time budget.
-# A profile sets the spectral range lambda_max only: every spectral rule is
-# sized inside transforms from the Paley-Wiener type of its integrand.
+# radial_nodes counts Gauss-Legendre nodes on the bump's support, where each
+# scenario fits its radial rule; a profile sets the spectral range lambda_max
+# only, and every spectral rule is sized inside transforms from the
+# Paley-Wiener type of its integrand.
 _PROFILES = {
     "jeft-equivalence": {
-        2: dict(radial_nodes=96, r_max=6.0, boundary_nodes=256,
+        2: dict(radial_nodes=32, boundary_nodes=256,
                 bump_radius=1.0, bump_shift=0.4, bump_alpha=0.6),
-        3: dict(radial_nodes=96, r_max=6.0, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=32, boundary_theta=24, boundary_phi=48,
                 bump_radius=1.0, bump_shift=0.4, bump_alpha=0.6),
     },
     "inversion": {
-        2: dict(radial_nodes=128, r_max=6.5, boundary_nodes=160,
+        2: dict(radial_nodes=54, boundary_nodes=160,
                 lambda_max=24.0, bump_radius=2.0, bump_shift=0.4),
-        3: dict(radial_nodes=192, r_max=7.5, boundary_theta=8, boundary_phi=16,
+        3: dict(radial_nodes=76, boundary_theta=8, boundary_phi=16,
                 lambda_max=40.0, bump_radius=2.5),
     },
     "plancherel": {
-        2: dict(radial_nodes=128, r_max=6.5, boundary_nodes=128,
+        2: dict(radial_nodes=54, boundary_nodes=128,
                 lambda_max=24.0, bump_radius=2.0, bump_shift=0.4, bump_alpha=0.5),
-        3: dict(radial_nodes=192, r_max=7.5, boundary_theta=8, boundary_phi=16,
+        3: dict(radial_nodes=76, boundary_theta=8, boundary_phi=16,
                 lambda_max=40.0, bump_radius=2.5),
     },
     "kaverage-bridge": {
-        2: dict(radial_nodes=256, r_max=5.5, boundary_nodes=256,
+        2: dict(radial_nodes=90, boundary_nodes=256,
                 lambda_max=10.0, bump_radius=1.0, bump_shift=0.5),
-        3: dict(radial_nodes=160, r_max=5.5, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=56, boundary_theta=24, boundary_phi=48,
                 lambda_max=6.0, bump_radius=1.0, bump_shift=0.5),
     },
     "functional-equation": {
-        2: dict(radial_nodes=96, r_max=6.0, boundary_nodes=256,
+        2: dict(radial_nodes=32, boundary_nodes=256,
                 bump_radius=1.2, bump_shift=0.3, bump_alpha=0.6),
-        3: dict(radial_nodes=96, r_max=6.0, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=32, boundary_theta=24, boundary_phi=48,
                 bump_radius=1.2, bump_shift=0.3, bump_alpha=0.6),
     },
     "asymptotic": {
-        2: dict(radial_nodes=128, r_max=16.0, boundary_nodes=64, bump_radius=2.0),
-        3: dict(radial_nodes=128, r_max=16.0, boundary_theta=12, boundary_phi=24,
+        2: dict(radial_nodes=30, boundary_nodes=64, bump_radius=2.0),
+        3: dict(radial_nodes=30, boundary_theta=12, boundary_phi=24,
                 bump_radius=2.0),
     },
     "eigen": {
-        2: dict(radial_nodes=96, r_max=6.0, boundary_nodes=256,
+        2: dict(radial_nodes=28, boundary_nodes=256,
                 bump_radius=1.2, bump_alpha=0.5),
-        3: dict(radial_nodes=96, r_max=6.0, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=28, boundary_theta=24, boundary_phi=48,
                 bump_radius=1.2, bump_alpha=0.5),
     },
     "pw-recovery": {
-        2: dict(radial_nodes=512, boundary_nodes=128),
-        3: dict(radial_nodes=384, boundary_theta=24, boundary_phi=48),
+        2: dict(radial_nodes=170, boundary_nodes=128),
+        3: dict(radial_nodes=128, boundary_theta=24, boundary_phi=48),
     },
     "c-table": {2: {}, 3: {}},
     "calibrate": {2: {}, 3: {}},

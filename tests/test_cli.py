@@ -57,9 +57,16 @@ def test_validation_names_key():
         parse_config(None, {"radial_nodes": 0})
 
 
-def test_support_headroom_validation():
-    with pytest.raises(ConfigError, match="r-max"):
-        parse_config(None, {"bump_radius": 13.0})
+def test_negative_bump_shift_rejected():
+    with pytest.raises(ConfigError, match="bump-shift"):
+        parse_config(None, {"bump-shift": "-1"})
+
+
+def test_removed_r_max_config_key_rejected(tmp_path):
+    path = tmp_path / "old.cfg"
+    path.write_text("r_max = 6.0\n")
+    with pytest.raises(ConfigError, match="unknown configuration key: r_max"):
+        parse_config(str(path))
 
 
 def test_config_file_comments_and_floats(tmp_path):
@@ -147,6 +154,22 @@ def test_cli_removed_spectral_nodes_flag_exits_2(tmp_path, run_cli):
     assert not out.exists()
 
 
+def test_cli_removed_r_max_flag_exits_2(tmp_path, run_cli):
+    out = tmp_path / "jeft"
+    r = run_cli("run", "jeft-equivalence", "--dim", "2", "--r-max", "6", "--out", str(out))
+    assert r.returncode == 2
+    assert "--r-max" in r.stderr
+    assert not out.exists()
+
+
+def test_cli_negative_bump_shift_exits_2(tmp_path, run_cli):
+    out = tmp_path / "jeft"
+    r = run_cli("run", "jeft-equivalence", "--dim", "2", "--bump-shift", "-1", "--out", str(out))
+    assert r.returncode == 2
+    assert "bump-shift" in r.stderr
+    assert not out.exists()
+
+
 def test_cli_removed_spectral_nodes_config_key_exits_2(tmp_path, run_cli):
     path = tmp_path / "old.cfg"
     path.write_text("spectral_nodes = 200\n")
@@ -199,15 +222,15 @@ def test_cli_reproducible_outputs(tmp_path, run_cli):
 
 
 def test_run_scenario_records_numeric_errors_as_failed_checks(tmp_path):
-    # r_max 9 passes config validation but lies below the scenario's t = 10:
-    # the range guard of asymptotic_limit_residual raises inside the run
-    cfg = parse_config(None, {"out_dir": str(tmp_path / "x"), "dim": 2})
-    code = run_scenario("asymptotic", parse_config(None, {"r_max": "9.0", "radial_nodes": "64",
-                                                          "bump_radius": "2.0", "out_dir": str(tmp_path / "x"),
-                                                          "dim": "2"}))
-    assert code == 1
-    doc = json.loads((tmp_path / "x" / "results.json").read_text())
-    assert any(c["name"] == "scenario_error" for c in doc["checks"])
+    # bump radius 120 passes config validation, but |Im lam| * support =
+    # 0.35 * 120 of the scenario's lam = 2 - 0.35i exceeds the overflow
+    # guard of boundary_slices, which raises inside the run
+    cfg = parse_config(None, {"bump_radius": "120", "radial_nodes": "64", "out_dir": str(tmp_path / "x"),
+                              "dim": "2", "timing": "zero"})
+    assert run_scenario("asymptotic", cfg) == 1
+    (check,) = json.loads((tmp_path / "x" / "results.json").read_text())["checks"]
+    assert check["name"] == "scenario_error"
+    assert check["note"].startswith("TransformRangeError(")
 
 
 def test_scenario_error_note_names_the_raising_function(tmp_path, monkeypatch):
@@ -226,6 +249,23 @@ def test_scenario_error_note_names_the_raising_function(tmp_path, monkeypatch):
 
 def _failing_step(dim):
     raise FloatingPointError(f"step {dim} diverged")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scenarios_fit_every_radial_rule_to_its_support(dim, monkeypatch):
+    """Every sample_bump call of every scenario gets a rule that ends at the bump's support radius."""
+    calls = []
+    sample = scenarios.sample_bump
+
+    def recorded(spec, radial, boundary):
+        calls.append((name, radial.r_max, spec.support_radius))
+        return sample(spec, radial, boundary)
+
+    monkeypatch.setattr(scenarios, "sample_bump", recorded)
+    for name in list_scenarios():
+        scenarios.SCENARIOS[name](scenario_base_config(name, dim), np.random.default_rng(1))
+    assert {name for name, _, _ in calls} == set(list_scenarios()) - {"c-table"}
+    assert all(r_max == support for _, r_max, support in calls)
 
 
 @pytest.mark.parametrize("name", ["eigen", "functional-equation"])

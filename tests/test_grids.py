@@ -279,9 +279,25 @@ def test_k_average_profile_matches_pointwise():
     g = Isometry.translation([0.1, 0.2])
     prof = k_average_profile(f, g)
     assert prof.is_radial()
-    t = np.tanh(0.5 * f.radial.nodes[10])
+    t = np.tanh(0.5 * prof.radial.nodes[10])
     direct = _direction_average(f, g, Point(np.array([t, 0.0])))
     assert prof.values[10, 0] == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_k_average_of_shifted_bump_keeps_the_integral(dim):
+    """The K-average of f o g integrates to the integral of f, also where its support reaches past f's.
+
+    f is sampled on a rule fitted to its support 1.619; g = center^-1 moves
+    the bump's center to distance 1.238, so the average reaches 2.238.
+    """
+    spec = BumpSpec(dim=dim, radius=1.0, center=Isometry.translation([0.3] + [0.0] * (dim - 1)))
+    boundary = BoundaryGrid.disk(128) if dim == 2 else BoundaryGrid.sphere(24, 48)
+    f = sample_bump(spec, RadialGrid.gauss_legendre(48, spec.support_radius), boundary)
+    prof = k_average_profile(f, spec.center.inverse())
+    assert prof.support_radius == pytest.approx(2.0 * spec.center_offset + 1.0, rel=1e-12)
+    assert prof.radial.r_max == prof.support_radius
+    assert integrate_X(prof) == pytest.approx(integrate_X(f), rel=1e-4)
 
 
 def test_off_grid_evaluation_requires_descriptor():
