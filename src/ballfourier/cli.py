@@ -11,8 +11,8 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .config import _FIELD_TYPES, ConfigError, ScenarioConfig, parse_config
-from .scenarios import list_scenarios, run_scenario, scenario_base_config
+from .config import _FIELD_TYPES, ConfigError, ScenarioConfig, parse_config, read_config_file
+from .scenarios import check_keys_read, list_scenarios, run_scenario, scenario_base_config
 
 # one flag per grid key of ScenarioConfig, typed by its field
 _GRID_FLAGS = [
@@ -94,13 +94,14 @@ def main(argv=None) -> int:
                 tol_pairs.append((key.strip(), float(raw)))
             except ValueError:
                 raise ConfigError(f"malformed --tol value for {key}: {raw!r}") from None
-        # dimension decides the scenario grid profile; flags beat file values
-        probe = parse_config(args.config, overrides)
-        base = scenario_base_config(name, probe.dim)
+        # flags beat file values; the dimension decides the scenario grid profile
+        given = read_config_file(args.config) if args.config else {}
+        given.update(overrides)
+        base = scenario_base_config(name, parse_config(None, given).dim)
+        check_keys_read(name, base.dim, given)
         if tol_pairs:
-            overrides["tolerances"] = tuple(tol_pairs)
-        cfg = parse_config(args.config, overrides, base=base)
-        return run_scenario(name, cfg)
+            given["tolerances"] = tuple(tol_pairs)
+        return run_scenario(name, parse_config(None, given, base=base))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

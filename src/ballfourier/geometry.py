@@ -16,6 +16,10 @@ import numpy as np
 BALL_TOL = 1e-12
 # Escape tolerance for isometry application (closed-ball consistency check).
 ESCAPE_TOL = 1e-10
+# Entries per block of every temporary sized samples x directions, samples x
+# coordinates or lam x radii: 1 MB of complex values, which stays in cache
+# and keeps a temporary's size independent of the grid's.
+BLOCK = 2**16
 
 
 class GeometryError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Isometry, apply_array, dist, sphere_area, volume_weight
+from .geometry import BLOCK, Isometry, apply_array, dist, sphere_area, volume_weight
 
 # Relative spread across the boundary below which samples count as radial.
 _RADIAL_TOL = 1e-10
@@ -288,15 +288,6 @@ class SampledFunction:
     support_radius: float
     bump: BumpSpec = None
 
-    def support_points(self) -> np.ndarray:
-        """Ball coordinates tanh(r/2) omega of the support rows, shape (n_support, m, dim).
-
-        Built on each call: beyond the support every sample is zero, so
-        nothing needs the other rows' coordinates.
-        """
-        t = np.tanh(0.5 * self.radial.nodes[self.support_mask])
-        return t[:, None, None] * self.boundary.directions[None, :, :]
-
     @property
     def support_mask(self) -> np.ndarray:
         return self.radial.nodes <= self.support_radius
@@ -330,7 +321,11 @@ class SampledFunction:
 def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> SampledFunction:
     """Sample a bump on the product grid; its support must fit inside the rule's [0, r_max].
 
-    Only the support rows are evaluated; the rows beyond, if any, are exact zeros.
+    Only the support rows are evaluated, at the coordinates tanh(r/2) omega,
+    in row blocks of about BLOCK samples: the coordinates and the
+    temporaries of the bump's evaluation stay block-sized, and each sample
+    is the value the whole-array evaluation gives, bit for bit.  The rows
+    beyond the support, if any, are exact zeros.
     """
     if spec.support_radius > radial.r_max:
         raise ConfigurationError(
@@ -338,7 +333,11 @@ def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> S
         )
     values = np.zeros((len(radial), len(boundary)), dtype=complex)
     f = SampledFunction(spec.dim, radial, boundary, values, spec.support_radius, bump=spec)
-    values[f.support_mask] = spec(f.support_points())
+    rows = np.flatnonzero(f.support_mask)
+    t = np.tanh(0.5 * radial.nodes[rows])
+    step = max(1, BLOCK // len(boundary))
+    for i in range(0, len(rows), step):
+        values[rows[i : i + step]] = spec(t[i : i + step, None, None] * boundary.directions)
     return f
 
 

@@ -150,23 +150,19 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
     pts = np.array(pts)
     truths = spec(pts)
 
-    levels = []
-    for frac in (0.5, 0.75, 1.0):
-        levels.append(
-            (
-                max(16, int(round(cfg.radial_nodes * frac))),
-                max(16, int(round(cfg.boundary_nodes * (0.5 + 0.5 * frac)))),
-                max(4, int(round(cfg.boundary_theta * (0.5 + 0.5 * frac)))),
-                max(8, int(round(cfg.boundary_phi * (0.5 + 0.5 * frac)))),
-                cfg.lambda_max * frac,
-            )
-        )
     rows = []
     level_errs = []
     tail = 0.0
-    for li, (nr, nb, nt, nph, lmax) in enumerate(levels):
-        boundary = BoundaryGrid.disk(nb) if cfg.dim == 2 else BoundaryGrid.sphere(nt, nph)
-        f = _fitted(spec, legendre_rule(nr), boundary)
+    for li, frac in enumerate((0.5, 0.75, 1.0)):
+        scale = 0.5 + 0.5 * frac
+        if cfg.dim == 2:
+            boundary = BoundaryGrid.disk(max(16, int(round(cfg.boundary_nodes * scale))))
+        else:
+            boundary = BoundaryGrid.sphere(
+                max(4, int(round(cfg.boundary_theta * scale))), max(8, int(round(cfg.boundary_phi * scale)))
+            )
+        lmax = cfg.lambda_max * frac
+        f = _fitted(spec, legendre_rule(max(16, int(round(cfg.radial_nodes * frac)))), boundary)
         results = invert(f, pts, lmax)
         errs = [_rel(r.value, t) for r, t in zip(results, truths)]
         level_errs.append(max(errs))
@@ -477,6 +473,45 @@ _PROFILES = {
     "c-table": {2: {}, 3: {}},
     "calibrate": {2: {}, 3: {}},
 }
+
+
+# The configuration keys each scenario reads besides _RUN_KEYS, which every
+# run reads; of the boundary keys each dimension reads its own
+# (_OTHER_DIM_KEYS are the other dimension's).  A key given to a scenario
+# that does not read it is a ConfigError, never a silent ignore.
+_RUN_KEYS = ("dim", "seed", "out_dir", "timing", "tolerances")
+_OTHER_DIM_KEYS = {2: ("boundary_theta", "boundary_phi"), 3: ("boundary_nodes",)}
+_GRID_KEYS = ("radial_nodes", "boundary_nodes", "boundary_theta", "boundary_phi")
+_BUMP_KEYS = ("bump_radius", "bump_shift", "bump_alpha")
+_READS = {
+    "inversion": _GRID_KEYS + ("lambda_max",) + _BUMP_KEYS,
+    "plancherel": _GRID_KEYS + ("lambda_max",) + _BUMP_KEYS,
+    "jeft-equivalence": _GRID_KEYS + _BUMP_KEYS,
+    "kaverage-bridge": _GRID_KEYS + ("lambda_max",) + _BUMP_KEYS,
+    "functional-equation": _GRID_KEYS + _BUMP_KEYS,
+    "asymptotic": _GRID_KEYS + _BUMP_KEYS,
+    "eigen": _GRID_KEYS + _BUMP_KEYS,
+    "pw-recovery": _GRID_KEYS,
+    "c-table": (),
+    "calibrate": (),
+}
+
+
+def scenario_keys(name: str, dim: int) -> tuple:
+    """The configuration keys scenario ``name`` reads at dimension ``dim``, besides _RUN_KEYS."""
+    return tuple(k for k in _READS[name] if k not in _OTHER_DIM_KEYS[dim])
+
+
+def check_keys_read(name: str, dim: int, keys) -> None:
+    """Raise ConfigError naming every key of ``keys`` that scenario ``name`` does not read at ``dim``."""
+    reads = scenario_keys(name, dim)
+    unread = sorted(set(keys) - set(reads) - set(_RUN_KEYS))
+    if unread:
+        named = ", ".join(k.replace("_", "-") for k in reads) or "no grid or bump key"
+        raise ConfigError(
+            f"{name} --dim {dim} does not read {', '.join(k.replace('_', '-') for k in unread)}; "
+            f"it reads {named}, besides dim, seed, out-dir, timing and --tol"
+        )
 
 
 def scenario_base_config(name: str, dim: int) -> ScenarioConfig:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import GeometryError, half_root_sum
+from .geometry import BLOCK, GeometryError, half_root_sum
 
 
 class CFunctionPoleError(ValueError):
@@ -58,8 +58,6 @@ class FitConditioningError(RuntimeError):
 # Series fallbacks near removable singularities.
 _SMALL_PRODUCT = 1e-4
 _SMALL_RADIUS = 1e-6
-# Elements per row block of _phi3 and _phi2_mehler: their temporaries stay in cache.
-_PHI_BLOCK = 2**16
 # phi_lam(r) is 1 to double precision below this radius; clamping r there
 # keeps g_- g_+ ~ r^2 sin^2(theta) from underflowing and r = 0 from giving 0/0.
 _PHI2_MIN_RADIUS = 1e-150
@@ -72,13 +70,13 @@ _STIRLING_MIN_RE = 15.0
 def _phi3(lams: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Closed form sin(lam r)/(lam sinh r), shape (n_lam, n_r), with removable singularities handled.
 
-    Evaluated in blocks of about _PHI_BLOCK (lam, r) entries, so that the
+    Evaluated in blocks of about BLOCK (lam, r) entries, so that the
     complex temporaries stay in cache; every entry is computed as over the
     whole table.
     """
     out = np.empty((len(lams), len(r)), dtype=complex)
     lam = lams[:, None]
-    block = max(1, _PHI_BLOCK // max(len(lams), 1))
+    block = max(1, BLOCK // max(len(lams), 1))
     for i in range(0, len(r), block):
         rb = r[i : i + block]
         ob = out[:, i : i + block]
@@ -127,7 +125,7 @@ def _phi2_mehler(lams: np.ndarray, r: np.ndarray) -> np.ndarray:
     one_minus = 2.0 * np.sin(0.5 * theta) ** 2
     one_plus = 2.0 * np.cos(0.5 * theta) ** 2
     out = np.zeros((len(lams), len(r)), dtype=complex)
-    block = max(1, _PHI_BLOCK // m)
+    block = max(1, BLOCK // m)
     for i in range(0, len(r), block):
         rows = slice(i, i + block)
         rb = np.maximum(r[rows, None], _PHI2_MIN_RADIUS)

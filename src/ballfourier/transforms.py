@@ -52,6 +52,12 @@ real lam than that evaluates the N + 1 Chebyshev-Lobatto points of
 lists pass through bit for bit.  The same degree rule sizes every spectral
 integral (_pw_rule): no node count is configured.
 
+Every temporary sized samples x directions is built in blocks of about
+geometry.BLOCK entries, whatever the grid: the FFT slice takes its radial
+rows, the Chebyshev slice its directions and poisson its points in chunks
+of that size, so the peak memory of a call follows the number of samples
+and of output values, not samples x directions.
+
 spherical_transform, jeft_direct, invert and the residuals take batches
 and return batches: a scalar lam or a single point is a batch of one, and
 the output keeps its batch axes.  helgason_forward, jeft and poisson keep a
@@ -67,6 +73,7 @@ import numpy as np
 
 from .geometry import (
     BALL_TOL,
+    BLOCK,
     GeometryError,
     Isometry,
     apply_array,
@@ -106,11 +113,6 @@ KAPPA = 1.0 / (2.0 * np.pi**2)
 # Largest allowed |Im lam| * support_radius: keeps the kernel below ~e^40.
 OVERFLOW_EXPONENT = 40.0
 
-_CHUNK = 4_000_000
-# Kernel entries per row block of poisson: 1 MB of complex kernel, in place
-# of a 1152 x 1152 Busemann matrix and kernel (31 MB) for one K-orbit on the
-# 24 x 48 sphere.
-_POISSON_BLOCK = 2**16
 # Chebyshev order of the panelled slice and convolution, and its Lobatto
 # points cos(pi k / N).  On a panel of half-width h with |z| h <= 1 the
 # coefficients 2 I_m(z h) of e^{z h x} fall below 1e-19 by m = 20.
@@ -136,9 +138,9 @@ def _support_data(f: SampledFunction):
     """Points and weight x value of the nonzero samples in the support rows.
 
     A zero sample adds 0 to every kernel sum, so dropping it is exact.  The
-    coordinates tanh(r/2) omega are masked one axis at a time, with the
-    products of support_points: gathering whole (n_support, m, d) points by
-    the mask is a loop of length d per sample.
+    coordinates tanh(r/2) omega are masked one axis at a time: gathering
+    whole (n_support, m, d) points by the mask is a loop of length d per
+    sample.
     """
     mask = f.support_mask
     vals = f.values[mask]
@@ -337,7 +339,8 @@ def _slices_chebyshev(f: SampledFunction, lams: np.ndarray, bs: np.ndarray) -> n
     once per direction by the three-term recurrence, so each lam costs
     N + 1 + P exponentials instead of one per sample.  |e^{z B}| varies by at
     most e^2 on a panel, which keeps the rounding near machine precision; one
-    interval over the whole range loses digits like e^{|Re z| h}.
+    interval over the whole range loses digits like e^{|Re z| h}.  The
+    Busemann values are built for chunks of about BLOCK samples x directions.
     """
     pts, wv = _support_data(f)
     out = np.zeros((len(lams), len(bs)), dtype=complex)
@@ -346,7 +349,7 @@ def _slices_chebyshev(f: SampledFunction, lams: np.ndarray, bs: np.ndarray) -> n
     z = -1j * lams + half_root_sum(f.dim)
     z_max = float(np.max(np.abs(z)))
     wv_pairs = np.ascontiguousarray(wv, dtype=complex).view(float).reshape(-1, 2)
-    step = max(1, _CHUNK // len(pts))
+    step = max(1, BLOCK // len(pts))
     for i in range(0, len(bs), step):
         for k, B in enumerate(np.ascontiguousarray(busemann_field(pts, bs[i : i + step]).T)):
             lo, h, moments = _panel_moments(B, z_max, wv_pairs)
@@ -438,30 +441,32 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -
     - polar flip K(a, c, q) = K(n-1-c, n-1-a, q), exact because
       legendre_rule mirrors its nodes (cos theta_(n-1-a) = -cos theta_a).
 
-    The Busemann values are built once per chunk of radial rows, against the
-    half-azimuth directions q <= n_phi // 2 only, and shared across lam.  Per
-    lam only one representative of each orbit of row pairs is exponentiated:
-    n_support (n_phi // 2 + 1) n_orbits exponentials, with n_orbits = 156 of
-    the 576 row pairs for n_theta = 24 (109,200 in place of 774,144 for the
-    eigen-d3 grid), and n_orbits = 1 in d = 2 (n_rows = 1).  An even sequence
-    has an even DFT, so the kernel's FFT is a real cosine matrix on the half
-    azimuth; the samples' FFT and the final inverse FFT are plain FFTs.  The
-    transformed representatives are spread back to every row pair by one
-    ``np.take`` along the orbit axis.
+    The radial rows are taken in chunks of about BLOCK azimuth-0 samples x
+    directions (two rows on the 24 x 48 sphere, every row of a d = 2 grid
+    with up to BLOCK / m rows).  A chunk's Busemann values are built against
+    the half-azimuth directions q <= n_phi // 2 only and shared across lam.
+    Per lam only one representative of each orbit of row pairs is
+    exponentiated: n_support (n_phi // 2 + 1) n_orbits exponentials, with
+    n_orbits = 156 of the 576 row pairs for n_theta = 24 (109,200 in place
+    of 774,144 for the eigen-d3 grid), and n_orbits = 1 in d = 2
+    (n_rows = 1).  An even sequence has an even DFT, so the kernel's FFT is
+    a real cosine matrix on the half azimuth; the samples' FFT and the final
+    inverse FFT are plain FFTs.  The transformed representatives are spread
+    back to every row pair by one ``np.take`` along the orbit axis, and each
+    chunk adds its part of the convolution to the accumulated FFT.
 
-    Per lam on the eigen-d3 grid (2-vCPU VM, medians) the multiply takes
-    0.4 ms, the exponential 3.3 ms, the cosine matrix product 0.7 ms, the
-    orbit gather 1.3 ms (6.5 ms as a fancy-index copy) and the two products
-    with the samples' FFT 1.4 ms; the Busemann values, shared by every lam of
-    the call, take 3.7 ms.  Callers with several lam pass them in one call.
+    On the eigen-d3 grid (28 support rows; 2-vCPU VM, medians of 15 calls)
+    one lam takes 13 ms and each further lam about 6 ms, with a traced peak
+    of 2 MB; one chunk holding every row took 12 ms and 8 ms with an
+    11.4 MB peak.  Callers with several lam pass them in one call.
     """
     half = n_phi // 2 + 1
     mask = f.support_mask
     wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
     # (n_phi, rows, n_rows): frequency first, one matrix product per frequency
     g_hat = np.ascontiguousarray(np.moveaxis(np.fft.fft(wv, axis=-1), -1, 0))
-    # (rows, n_rows, dim): azimuth index 0, copied so the other azimuths are freed
-    first = f.support_points()[:, ::n_phi].copy()
+    # (rows, n_rows, dim): the samples at azimuth index 0, tanh(r/2) omega
+    first = np.tanh(0.5 * f.radial.nodes[mask])[:, None, None] * f.boundary.directions[None, ::n_phi]
     half_dirs = f.boundary.directions.reshape(n_rows, n_phi, f.dim)[:, :half].reshape(-1, f.dim)
     rep_a, rep_c, orbit = _row_pair_orbits(n_rows)
     # DFT of the even extension: multiplicity 1 at q = 0 and q = n_phi / 2, else 2
@@ -470,7 +475,8 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -
     cosine = np.cos(2.0 * np.pi * (np.outer(q, q) % n_phi) / n_phi) * mult
     rho = half_root_sum(f.dim)
     acc = np.zeros((len(lams), n_rows, n_phi), dtype=complex)
-    step = max(1, _CHUNK // (n_rows * len(f.boundary)))
+    # radial rows per chunk: BLOCK entries of azimuth-0 samples x directions
+    step = max(1, BLOCK // (n_rows * len(f.boundary)))
     for i in range(0, len(first), step):
         B = busemann_field(first[i : i + step].reshape(-1, f.dim), half_dirs)
         B = B.reshape(-1, n_rows, n_rows, half)[:, rep_a, rep_c]
@@ -495,7 +501,7 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
     ``F`` may also be stacked, shape (n_lam, m), with ``lam`` an array of
     n_lam values: row k is transformed at lam[k], and the values have shape
     (n_lam, n_x).  A single point x drops the last axis.  The kernel is
-    built in row blocks of about _POISSON_BLOCK entries: each block of
+    built in row blocks of about BLOCK entries: each block of
     points takes one Busemann matrix, shared by every lam, and per lam one
     exponential and one product with the weighted row.  Every value is the
     same row-by-boundary dot product as over the whole (n_x, m) kernel.
@@ -515,7 +521,7 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
     vals = np.empty((len(lams), len(pts)), dtype=complex)
     # equal blocks of at least two rows: numpy takes a one-row product as a
     # dot product, which rounds differently from the rows of a matrix product
-    n_blocks = max(1, len(pts) // max(2, _POISSON_BLOCK // max(len(boundary), 1)))
+    n_blocks = max(1, len(pts) // max(2, BLOCK // max(len(boundary), 1)))
     edges = [len(pts) * j // n_blocks for j in range(n_blocks + 1)]
     kernel = np.empty((-(-len(pts) // n_blocks), len(boundary)), dtype=complex)  # reused by every block and lam
     for a, b in zip(edges[:-1], edges[1:]):

@@ -34,7 +34,7 @@ def dense_slice(f: SampledFunction, lams, bs):
     ``bs``; both arrays have shape (n_lam, m).
     """
     mask = f.support_mask
-    pts = f.support_points().reshape(-1, f.dim)
+    pts = (np.tanh(0.5 * f.radial.nodes[mask])[:, None, None] * f.boundary.directions).reshape(-1, f.dim)
     wv = (f.node_weights()[mask] * f.values[mask]).ravel()
     kernels = np.exp((-1j * np.asarray(lams)[:, None, None] + 0.5 * (f.dim - 1)) * busemann_field(pts, bs))
     return np.einsum("i,kij->kj", wv, kernels), np.einsum("i,kij->kj", np.abs(wv), np.abs(kernels))

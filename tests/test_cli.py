@@ -106,7 +106,8 @@ def test_cli_bad_flag_value_exits_2(tmp_path, run_cli):
 
 def test_cli_c_table_runs_green(tmp_path, run_cli):
     out = tmp_path / "ct"
-    r = run_cli("run", "c-table", "--out", str(out), "--timing", "zero")
+    # c-table reads no grid key, but every run reads dim, seed, out and timing
+    r = run_cli("run", "c-table", "--dim", "3", "--seed", "4", "--out", str(out), "--timing", "zero")
     assert r.returncode == 0
     doc = json.loads((out / "results.json").read_text())
     assert doc["scenario"] == "c-table"
@@ -266,6 +267,56 @@ def test_scenarios_fit_every_radial_rule_to_its_support(dim, monkeypatch):
         scenarios.SCENARIOS[name](scenario_base_config(name, dim), np.random.default_rng(1))
     assert {name for name, _, _ in calls} == set(list_scenarios()) - {"c-table"}
     assert all(r_max == support for _, r_max, support in calls)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scenarios_read_exactly_their_declared_keys(dim):
+    """Every configuration key a scenario reads is declared in scenario_keys, and every declared key is read."""
+
+    class Recording:
+        def __init__(self, cfg):
+            self.cfg, self.read = cfg, set()
+
+        def __getattr__(self, key):
+            self.read.add(key)
+            return getattr(self.cfg, key)
+
+    for name in list_scenarios():
+        cfg = Recording(scenario_base_config(name, dim))
+        scenarios.SCENARIOS[name](cfg, np.random.default_rng(1))
+        declared = set(scenarios.scenario_keys(name, dim))
+        assert declared <= cfg.read <= declared | set(scenarios._RUN_KEYS), name
+
+
+@pytest.mark.parametrize(
+    "args,unread",
+    [
+        (("pw-recovery", "--dim", "2", "--bump-radius", "0.5", "--bump-shift", "2", "--bump-alpha", "0.9"),
+         "bump-alpha, bump-radius, bump-shift"),
+        (("calibrate", "--dim", "2", "--radial-nodes", "10"), "radial-nodes"),
+        (("c-table", "--dim", "3", "--lambda-max", "5"), "lambda-max"),
+        (("eigen", "--dim", "2", "--boundary-theta", "12"), "boundary-theta"),
+        (("eigen", "--dim", "3", "--boundary-nodes", "64"), "boundary-nodes"),
+    ],
+)
+def test_cli_key_the_scenario_does_not_read_exits_2(tmp_path, run_cli, args, unread):
+    out = tmp_path / "unread"
+    r = run_cli("run", *args, "--out", str(out))
+    assert r.returncode == 2
+    assert f"does not read {unread};" in r.stderr
+    reads = ", ".join(k.replace("_", "-") for k in scenarios.scenario_keys(args[0], int(args[2])))
+    assert f"it reads {reads or 'no grid or bump key'}," in r.stderr
+    assert not out.exists()
+
+
+def test_cli_unread_config_file_key_exits_2(tmp_path, run_cli):
+    path = tmp_path / "c.cfg"
+    path.write_text("dim = 2\nseed = 3\nbump-radius = 0.5\n")
+    out = tmp_path / "ct"
+    r = run_cli("run", "c-table", "--config", str(path), "--out", str(out))
+    assert r.returncode == 2
+    assert "c-table --dim 2 does not read bump-radius;" in r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["eigen", "functional-equation"])

@@ -168,7 +168,27 @@ def test_sample_bump_matches_full_grid_evaluation(spec, boundary):
     assert np.any(beyond) and np.any(ref != 0)
     assert f.values.shape == (len(radial), len(boundary))
     assert np.array_equal(f.values, ref)
-    assert np.array_equal(f.support_points(), pts[~beyond])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_sample_bump_matches_whole_array_bit_for_bit(dim):
+    """Row blocks of sample_bump against one spec(...) evaluation of every support sample.
+
+    The support row counts are one row, one block, one block plus one row
+    and several blocks plus a partial one.
+    """
+    from ballfourier.geometry import BLOCK
+
+    boundary = BoundaryGrid.disk(4096) if dim == 2 else BoundaryGrid.sphere(32, 64)
+    center = Isometry.translation(np.linspace(0.3, -0.2, dim))
+    spec = BumpSpec(dim=dim, radius=1.2, center=center, alpha=0.7, axis=np.arange(1.0, dim + 1.0))
+    rows = BLOCK // len(boundary)
+    for n_r in (1, rows, rows + 1, 3 * rows + 5):
+        radial = RadialGrid.gauss_legendre(n_r, spec.support_radius)
+        f = sample_bump(spec, radial, boundary)
+        pts = np.tanh(0.5 * radial.nodes)[:, None, None] * boundary.directions
+        assert np.all(f.support_mask)
+        assert np.array_equal(f.values, spec(pts).astype(complex))
 
 
 def test_sample_bump_support_guard():

@@ -48,10 +48,11 @@ def test_phi3_closed_form_value():
 
 def test_phi3_blocks_match_unblocked_closed_form_bit_for_bit():
     """The blocked closed form against the whole-table formula, with both series branches at block edges."""
-    from ballfourier.spectral import _PHI_BLOCK, _SMALL_PRODUCT, _SMALL_RADIUS, _phi3
+    from ballfourier.geometry import BLOCK
+    from ballfourier.spectral import _SMALL_PRODUCT, _SMALL_RADIUS, _phi3
 
     lams = np.array([1e-3, 0.7, 2.4 - 0.6j])
-    block = _PHI_BLOCK // len(lams)
+    block = BLOCK // len(lams)
     r = np.random.default_rng(5).uniform(0.0, 12.0, 3 * block + 17)
     # tiny radii and small products lam r on both sides of the block edges
     r[[0, block - 1, block, 2 * block + 1, len(r) - 1]] = [0.0, 3e-7, 0.05, 1e-2, 8e-7]

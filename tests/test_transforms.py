@@ -201,14 +201,14 @@ def test_blocked_poisson_matches_whole_kernel_bit_for_bit(dim, disk_bumps, ball_
     The point counts span one to several blocks and include one row past a
     whole number of blocks.
     """
-    from ballfourier.transforms import _POISSON_BLOCK
+    from ballfourier.geometry import BLOCK
 
     f = disk_bumps[1] if dim == 2 else ball_bumps[1]
     m = len(f.boundary)
     lams = np.array([0.4, 1.7, 3.1 - 0.2j])
     slices = boundary_slices(f, lams)
     rng = np.random.default_rng(17)
-    rows = _POISSON_BLOCK // m
+    rows = BLOCK // m
     for n_x in (2, rows + 1, 3 * rows + 1, 4 * rows + 5):
         w = rng.standard_normal((n_x, dim))
         xs = np.tanh(0.5 * rng.uniform(0.0, 2.0, n_x))[:, None] * w / np.linalg.norm(w, axis=1, keepdims=True)
@@ -322,7 +322,8 @@ def test_support_data_is_masked_full_support_bit_for_bit(dim, disk_bumps, ball_b
         vals = f.values[mask]
         keep = vals != 0
         pts, wv = _support_data(f)
-        assert np.array_equal(pts, f.support_points()[keep])
+        coords = np.tanh(0.5 * f.radial.nodes[mask])[:, None, None] * f.boundary.directions
+        assert np.array_equal(pts, coords[keep])
         assert np.array_equal(wv, (f.node_weights()[mask] * vals)[keep])
     assert 0 < len(wv) < np.count_nonzero(beyond.values)
 
@@ -499,6 +500,36 @@ def slice_cases(draw):
     """A bump on a disk or sphere grid and a few lam, real or inside the overflow guard."""
     f = draw(sampled_bumps())
     return f, draw(st.lists(spectral_values(f, 20.0), min_size=1, max_size=3))
+
+
+def _random_samples(n_r: int, boundary: BoundaryGrid, rng) -> SampledFunction:
+    """Random samples with magnitudes in [0.5, 1.5] on n_r equally spaced radial rows over [0, 1.5]."""
+    radial = RadialGrid((np.arange(n_r) + 0.5) * 1.5 / n_r, np.full(n_r, 1.5 / n_r), 1.5)
+    shape = (n_r, len(boundary))
+    values = rng.uniform(0.5, 1.5, shape) * np.exp(1j * rng.uniform(0.0, 1.0, shape))
+    return SampledFunction(boundary.dim, radial, boundary, values, 1.5)
+
+
+@pytest.mark.parametrize("boundary", [BoundaryGrid.disk(2048), BoundaryGrid.sphere(16, 32)], ids=["disk", "sphere"])
+def test_chebyshev_slice_over_several_direction_chunks_matches_dense_sum(boundary):
+    """Explicit directions filling three direction chunks of the Chebyshev slice, minus and plus one.
+
+    A chunk holds BLOCK // n_samples directions; the random samples are
+    bounded away from zero, so none is dropped and every direction's sum
+    carries weight.
+    """
+    from ballfourier.geometry import BLOCK
+
+    rng = np.random.default_rng(29)
+    f = _random_samples(20480 // len(boundary), boundary, rng)
+    step = BLOCK // f.values.size
+    lams = [2.7, 1.9 - 0.5j]
+    for n_b in (3 * step - 1, 3 * step, 3 * step + 1):
+        bs = rng.standard_normal((n_b, boundary.dim))
+        bs /= np.linalg.norm(bs, axis=1, keepdims=True)
+        got = boundary_slices(f, lams, bs)
+        ref, scale = dense_slice(f, lams, bs)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 @st.composite
@@ -823,6 +854,57 @@ def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
     fast = boundary_slices(f, lams)
     dense, _ = dense_slice(f, lams, boundary.directions)
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("boundary", [BoundaryGrid.disk(4), BoundaryGrid.sphere(64, 5)], ids=["disk", "sphere"])
+def test_fft_slice_over_several_row_chunks_matches_dense(boundary):
+    """Support rows filling three radial-row chunks of the FFT slice, minus and plus one row.
+
+    A chunk holds BLOCK // (n_rows m) rows; few azimuths keep the dense
+    oracle small while the chunks stay a few rows long.  The samples are
+    random and bounded away from zero, so every row carries weight.
+    """
+    from ballfourier.geometry import BLOCK
+
+    n_rows, _ = azimuthal_layout(boundary)
+    step = BLOCK // (n_rows * len(boundary))
+    rng = np.random.default_rng(23)
+    lams = [2.7, 1.9 - 0.5j]
+    for n_r in (3 * step - 1, 3 * step, 3 * step + 1):
+        f = _random_samples(n_r, boundary, rng)
+        fast = boundary_slices(f, lams)
+        dense, _ = dense_slice(f, lams, boundary.directions)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_sampling_and_slice_memory_stay_within_a_multiple_of_the_samples():
+    """Traced peaks of sample_bump and of a 6-lam grid slice on the pw-recovery d=3 grid.
+
+    128 radial nodes on the support and the 24 x 48 sphere: 2.25 MiB of
+    samples.  With every temporary in blocks of BLOCK entries the peaks
+    measured 4.6 (sample_bump) and 3.0 (boundary_slices) times the samples'
+    bytes; with whole-array temporaries they were 9.1 and 23.  Both must
+    stay under 6 times.
+    """
+    import tracemalloc
+
+    spec = BumpSpec(dim=3, radius=1.0, center=Isometry.translation([np.tanh(0.15), 0.0, 0.0]), alpha=0.3)
+    radial = RadialGrid.from_legendre(legendre_rule(128), spec.support_radius)
+    boundary = BoundaryGrid.sphere(24, 48)
+    lams = np.linspace(0.5, 3.0, 6)
+    tracemalloc.start()
+    try:
+        f = sample_bump(spec, radial, boundary)
+        sampled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        boundary_slices(f, lams)
+        sliced = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert f.values.nbytes == 128 * 1152 * 16
+    assert sampled <= 6 * f.values.nbytes
+    assert sliced <= 6 * f.values.nbytes
 
 
 def test_rotated_grid_takes_chebyshev_route():
