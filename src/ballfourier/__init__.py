@@ -7,14 +7,11 @@ CLI (`ballfourier`).
 """
 
 from .geometry import (
-    BoundaryPoint,
     GeometryError,
     Isometry,
     MobiusTranslation,
     Point,
     Rotation,
-    apply,
-    busemann,
     dist,
     point_to_polar,
     polar_to_point,
@@ -26,9 +23,6 @@ from .grids import (
     ConfigurationError,
     RadialGrid,
     SampledFunction,
-    SpectralGrid,
-    integrate_B,
-    integrate_X,
     k_average_profile,
     sample_bump,
 )

@@ -6,6 +6,7 @@ every default is visible in --help and echoed into results.json.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import get_type_hints
 
@@ -36,6 +37,12 @@ class ScenarioConfig:
         for key in ("radial_nodes", "boundary_nodes", "boundary_theta", "boundary_phi"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key.replace('_', '-')} must be positive")
+        for key in ("lambda_max", "bump_radius", "bump_shift", "bump_alpha"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key.replace('_', '-')} must be finite")
+        for key, tol in self.tolerances:
+            if not math.isfinite(tol):
+                raise ConfigError(f"--tol {key} must be finite")
         if self.lambda_max <= 0:
             raise ConfigError("lambda-max must be positive")
         if self.bump_radius <= 0:

@@ -14,8 +14,6 @@ import numpy as np
 
 # Interior points must satisfy |x| < 1 - BALL_TOL.
 BALL_TOL = 1e-12
-# Escape tolerance for isometry application (closed-ball consistency check).
-ESCAPE_TOL = 1e-10
 # Entries per block of every temporary sized samples x directions, samples x
 # coordinates or lam x radii: 1 MB of complex values, which stays in cache
 # and keeps a temporary's size independent of the grid's.
@@ -24,10 +22,6 @@ BLOCK = 2**16
 
 class GeometryError(ValueError):
     """Invalid geometric input (dimension mismatch, point outside the ball, ...)."""
-
-
-class InternalGeometryError(RuntimeError):
-    """An internal consistency check failed (result escaped the closed ball)."""
 
 
 def half_root_sum(dim: int) -> float:
@@ -60,25 +54,6 @@ class Point:
 
     def __repr__(self):
         return f"Point({self.coords.tolist()})"
-
-
-class BoundaryPoint:
-    """Point of the sphere at infinity; renormalized to |coords| = 1 on construction."""
-
-    __slots__ = ("coords", "dim")
-
-    def __init__(self, coords):
-        c = np.asarray(coords, dtype=float)
-        if c.ndim != 1 or c.shape[0] not in (2, 3):
-            raise GeometryError(f"boundary coordinates must be a 2- or 3-vector, got shape {c.shape}")
-        n = np.linalg.norm(c)
-        if n == 0.0:
-            raise GeometryError("boundary point cannot be the zero vector")
-        self.coords = c / n
-        self.dim = c.shape[0]
-
-    def __repr__(self):
-        return f"BoundaryPoint({self.coords.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -129,23 +104,12 @@ class Isometry:
         return Isometry((), dim)
 
     @staticmethod
-    def rotation(matrix) -> "Isometry":
-        m = np.asarray(matrix, dtype=float)
-        return Isometry((Rotation(m),), m.shape[0])
-
-    @staticmethod
     def translation(target) -> "Isometry":
         t = np.asarray(target, dtype=float)
         return Isometry((MobiusTranslation(t),), t.shape[0])
 
     def inverse(self) -> "Isometry":
         return Isometry(tuple(m.inverse() for m in reversed(self.moves)), self.dim)
-
-    def then(self, other: "Isometry") -> "Isometry":
-        """The isometry applying ``self`` first and ``other`` after."""
-        if self.dim != other.dim:
-            raise GeometryError("cannot compose isometries of different dimensions")
-        return Isometry(self.moves + other.moves, self.dim)
 
     def origin_image(self) -> np.ndarray:
         """Coordinates of g . 0."""
@@ -177,22 +141,6 @@ def apply_array(g: Isometry, x: np.ndarray) -> np.ndarray:
             y = y @ move.matrix.T
         else:
             y = mobius_shift(move.target, y)
-    return y
-
-
-def apply(g: Isometry, x):
-    """Apply an isometry to a Point or BoundaryPoint (or a bare interior array)."""
-    if isinstance(x, BoundaryPoint):
-        y = apply_array(g, x.coords)
-        if abs(np.linalg.norm(y) - 1.0) > ESCAPE_TOL:
-            raise InternalGeometryError("boundary action left the unit sphere")
-        return BoundaryPoint(y)
-    coords = _as_coords(x)
-    y = apply_array(g, coords)
-    if np.any(np.linalg.norm(np.atleast_2d(y), axis=-1) > 1.0 + ESCAPE_TOL):
-        raise InternalGeometryError("isometry pushed an interior point out of the closed ball")
-    if isinstance(x, Point):
-        return Point(y)
     return y
 
 
@@ -236,24 +184,13 @@ def pairwise_dist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return d2
 
 
-def busemann(x, b) -> float:
-    """Horocycle bracket <A(x, b), H0>: log((1 - |x|^2) / |x - b|^2).
-
-    Every exponent (i*lam + rho)(A(x, b)) in the transforms is
-    (i*lam + rho) * busemann(x, b).
-    """
-    cx = _as_coords(x)
-    cb = _as_coords(b)
-    if cx.shape != cb.shape:
-        raise GeometryError("busemann: dimension mismatch")
-    return float(np.log((1.0 - cx @ cx) / np.sum((cx - cb) ** 2)))
-
-
 def busemann_field(xs: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Busemann bracket matrix for interior coords xs (n, d) against boundary bs (m, d).
 
-    log(1 - |x|^2) - log(|x|^2 - 2 x.b + 1), using |x - b|^2 = |x|^2 - 2 x.b + 1
-    on the unit sphere.  Every step after the product x.b works in place in
+    The horocycle bracket <A(x, b), H0> = log((1 - |x|^2) / |x - b|^2): every
+    exponent (i*lam + rho)(A(x, b)) in the transforms is (i*lam + rho) times
+    an entry.  Evaluated as log(1 - |x|^2) - log(|x|^2 - 2 x.b + 1), using
+    |x - b|^2 = |x|^2 - 2 x.b + 1 on the unit sphere.  Every step after the product x.b works in place in
     the one (n, m) output buffer; scaling by 2 is exact, so the values are
     those of the one-expression formula bit for bit.
     """

@@ -3,7 +3,8 @@
 The polar product grid realizes the volume element
 dmu = S_{d-1} sinh^{d-1}(r) dr d(omega) with the boundary measure normalized
 to total mass 1 (so the spherical function is exactly 1 at the origin) and
-the sphere-area factor S_{d-1} kept in one place, inside integrate_X.
+the sphere-area factor S_{d-1} kept in one place, inside
+SampledFunction.radial_weights.
 
 Test functions are analytic bump specifications sampled on demand; off-grid
 evaluation always goes through the analytic descriptor, never interpolation.
@@ -187,28 +188,6 @@ def azimuthal_layout(boundary: BoundaryGrid):
 
 
 @dataclass(frozen=True)
-class SpectralGrid:
-    """Gauss-Legendre nodes on (0, lam_max]: the sampling grid of decay_report.
-
-    Spectral integrals size their own rules (transforms._pw_rule).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    lam_max: float
-
-    @staticmethod
-    def gauss_legendre(n: int, lam_max: float) -> "SpectralGrid":
-        if n <= 0 or lam_max <= 0:
-            raise ConfigurationError("spectral grid needs n > 0 and lam_max > 0")
-        nodes, weights = _affine(legendre_rule(n), 0.0, lam_max)
-        return SpectralGrid(nodes, weights, float(lam_max))
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
 class BumpSpec:
     """Analytic compactly supported test function.
 
@@ -228,7 +207,7 @@ class BumpSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ConfigurationError("bump radius must be positive")
         if self.center is None:
             object.__setattr__(self, "center", Isometry.identity(self.dim))
@@ -238,8 +217,11 @@ class BumpSpec:
             object.__setattr__(self, "axis", a)
         else:
             a = np.asarray(self.axis, dtype=float)
-            object.__setattr__(self, "axis", a / np.linalg.norm(a))
-        if abs(self.alpha) > 1.0:
+            norm = np.linalg.norm(a) if a.shape == (self.dim,) else 0.0
+            if not (np.isfinite(norm) and norm > 0.0):
+                raise ConfigurationError(f"bump axis must be a finite nonzero {self.dim}-vector, got {self.axis!r}")
+            object.__setattr__(self, "axis", a / norm)
+        if not abs(self.alpha) <= 1.0:
             raise ConfigurationError("angular modulation |alpha| must be <= 1")
         if self.profile not in ("smooth", "indicator"):
             raise ConfigurationError(f"unknown bump profile {self.profile!r}")
@@ -339,16 +321,6 @@ def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> S
     for i in range(0, len(rows), step):
         values[rows[i : i + step]] = spec(t[i : i + step, None, None] * boundary.directions)
     return f
-
-
-def integrate_X(f: SampledFunction) -> complex:
-    """Quadrature of f over the hyperbolic volume."""
-    return complex(np.sum(f.node_weights() * f.values))
-
-
-def integrate_B(values: np.ndarray, boundary: BoundaryGrid) -> complex:
-    """Normalized boundary integral (total mass 1) of samples on the grid."""
-    return complex(np.sum(boundary.weights * np.asarray(values)))
 
 
 def k_average_profile(f: SampledFunction, post_map: Isometry) -> SampledFunction:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import busemann_field, half_root_sum
-from .grids import BoundaryGrid, RadialGrid, SampledFunction, SpectralGrid, sample_bump
+from .grids import BoundaryGrid, RadialGrid, SampledFunction, _affine, legendre_rule, sample_bump
 # TransformRangeError is re-exported: the guard lives in boundary_slices.
 from .transforms import (
     OVERFLOW_EXPONENT,
@@ -37,8 +37,11 @@ from .transforms import (
 # Mean-value circle of holomorphy_circle_residual.
 _CIRCLE_RADIUS = 0.1
 _CIRCLE_NODES = 32
-# Highest polynomial order of decay_report.
+# Highest polynomial order of decay_report, and its sampling grid:
+# _DECAY_NODES Gauss-Legendre nodes on [0, _DECAY_LAM_MAX].
 _DECAY_MAX_ORDER = 4
+_DECAY_NODES = 300
+_DECAY_LAM_MAX = 48.0
 # estimate_type's first sigma window ends at _SIGMA_MAX (capped by the
 # overflow guard); every pass samples _N_SIGMA values.
 _SIGMA_MAX = 8.0
@@ -217,8 +220,8 @@ class DecayReport:
         }
 
 
-def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None) -> DecayReport:
-    """Windowed sups of (1 + lam)^N |fhat(lam, b)| over the last two dyadic windows.
+def decay_report(f: SampledFunction, b) -> DecayReport:
+    """Windowed sups of (1 + lam)^N |fhat(lam, b)| over the last two dyadic windows of [0, 48].
 
     For K-invariant inputs the slice equals the spherical transform and the
     radial path is used: the product grid's angular rule aliases once the
@@ -226,18 +229,16 @@ def decay_report(f: SampledFunction, b, sgrid: SpectralGrid = None) -> DecayRepo
     tails sit far below that noise floor.  ``b`` is one unit vector, checked
     on both paths (TransformUsageError).
     """
-    if sgrid is None:
-        sgrid = SpectralGrid.gauss_legendre(200, 24.0)
     bs = _as_directions(b, f.dim)
     if len(bs) != 1:
         raise TransformUsageError(f"decay_report takes one boundary point, got {len(bs)}")
+    lam, _ = _affine(legendre_rule(_DECAY_NODES), 0.0, _DECAY_LAM_MAX)
     try:  # spherical_transform scans the samples for K-invariance once
-        mags = np.abs(spherical_transform(f, sgrid.nodes))
+        mags = np.abs(spherical_transform(f, lam))
     except TransformUsageError:
-        mags = np.abs(boundary_slices(f, sgrid.nodes, bs)[:, 0])
-    lam = sgrid.nodes
-    lo = (lam >= 0.25 * sgrid.lam_max) & (lam < 0.5 * sgrid.lam_max)
-    hi = lam >= 0.5 * sgrid.lam_max
+        mags = np.abs(boundary_slices(f, lam, bs)[:, 0])
+    lo = (lam >= 0.25 * _DECAY_LAM_MAX) & (lam < 0.5 * _DECAY_LAM_MAX)
+    hi = lam >= 0.5 * _DECAY_LAM_MAX
     orders = tuple(range(_DECAY_MAX_ORDER + 1))
     if not np.any(mags):
         return DecayReport(orders, {n: (0.0, 0.0) for n in orders}, {n: True for n in orders}, True, vacuous=True)

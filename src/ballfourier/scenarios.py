@@ -23,7 +23,6 @@ from .grids import (
     BumpSpec,
     RadialGrid,
     SampledFunction,
-    SpectralGrid,
     legendre_rule,
     sample_bump,
 )
@@ -329,11 +328,10 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     # real-axis decay: smooth passes all orders, the rough profile must fail one.
     # Both bumps are centred, so decay_report reads only their radial profile
     # and one boundary direction carries it
-    dgrid = SpectralGrid.gauss_legendre(300, 48.0)
     smooth = _fitted(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), rule, one_direction)
     rough = _fitted(BumpSpec(dim=cfg.dim, radius=2.0, profile="indicator"), rule, one_direction)
-    rep_s = decay_report(smooth, b, sgrid=dgrid)
-    rep_r = decay_report(rough, b, sgrid=dgrid)
+    rep_s = decay_report(smooth, b)
+    rep_r = decay_report(rough, b)
     checks.append(_verdict("decay_smooth_passes", rep_s.passed))
     checks.append(_verdict("decay_rough_fails", not rep_r.passed, note=f"verdicts {rep_r.verdicts}"))
     artifacts["decay_smooth.json"] = serialize.report_to_json(rep_s)

@@ -779,8 +779,8 @@ class PlancherelReport:
     slice_norms: np.ndarray  # squared L^2(B) norm of the boundary slice at each node
 
 
-def plancherel_residual(f: SampledFunction, lam_max: float, kappa: float = KAPPA) -> PlancherelReport:
-    """|  ||f||^2 - kappa * double integral of |fhat|^2 |c|^-2 | / ||f||^2 over [0, lam_max].
+def plancherel_residual(f: SampledFunction, lam_max: float) -> PlancherelReport:
+    """|  ||f||^2 - KAPPA * double integral of |fhat|^2 |c|^-2 | / ||f||^2 over [0, lam_max].
 
     |fhat(lam, b)|^2 is entire in lam of type 2 support_radius, which sizes
     the _pw_rule on [0, lam_max]; ``lams`` of the report are its nodes.
@@ -794,9 +794,9 @@ def plancherel_residual(f: SampledFunction, lam_max: float, kappa: float = KAPPA
         slice_norms = (np.abs(boundary_slices(f, lams)) ** 2) @ f.boundary.weights
     rhs = float(np.sum(weights * dens * slice_norms))
     if lhs == 0.0:
-        return PlancherelReport(0.0, rhs, kappa, abs(rhs), 0.0, lams, dens, slice_norms)
-    residual = abs(lhs - kappa * rhs) / lhs
-    return PlancherelReport(lhs, rhs, kappa, residual, lhs / rhs, lams, dens, slice_norms)
+        return PlancherelReport(0.0, rhs, KAPPA, abs(rhs), 0.0, lams, dens, slice_norms)
+    residual = abs(lhs - KAPPA * rhs) / lhs
+    return PlancherelReport(lhs, rhs, KAPPA, residual, lhs / rhs, lams, dens, slice_norms)
 
 
 def kaverage_bridge_residual(f: SampledFunction, g: Isometry, lam_max: float) -> float:

@@ -1,4 +1,4 @@
-"""Sampled functions, bump specs, hypothesis strategies and the dense slice and convolution oracles that only the tests build."""
+"""Sampled functions, bump specs, one-point Busemann brackets, hypothesis strategies and the dense slice and convolution oracles that only the tests build."""
 
 from dataclasses import replace
 
@@ -18,7 +18,18 @@ def zero_function(dim: int, radial: RadialGrid, boundary: BoundaryGrid) -> Sampl
 
 def translate_bump(spec: BumpSpec, g: Isometry) -> BumpSpec:
     """Exact analytic translate: the bump of x -> f(g^{-1} x)."""
-    return replace(spec, center=spec.center.then(g))
+    return replace(spec, center=Isometry(spec.center.moves + g.moves, spec.dim))
+
+
+def unit(v) -> np.ndarray:
+    """v scaled to norm 1: a boundary direction."""
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def bracket(x, b) -> float:
+    """The Busemann bracket at one interior point x and one unit direction b: one entry of busemann_field."""
+    return float(busemann_field(np.atleast_2d(x), np.atleast_2d(b))[0, 0])
 
 
 def unit_vectors(dim: int):

@@ -171,6 +171,25 @@ def test_cli_negative_bump_shift_exits_2(tmp_path, run_cli):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (("plancherel", "--dim", "3", "--lambda-max", "nan"), "lambda-max"),
+        (("plancherel", "--dim", "3", "--bump-alpha", "nan"), "bump-alpha"),
+        (("plancherel", "--dim", "3", "--bump-radius", "inf"), "bump-radius"),
+        (("jeft-equivalence", "--dim", "2", "--bump-shift=inf"), "bump-shift"),
+        (("c-table", "--dim", "2", "--tol", "fit_retry_on_singular_radii=nan"), "--tol fit_retry_on_singular_radii"),
+    ],
+)
+def test_cli_nonfinite_value_exits_2(tmp_path, run_cli, args, key):
+    """A NaN or inf value is a configuration error: exit 2 before any output, not a scenario_error."""
+    out = tmp_path / "out"
+    r = run_cli("run", *args, "--out", str(out))
+    assert r.returncode == 2
+    assert f"error: {key} must be finite" in r.stderr
+    assert not out.exists()
+
+
 def test_cli_removed_spectral_nodes_config_key_exits_2(tmp_path, run_cli):
     path = tmp_path / "old.cfg"
     path.write_text("spectral_nodes = 200\n")

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ballfourier.geometry import BoundaryPoint, Isometry, random_rotation
-from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump
+from ballfourier.geometry import Isometry, random_rotation
+from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, sample_bump
 from ballfourier.paley_wiener import (
     TransformRangeError,
     decay_report,
@@ -36,14 +36,14 @@ def dense_ball(radius, shift=0.0, n_r=384):
 def test_forward_overflow_guard():
     f = dense_disk(1.0, n_r=64)
     with pytest.raises(TransformRangeError):
-        helgason_forward(f, 60.0j, BoundaryPoint([1.0, 0.0]))
+        helgason_forward(f, 60.0j, np.array([1.0, 0.0]))
     with pytest.raises(TransformRangeError):
         boundary_slices(f, [1.0, 60.0j])
 
 
 def test_conjugation_symmetry_for_real_valued_function():
     f = dense_disk(1.2, shift=0.4, n_r=256)
-    b = BoundaryPoint([0.6, 0.8])
+    b = np.array([0.6, 0.8])
     for lam in (0.7 + 0.3j, 2.0 - 0.5j):
         lhs = helgason_forward(f, -np.conj(lam), b)
         rhs = np.conj(helgason_forward(f, lam, b))
@@ -52,7 +52,7 @@ def test_conjugation_symmetry_for_real_valued_function():
 
 def test_holomorphy_circle_mean_value():
     f = dense_disk(1.0, shift=0.3, alpha=0.4, n_r=256)
-    b = BoundaryPoint([0.0, 1.0])
+    b = np.array([0.0, 1.0])
     rng = np.random.default_rng(14)
     centers = [complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(10)]
     assert np.all(holomorphy_circle_residual(f, np.array(centers), b) <= 1e-8)
@@ -79,7 +79,7 @@ def test_holomorphy_circle_matches_per_node_forward_loop(dim):
     dense, scale = (a[:, 0] for a in dense_slice(f, lams, b[None, :]))
     assert np.all(np.abs(batched - dense) <= 1e-13 * scale)
     expected = np.abs(dense[:-3].reshape(3, 32).mean(axis=1) - dense[-3:])
-    for point in (b, BoundaryPoint(b)):
+    for point in (b, b[None, :]):
         got = holomorphy_circle_residual(f, centers, point)
         assert got.shape == (3,)
         assert np.all(np.abs(got - expected) <= 2e-13 * scale[-3:])
@@ -197,7 +197,7 @@ def test_type_estimate_rotation_invariance():
     f = sample_bump(spec, radial, boundary)
     rng = np.random.default_rng(3)
     rot = random_rotation(rng, 2)
-    spec_rot = BumpSpec(dim=2, radius=1.0, center=spec.center.then(Isometry((rot,), 2)))
+    spec_rot = BumpSpec(dim=2, radius=1.0, center=Isometry(spec.center.moves + (rot,), 2))
     boundary_rot = BoundaryGrid(2, boundary.directions @ rot.matrix.T, boundary.weights)
     f_rot = sample_bump(spec_rot, radial, boundary_rot)
     probes = BoundaryGrid.disk(8).directions
@@ -231,14 +231,10 @@ def test_decay_report_rejects_bad_directions(alpha):
     """The radial path (alpha = 0) never reads b, and still checks it; so does the slice path."""
     spec = BumpSpec(dim=2, radius=1.0, alpha=alpha)
     f = sample_bump(spec, RadialGrid.gauss_legendre(64, 3.0), BoundaryGrid.disk(16))
-    sgrid = SpectralGrid.gauss_legendre(40, 8.0)
     for bad in BAD_DIRECTIONS + ([5.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]):
         with pytest.raises(TransformUsageError):
-            decay_report(f, bad, sgrid=sgrid)
-    assert decay_report(f, BoundaryPoint([0.6, 0.8]), sgrid=sgrid).orders
-
-
-DECAY_GRID = SpectralGrid.gauss_legendre(300, 48.0)
+            decay_report(f, bad)
+    assert decay_report(f, np.array([0.6, 0.8])).orders
 
 
 def test_decay_smooth_bump_passes_all_orders():
@@ -246,14 +242,14 @@ def test_decay_smooth_bump_passes_all_orders():
     # (1+lam)^4-weighted sup of an R = 2 bump turns over near lam = 14,
     # inside the lower window
     f = dense_disk(2.0)
-    rep = decay_report(f, BoundaryPoint([1.0, 0.0]), sgrid=DECAY_GRID)
+    rep = decay_report(f, np.array([1.0, 0.0]))
     assert rep.passed
     assert all(rep.verdicts[n] for n in rep.orders)
 
 
 def test_decay_rough_profile_fails_some_order():
     f = dense_disk(2.0, profile="indicator")
-    rep = decay_report(f, BoundaryPoint([1.0, 0.0]), sgrid=DECAY_GRID)
+    rep = decay_report(f, np.array([1.0, 0.0]))
     assert not rep.passed
     assert any(not rep.verdicts[n] for n in rep.orders if n <= 4)
 
@@ -269,8 +265,8 @@ def test_decay_report_of_centred_bump_on_one_direction_matches_full_grid(dim, pr
     else:
         full, one = BoundaryGrid.sphere(24, 48), BoundaryGrid.sphere(1, 1)
     b = np.eye(dim)[0]
-    a = decay_report(sample_bump(spec, radial, full), b, sgrid=DECAY_GRID)
-    c = decay_report(sample_bump(spec, radial, one), b, sgrid=DECAY_GRID)
+    a = decay_report(sample_bump(spec, radial, full), b)
+    c = decay_report(sample_bump(spec, radial, one), b)
     assert a.orders == c.orders
     assert a.verdicts == c.verdicts and a.passed == c.passed == (profile == "smooth")
     for n in a.orders:
@@ -279,5 +275,5 @@ def test_decay_report_of_centred_bump_on_one_direction_matches_full_grid(dim, pr
 
 def test_decay_zero_function_vacuous_pass():
     f = zero_function(2, RadialGrid.gauss_legendre(32, 5.0), BoundaryGrid.disk(32))
-    rep = decay_report(f, BoundaryPoint([1.0, 0.0]))
+    rep = decay_report(f, np.array([1.0, 0.0]))
     assert rep.passed and rep.vacuous

@@ -2,7 +2,7 @@
 
 import json
 
-from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SpectralGrid, sample_bump
+from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, sample_bump
 from ballfourier.paley_wiener import estimate_type
 from ballfourier.serialize import results_to_json, type_estimate_to_csv
 
@@ -10,13 +10,11 @@ from ballfourier.serialize import results_to_json, type_estimate_to_csv
 def small_field():
     radial = RadialGrid.gauss_legendre(24, 5.0)
     boundary = BoundaryGrid.disk(8)
-    f = sample_bump(BumpSpec(dim=2, radius=1.0), radial, boundary)
-    sgrid = SpectralGrid.gauss_legendre(5, 6.0)
-    return f, sgrid
+    return sample_bump(BumpSpec(dim=2, radius=1.0), radial, boundary)
 
 
 def test_type_estimate_csv():
-    f, _ = small_field()
+    f = small_field()
     est = estimate_type(f)
     csv = type_estimate_to_csv(est)
     lines = csv.split("\r\n")
