@@ -88,6 +88,42 @@ def _legendre_pair(x: np.ndarray, order, ends):
     return p_n, p_prev_n
 
 
+def legendre_table(l_max: int, x, m_max: int = None) -> np.ndarray:
+    """Normalized associated Legendre functions Pbar_l^m(x) for m <= m_max, m <= l <= l_max.
+
+    Shape (m_max + 1, l_max + 1, len(x)); entries with l < m are 0.
+    Pbar_l^m = sqrt((2l + 1) (l - m)! / (l + m)!) P_l^m with the
+    Condon-Shortley phase of scipy.special.lpmv, so that
+    1/2 int_{-1}^{1} Pbar_l^m(x)^2 dx = 1 and Pbar_l^|m|(cos theta) e^{i m phi}
+    are orthonormal on S^2 under the measure of total mass 1; Pbar_l^0 is
+    sqrt(2l + 1) P_l.  The diagonal is Pbar_m^m = -sqrt((2m + 1) / (2m))
+    sin(theta) Pbar_(m-1)^(m-1), and each l follows for every m < l at once
+    from the three-term recurrence
+
+        Pbar_l^m = a x Pbar_(l-1)^m - b Pbar_(l-2)^m,
+        a = sqrt((4l^2 - 1) / (l^2 - m^2)),
+        b = sqrt((2l + 1) ((l - 1)^2 - m^2) / ((2l - 3) (l^2 - m^2))),
+
+    whose b vanishes at m = l - 1.  m_max defaults to l_max.
+    """
+    m_max = l_max if m_max is None else m_max
+    x = np.asarray(x, dtype=float)
+    sin = np.sqrt((1.0 - x) * (1.0 + x))
+    out = np.zeros((m_max + 1, l_max + 1, len(x)))
+    out[0, 0] = 1.0
+    for m in range(1, m_max + 1):
+        out[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin * out[m - 1, m - 1]
+    for l in range(1, l_max + 1):
+        k = min(l, m_max + 1)
+        m = np.arange(k)
+        a = np.sqrt((4.0 * l * l - 1.0) / ((l - m) * (l + m)))[:, None]
+        np.multiply(a * x, out[:k, l - 1], out=out[:k, l])
+        if l >= 2:
+            b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m) / ((2.0 * l - 3.0) * (l - m) * (l + m)))
+            out[:k, l] -= b[:, None] * out[:k, l - 2]
+    return out
+
+
 def _affine(rule, a: float, b: float):
     """The rule (x, w) on [-1, 1] mapped to [a, b]."""
     x, w = rule
@@ -191,11 +227,14 @@ def azimuthal_layout(boundary: BoundaryGrid):
 class BumpSpec:
     """Analytic compactly supported test function.
 
-    value(x) = profile(dist(c, x) / radius) * (1 + alpha * <omega_rel, axis>)
+    value(x) = profile(dist(c, x) / radius) * (1 + alpha * <rel, axis> / tanh(radius / 2))
 
-    where c = center . origin, omega_rel is the polar direction of
-    center^{-1} x, profile(s) = exp(-1/(1-s^2)) for |s| < 1 (or the sharp
-    indicator 1_{s<1} for the non-smooth control profile).
+    where c = center . origin, rel = center^{-1} x in ball coordinates and
+    profile(s) = exp(-1/(1-s^2)) for |s| < 1 (or the sharp indicator
+    1_{s<1} for the non-smooth control profile).  On the support
+    |rel| <= tanh(radius / 2), so the modulation spans [1 - alpha, 1 + alpha];
+    it is linear in rel, so the smooth bump is smooth at its centre too, and
+    it is the K-type of degree 1 about the centre.
     """
 
     dim: int
@@ -252,10 +291,7 @@ class BumpSpec:
         else:
             vals[inside] = 1.0
         if self.alpha != 0.0:
-            mod = np.ones(len(flat))
-            nz = norms > 1e-15
-            mod[nz] += self.alpha * (rel[nz] @ self.axis) / norms[nz]
-            vals = vals * mod
+            vals = vals * (1.0 + self.alpha * (rel @ self.axis) / np.tanh(0.5 * self.radius))
         return (self.amplitude * vals).reshape(shape)
 
 

@@ -25,14 +25,21 @@ The Laplace-Beltrami stencil depends on the dimension only through the
 boundary sphere S^{d-1}: it is built on the d - 1 orthonormal tangent
 vectors at omega = x/|x| (_tangent_frame).
 
-The forward slice has two routes, both picked in boundary_slices:
+The forward slice has three routes, all picked in boundary_slices:
 
-- at the directions of a disk or sphere grid it is an exact FFT convolution
-  over the azimuth, whose kernel is folded by the grid's azimuth reflection
-  and polar-row symmetries (109,200 exponentials per lam on the 24 x 48
-  sphere with 28 support rows, 774,144 unfolded);
-- at explicit directions, or those of any other grid, it is a panelled
-  Chebyshev series in the Busemann value (_slices_chebyshev):
+- at the directions of a disk grid it is the grid's own sum as an exact FFT
+  convolution over the angle, whose kernel is folded by its reflection
+  (_slices_fft);
+- at the directions of a sphere grid, for real lam, it is the samples'
+  spherical harmonics (K-types) times the Funk-Hecke coefficients of the
+  kernel, exact in b for samples of the grid's own degree, where the grid's
+  sum aliases the kernel's angular bandwidth (_slices_ktype): 55-60
+  exponentials per support row and lam on the 24 x 48 sphere, about 1,500
+  per lam with 28 support rows, where the folded FFT convolution it
+  replaced took 109,200;
+- at explicit directions, those of any other grid, or complex lam on a
+  sphere grid, it is a panelled Chebyshev series in the Busemann value
+  (_slices_chebyshev):
   P = ceil(max|z| range(B) / 2) equal panels per direction,
   z = -i lam + rho, and N = 20 moments per panel built once per call, so
   each lam costs N + 1 + P exponentials per direction.  Against the dense
@@ -55,8 +62,9 @@ integral (_pw_rule): no node count is configured.
 Every temporary sized samples x directions is built in blocks of about
 geometry.BLOCK entries, whatever the grid: the FFT slice takes its radial
 rows, the Chebyshev slice its directions and poisson its points in chunks
-of that size, so the peak memory of a call follows the number of samples
-and of output values, not samples x directions.
+of that size, and the K-type slice builds nothing larger than the
+samples, so the peak memory of a call follows the number of samples and of
+output values, not samples x directions.
 
 spherical_transform, jeft_direct, invert and the residuals take batches
 and return batches: a scalar lam or a single point is a batch of one, and
@@ -93,6 +101,7 @@ from .grids import (
     k_average_profile,
     legendre_rule,
     legendre_rules,
+    legendre_table,
 )
 from .spectral import (
     c_function,
@@ -210,14 +219,18 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     Chebyshev-Lobatto nodes; any other lam pass through.  Then, for the lam
     that are evaluated:
 
-    - ``bs=None`` on the directions of ``BoundaryGrid.disk`` or
-      ``BoundaryGrid.sphere`` (``azimuthal_layout``): an exact circular
-      convolution in azimuth by FFT, with the kernel exponentiated once per
-      orbit of the grid's azimuth reflection and polar-row symmetries
-      (``_slices_fft``);
-    - an explicit ``bs``, or any other grid: panelled Chebyshev sums in the
-      Busemann value (``_slices_chebyshev``), within 1e-13 of the dense sum
-      relative to the sum of the terms' magnitudes (5e-14 measured).
+    - ``bs=None`` on the directions of ``BoundaryGrid.disk``
+      (``azimuthal_layout``): the grid's own sum as an exact circular
+      convolution by FFT, with the kernel exponentiated on the half of the
+      angles its reflection leaves (``_slices_fft``);
+    - ``bs=None`` on the directions of ``BoundaryGrid.sphere``, real lam:
+      the samples' spherical harmonics times the Funk-Hecke coefficients of
+      the kernel (``_slices_ktype``), exact in b for samples of the grid's
+      degree;
+    - an explicit ``bs``, any other grid, or complex lam on a sphere grid:
+      panelled Chebyshev sums in the Busemann value (``_slices_chebyshev``),
+      within 1e-13 of the dense sum relative to the sum of the terms'
+      magnitudes (5e-14 measured).
 
     A scalar lam is one spectral value.  Raises TransformUsageError for lam
     of ndim >= 2 and unless ``bs`` has shape (m, d) (one direction may be
@@ -232,10 +245,21 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
             f"|Im lam| * support = {growth:.1f} exceeds the overflow guard {OVERFLOW_EXPONENT}"
         )
     layout = azimuthal_layout(f.boundary) if bs is None else None
-    if layout is not None:
-        return _lam_route(lambda l: _slices_fft(f, l, *layout), lams, f.support_radius)
+    if layout is not None and f.dim == 2:
+        return _lam_route(lambda l: _slices_fft(f, l), lams, f.support_radius)
     bs = _as_directions(f.boundary.directions if bs is None else bs, f.dim)
-    return _lam_route(lambda l: _slices_chebyshev(f, l, bs), lams, f.support_radius)
+    if layout is None:
+        return _lam_route(lambda l: _slices_chebyshev(f, l, bs), lams, f.support_radius)
+
+    def sphere_slices(l):
+        out = np.empty((len(l), len(bs)), dtype=complex)
+        real = l.imag == 0
+        out[real] = _slices_ktype(f, l[real], *layout)
+        if not np.all(real):
+            out[~real] = _slices_chebyshev(f, l[~real], bs)
+        return out
+
+    return _lam_route(sphere_slices, lams, f.support_radius)
 
 
 def _pw_degree(omega: float) -> int:
@@ -449,88 +473,135 @@ def _panel_moments(s: np.ndarray, rate: float, weights: np.ndarray):
     return lo, h, moments.view(complex)[..., 0].T
 
 
-def _row_pair_orbits(n_rows: int):
-    """Orbits of the polar-row pairs (a, c) under a <-> c and (a, c) -> (n-1-c, n-1-a).
+def _real_times_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stacked product a @ b of a real array a and a complex array b, as one real product.
 
-    Returns the rows (a, c) of one representative per orbit and the (n_rows,
-    n_rows) orbit index of every pair.
+    The real matrix acts on the interleaved real and imaginary parts of b.
     """
-    a, c = np.indices((n_rows, n_rows))
-    flip = n_rows - 1
-    # pair code a n + c; an orbit's representative has the smallest code
-    images = [a * n_rows + c, c * n_rows + a, (flip - c) * n_rows + flip - a, (flip - a) * n_rows + flip - c]
-    reps, orbit = np.unique(np.minimum.reduce(images), return_inverse=True)
-    return reps // n_rows, reps % n_rows, orbit.reshape(n_rows, n_rows)
+    return (a @ np.ascontiguousarray(b, dtype=complex).view(float)).view(complex)
 
 
-def _slices_fft(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -> np.ndarray:
-    """boundary_slices on the grid's own directions by FFT over the azimuth.
+def _slices_fft(f: SampledFunction, lams: np.ndarray) -> np.ndarray:
+    """boundary_slices on the directions of ``BoundaryGrid.disk`` by FFT over the angle.
 
-    A sample tanh(r_i/2) w_(a,p) against the direction b_(c,s) (polar rows
-    a, c; azimuth indices p, s) has a Busemann value that depends only on
-    |x| and <w_(a,p), b_(c,s)>, which is a function of r_i, a, c and s - p.
-    So each slice row is a circular convolution in azimuth whose kernel
-    K_i(a, c, q) is the Busemann kernel of the azimuth-0 samples against the
-    directions.  The kernel has three exact symmetries of the disk and sphere
-    grids:
-
-    - azimuth reflection K(a, c, q) = K(a, c, n_phi - q), in both dimensions;
-    - polar-row exchange K(a, c, q) = K(c, a, q);
-    - polar flip K(a, c, q) = K(n-1-c, n-1-a, q), exact because
-      legendre_rule mirrors its nodes (cos theta_(n-1-a) = -cos theta_a).
-
-    The radial rows are taken in chunks of about BLOCK azimuth-0 samples x
-    directions (two rows on the 24 x 48 sphere, every row of a d = 2 grid
-    with up to BLOCK / m rows).  A chunk's Busemann values are built against
-    the half-azimuth directions q <= n_phi // 2 only and shared across lam.
-    Per lam only one representative of each orbit of row pairs is
-    exponentiated: n_support (n_phi // 2 + 1) n_orbits exponentials, with
-    n_orbits = 156 of the 576 row pairs for n_theta = 24 (109,200 in place
-    of 774,144 for the eigen-d3 grid), and n_orbits = 1 in d = 2
-    (n_rows = 1).  An even sequence has an even DFT, so the kernel's FFT is
-    a real cosine matrix on the half azimuth; the samples' FFT and the final
-    inverse FFT are plain FFTs.  The transformed representatives are spread
-    back to every row pair by one ``np.take`` along the orbit axis, and each
+    A sample tanh(r_i/2) w_p against the direction b_s has a Busemann value
+    that depends only on r_i and s - p, so each slice is a circular
+    convolution whose kernel K_i(q) is the Busemann kernel of the angle-0
+    samples against the directions.  The kernel is even, K(q) = K(n - q),
+    so per lam only the half q <= n // 2 is exponentiated,
+    n_support (n // 2 + 1) exponentials, and its DFT is a real cosine matrix
+    on the half; the samples' FFT and the final inverse FFT are plain FFTs.
+    The radial rows are taken in chunks of about BLOCK entries of rows x
+    directions, whose Busemann values are shared by every lam, and each
     chunk adds its part of the convolution to the accumulated FFT.
 
-    On the eigen-d3 grid (28 support rows; 2-vCPU VM, medians of 15 calls)
-    one lam takes 13 ms and each further lam about 6 ms, with a traced peak
-    of 2 MB; one chunk holding every row took 12 ms and 8 ms with an
-    11.4 MB peak.  Callers with several lam pass them in one call.
+    Exact K-type coefficients, as _slices_ktype takes on the sphere, would
+    make the slice exact in b here too, but the kernel's Fourier
+    coefficients need 2L + 2 samples per row, L the degree of _orbit_rule at
+    the largest support radius (L ~ 700 at R ~ 3), against n // 2 + 1.
     """
-    half = n_phi // 2 + 1
+    n = len(f.boundary)
+    half = n // 2 + 1
     mask = f.support_mask
-    wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
-    # (n_phi, rows, n_rows): frequency first, one matrix product per frequency
-    g_hat = np.ascontiguousarray(np.moveaxis(np.fft.fft(wv, axis=-1), -1, 0))
-    # (rows, n_rows, dim): the samples at azimuth index 0, tanh(r/2) omega
-    first = np.tanh(0.5 * f.radial.nodes[mask])[:, None, None] * f.boundary.directions[None, ::n_phi]
-    half_dirs = f.boundary.directions.reshape(n_rows, n_phi, f.dim)[:, :half].reshape(-1, f.dim)
-    rep_a, rep_c, orbit = _row_pair_orbits(n_rows)
-    # DFT of the even extension: multiplicity 1 at q = 0 and q = n_phi / 2, else 2
+    wv = f.node_weights()[mask] * f.values[mask]
+    # (n, 1, rows): frequency first, one product per frequency
+    g_hat = np.ascontiguousarray(np.fft.fft(wv, axis=-1).T).reshape(n, 1, -1)
+    first = np.tanh(0.5 * f.radial.nodes[mask])[:, None] * f.boundary.directions[0]
+    # DFT of the even extension: multiplicity 1 at q = 0 and q = n / 2, else 2
     q = np.arange(half)
-    mult = np.where((q == 0) | (2 * q == n_phi), 1.0, 2.0)
-    cosine = np.cos(2.0 * np.pi * (np.outer(q, q) % n_phi) / n_phi) * mult
+    mult = np.where((q == 0) | (2 * q == n), 1.0, 2.0)
+    cosine = np.cos(2.0 * np.pi * (np.outer(q, q) % n) / n) * mult
     rho = half_root_sum(f.dim)
-    acc = np.zeros((len(lams), n_rows, n_phi), dtype=complex)
-    # radial rows per chunk: BLOCK entries of azimuth-0 samples x directions
-    step = max(1, BLOCK // (n_rows * len(f.boundary)))
+    acc = np.zeros((len(lams), n), dtype=complex)
+    step = max(1, BLOCK // n)
     for i in range(0, len(first), step):
-        B = busemann_field(first[i : i + step].reshape(-1, f.dim), half_dirs)
-        B = B.reshape(-1, n_rows, n_rows, half)[:, rep_a, rep_c]
-        B = np.ascontiguousarray(np.moveaxis(B, -1, 0))  # (half, rows, n_orbits)
-        g = g_hat[:, i : i + step].reshape(n_phi, 1, -1)
-        kernel = np.empty(B.shape, dtype=complex)
+        B = np.ascontiguousarray(busemann_field(first[i : i + step], f.boundary.directions[:half]).T)
+        g = g_hat[:, :, i : i + step]
+        kernel = np.empty(B.shape, dtype=complex)  # (half, rows)
         for k, lam in enumerate(lams):
             np.multiply(-1j * lam + rho, B, out=kernel)
             np.exp(kernel, out=kernel)
-            # the real cosine matrix acts on the interleaved real and imaginary parts
-            k_hat = (cosine @ kernel.reshape(half, -1).view(float)).view(complex)
-            k_hat = np.take(k_hat.reshape(half, -1, kernel.shape[-1]), orbit.ravel(), axis=2)
-            k_hat = k_hat.reshape(half, -1, n_rows)
-            acc[k, :, :half] += (g[:half] @ k_hat)[:, 0].T
-            acc[k, :, half:] += (g[half:] @ k_hat[n_phi - half : 0 : -1])[:, 0].T
-    return np.fft.ifft(acc, axis=-1).reshape(len(lams), n_rows * n_phi)
+            k_hat = _real_times_complex(cosine, kernel).reshape(half, -1, 1)
+            acc[k, :half] += (g[:half] @ k_hat)[:, 0, 0]
+            acc[k, half:] += (g[half:] @ k_hat[n - half : 0 : -1])[:, 0, 0]
+    return np.fft.ifft(acc, axis=-1)
+
+
+def _slices_ktype(f: SampledFunction, lams: np.ndarray, n_rows: int, n_phi: int) -> np.ndarray:
+    """boundary_slices on the directions of ``BoundaryGrid.sphere`` by K-types (Funk-Hecke), real lam.
+
+    The kernel e^{z A} (z = -i lam + rho) of a sample tanh(r_i/2) omega
+    against b depends only on u = <omega, b>, so by Funk-Hecke (Helgason,
+    Groups and Geometric Analysis, Ch. IV) it maps the spherical harmonic
+    Y_lm(omega) = Pbar_l^|m|(cos theta) e^{i m phi} (legendre_table) to
+    k_l(lam, r_i) Y_lm(b), k_l = 1/2 int_{-1}^{1} e^{z A} P_l(u) du.  The
+    slice is sum_lm a_lm(lam) Y_lm(b), a_lm = sum_i F_lm(i) k_l(lam, r_i):
+
+    1. once per call, F_lm(i), the harmonics of support row i's weighted
+       samples, by the azimuthal FFT and the grid's Gauss-Legendre weights
+       in cos theta, for l <= l_max = min(n_rows - 1, (n_phi - 1) // 2),
+       the degree to which the grid integrates Y_lm conj(Y_l'm') exactly;
+    2. per lam, k_l in the Busemann value A itself.  Along row i,
+       e^(r - A) = 1 + e^r sinh(r) (1 - u), so u = 1 - expm1(r - A) /
+       (e^r sinh r) with no cancellation, du = e^-A dA / sinh r and
+
+           k_l = 1 / (2 sinh r) int_{-r}^{r} e^{(z - 1) A} P_l(u(A)) dA,
+
+       z - 1 = -i lam in d = 3: an entire integrand, where in u it peaks
+       like the Poisson kernel at u = 1.  One Gauss-Legendre rule in A / r
+       per lam, of ceil((N + 1) / 2) nodes, N = _pw_degree(R (|lam| +
+       l_max)) + l_max with R the largest support row radius:
+       e^{-i lam r x} has Chebyshev degree _pw_degree(|lam| r), and
+       P_l(u(r x)) measured degree 34, 61 and 95 for l = 23 at r = 0.05, 1
+       and 3 (coefficients below 3e-15) against N = 53, 97 and 158 at
+       lam = 0.  One exponential per support row and node, 55-60 per row on
+       the 24 x 48 scenario grids;
+    3. per lam, the synthesis on the grid by Legendre sums in cos theta and
+       one inverse FFT in azimuth.
+
+    The slice is exact in b for samples of degree <= l_max, where the
+    grid's own sum aliases the kernel's angular bandwidth, about
+    lam sinh r.  Each lam takes its own rule and the operations it takes
+    alone, so its slice does not depend on the other lam of the call.
+    In u the sums lose digits to the peak: rules in u of neighbouring sizes
+    (from _orbit_rule's degree plus l_max up) disagreed by up to 4e-11 of
+    1/2 int |e^{z A} P_l| du at r = 3, against 2e-13 in A, and the lam
+    route's interpolated slices then differed from per-lam ones by 2.2e-13
+    of the K-type terms, against 8.3e-15 in A; in A the slices move by less
+    than 1e-14 of the terms when _pw_degree is doubled (tests).  At complex
+    lam the kernel peaks by e^{|Im lam| r}, and the truncated harmonics read
+    worse than the grid's own sum on coarse grids (14 against 0.07 relative
+    at lam = 5 + 29i on 8 x 16), so boundary_slices sends those to the
+    grid's sum.
+    """
+    l_max = min(n_rows - 1, (n_phi - 1) // 2)
+    mask = f.support_mask
+    out = np.zeros((len(lams), n_rows, n_phi), dtype=complex)
+    radii = f.radial.nodes[mask]
+    if len(radii) == 0 or len(lams) == 0:
+        return out.reshape(len(lams), n_rows * n_phi)
+    ms = np.arange(-l_max, l_max + 1)
+    # Y_lm on the polar rows for signed m, (m, row, l)
+    ylm = np.ascontiguousarray(legendre_table(l_max, f.boundary.directions[::n_phi, 2])[np.abs(ms)].transpose(0, 2, 1))
+    wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
+    g = np.fft.fft(wv, axis=-1)[..., ms % n_phi].transpose(2, 1, 0)  # (m, polar row, support row)
+    # F_lm(i), (l, m, i)
+    harmonics = np.ascontiguousarray(_real_times_complex(ylm.transpose(0, 2, 1), g).transpose(1, 0, 2))
+    growth = np.exp(radii) * np.sinh(radii)
+    jacobian = 0.5 * radii / np.sinh(radii)
+    legendre_norm = np.sqrt(2.0 * np.arange(l_max + 1) + 1.0)[:, None, None]
+    r_max = np.max(radii)
+    counts = [(_pw_degree(r_max * (abs(lam) + l_max)) + l_max + 2) // 2 for lam in lams]
+    rho = half_root_sum(f.dim)
+    for k, (lam, (x, w)) in enumerate(zip(lams, legendre_rules(counts))):
+        busemann = radii[:, None] * x
+        u = 1.0 - np.expm1(radii[:, None] - busemann) / growth[:, None]
+        p_l = legendre_table(l_max, u.ravel(), 0)[0].reshape(l_max + 1, *u.shape) / legendre_norm
+        terms = np.exp((-1j * lam + rho - 1.0) * busemann) * (jacobian[:, None] * w)
+        coef = _real_times_complex(p_l.transpose(1, 0, 2), terms[:, :, None])[..., 0]  # k_l(lam, r_i), (i, l)
+        a = harmonics @ coef.T[:, :, None]  # a_lm(lam), (l, m, 1)
+        out[k][:, ms % n_phi] = _real_times_complex(ylm, a[..., 0].T[:, :, None])[..., 0].T
+    return np.fft.ifft(out, axis=-1, norm="forward").reshape(len(lams), -1)
 
 
 def poisson(F, boundary: BoundaryGrid, lam: complex, x):

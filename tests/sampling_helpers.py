@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ballfourier.geometry import Isometry, busemann_field, pairwise_dist
-from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction
+from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction, azimuthal_layout, legendre_table
 from ballfourier.spectral import spherical_phi
 from ballfourier.transforms import _support_data
 
@@ -49,6 +49,26 @@ def dense_slice(f: SampledFunction, lams, bs):
     wv = (f.node_weights()[mask] * f.values[mask]).ravel()
     kernels = np.exp((-1j * np.asarray(lams)[:, None, None] + 0.5 * (f.dim - 1)) * busemann_field(pts, bs))
     return np.einsum("i,kij->kj", wv, kernels), np.einsum("i,kij->kj", np.abs(wv), np.abs(kernels))
+
+
+def ktype_terms_magnitude(f: SampledFunction) -> np.ndarray:
+    """A bound on the magnitudes of the terms the K-type slice sums, for real lam, at each direction of f's sphere grid.
+
+    The slice at b is sum_(l, m, i) F_lm(i) k_l(lam, tau_i) Y_lm(b), with
+    F_lm(i) the harmonics of support row i's weighted samples and
+    |k_l(lam, tau_i)| <= 1/2 int |e^{(-i lam + rho) A}| du = phi_0(r_i) for
+    real lam, so the bound is sum_(l, m, i) |F_lm(i)| phi_0(r_i) |Y_lm(b)|,
+    shape (m,).
+    """
+    n_rows, n_phi = azimuthal_layout(f.boundary)
+    l_max = min(n_rows - 1, (n_phi - 1) // 2)
+    ms = np.arange(-l_max, l_max + 1)
+    mask = f.support_mask
+    ylm = legendre_table(l_max, f.boundary.directions[::n_phi, 2])[np.abs(ms)]
+    wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
+    harmonics = np.abs(np.einsum("mla,iam->lmi", ylm, np.fft.fft(wv, axis=-1)[..., ms % n_phi]))
+    phi0 = spherical_phi(3, 0.0, f.radial.nodes[mask]).real
+    return np.repeat(np.einsum("lmi,i,mla->a", harmonics, phi0, np.abs(ylm)), n_phi)
 
 
 def direct_convolution(f: SampledFunction, lams, xs):
