@@ -51,6 +51,8 @@ class ScenarioConfig:
             raise ConfigError("bump-shift must be nonnegative")
         if abs(self.bump_alpha) > 1:
             raise ConfigError("bump-alpha must satisfy |alpha| <= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.timing not in ("wall", "zero"):
             raise ConfigError("timing must be 'wall' or 'zero'")
         return self

@@ -88,11 +88,11 @@ def _legendre_pair(x: np.ndarray, order, ends):
     return p_n, p_prev_n
 
 
-def legendre_table(l_max: int, x, m_max: int = None) -> np.ndarray:
-    """Normalized associated Legendre functions Pbar_l^m(x) for m <= m_max, m <= l <= l_max.
+def legendre_table(l_max: int, x) -> np.ndarray:
+    """Normalized associated Legendre functions Pbar_l^m(x) for m <= l <= l_max.
 
-    Shape (m_max + 1, l_max + 1, len(x)); entries with l < m are 0.
-    Pbar_l^m = sqrt((2l + 1) (l - m)! / (l + m)!) P_l^m with the
+    Shape (l_max + 1, l_max + 1, len(x)), indexed [m, l]; entries with l < m
+    are 0.  Pbar_l^m = sqrt((2l + 1) (l - m)! / (l + m)!) P_l^m with the
     Condon-Shortley phase of scipy.special.lpmv, so that
     1/2 int_{-1}^{1} Pbar_l^m(x)^2 dx = 1 and Pbar_l^|m|(cos theta) e^{i m phi}
     are orthonormal on S^2 under the measure of total mass 1; Pbar_l^0 is
@@ -104,23 +104,21 @@ def legendre_table(l_max: int, x, m_max: int = None) -> np.ndarray:
         a = sqrt((4l^2 - 1) / (l^2 - m^2)),
         b = sqrt((2l + 1) ((l - 1)^2 - m^2) / ((2l - 3) (l^2 - m^2))),
 
-    whose b vanishes at m = l - 1.  m_max defaults to l_max.
+    whose b vanishes at m = l - 1.
     """
-    m_max = l_max if m_max is None else m_max
     x = np.asarray(x, dtype=float)
     sin = np.sqrt((1.0 - x) * (1.0 + x))
-    out = np.zeros((m_max + 1, l_max + 1, len(x)))
+    out = np.zeros((l_max + 1, l_max + 1, len(x)))
     out[0, 0] = 1.0
-    for m in range(1, m_max + 1):
+    for m in range(1, l_max + 1):
         out[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin * out[m - 1, m - 1]
     for l in range(1, l_max + 1):
-        k = min(l, m_max + 1)
-        m = np.arange(k)
+        m = np.arange(l)
         a = np.sqrt((4.0 * l * l - 1.0) / ((l - m) * (l + m)))[:, None]
-        np.multiply(a * x, out[:k, l - 1], out=out[:k, l])
+        np.multiply(a * x, out[:l, l - 1], out=out[:l, l])
         if l >= 2:
             b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m) / ((2.0 * l - 3.0) * (l - m) * (l + m)))
-            out[:k, l] -= b[:, None] * out[:k, l - 2]
+            out[:l, l] -= b[:, None] * out[:l, l - 2]
     return out
 
 
@@ -165,11 +163,18 @@ class BoundaryGrid:
 
     dim == 2: uniform angles, weight 1/M each.
     dim == 3: Gauss-Legendre in cos(theta) times uniform azimuth.
+
+    ``layout`` is (n_rows, n_phi) on the grids of ``disk`` (one row) and
+    ``sphere``, whose rows are uniform in azimuth, which makes kernels of the
+    angle between two grid directions circulant in the azimuth difference;
+    any other set of directions, a rotated or permuted copy among them,
+    carries None.
     """
 
     dim: int
     directions: np.ndarray  # (m, dim) unit vectors
     weights: np.ndarray  # (m,), sums to 1
+    layout: tuple = None
 
     @staticmethod
     def disk(n: int) -> "BoundaryGrid":
@@ -177,7 +182,7 @@ class BoundaryGrid:
             raise ConfigurationError("boundary grid needs n > 0")
         theta = 2.0 * np.pi * np.arange(n) / n
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return BoundaryGrid(2, dirs, np.full(n, 1.0 / n))
+        return BoundaryGrid(2, dirs, np.full(n, 1.0 / n), (1, n))
 
     @staticmethod
     def sphere(n_theta: int, n_phi: int) -> "BoundaryGrid":
@@ -194,33 +199,10 @@ class BoundaryGrid:
             dirs[sl, 1] = sin_theta[i] * np.sin(phi)
             dirs[sl, 2] = mu[i]
             weights[sl] = w_mu[i] / (2.0 * n_phi)
-        return BoundaryGrid(3, dirs, weights)
+        return BoundaryGrid(3, dirs, weights, (n_theta, n_phi))
 
     def __len__(self):
         return len(self.weights)
-
-
-def azimuthal_layout(boundary: BoundaryGrid):
-    """(n_rows, n_phi) when the directions are exactly those of disk/sphere, else None.
-
-    Those grids are uniform in azimuth row by row (one row for d = 2), which
-    makes kernels of the angle between two grid directions circulant in the
-    azimuth difference.
-    """
-    dirs = boundary.directions
-    if len(dirs) == 0:
-        return None
-    if boundary.dim == 2:
-        n_rows, n_phi = 1, len(dirs)
-        expected = BoundaryGrid.disk(n_phi)
-    else:
-        # one polar row per Gauss-Legendre node, all sharing the first row's z
-        n_phi = int(np.count_nonzero(dirs[:, 2] == dirs[0, 2]))
-        n_rows = len(dirs) // max(n_phi, 1)
-        if n_rows * n_phi != len(dirs):
-            return None
-        expected = BoundaryGrid.sphere(n_rows, n_phi)
-    return (n_rows, n_phi) if np.array_equal(dirs, expected.directions) else None
 
 
 @dataclass(frozen=True)

@@ -418,10 +418,13 @@ SCENARIOS = {
 
 # Per-scenario default grid profiles (dim-dependent), applied under user
 # config; chosen so each scenario meets its tolerance within its time budget.
-# radial_nodes counts Gauss-Legendre nodes on the bump's support, where each
-# scenario fits its radial rule; a profile sets the spectral range lambda_max
-# only, and every spectral rule is sized inside transforms from the
-# Paley-Wiener type of its integrand.
+# Each profile lists every configuration key its scenario reads besides
+# _RUN_KEYS, which every run reads; a key given to a scenario that does not
+# read it is a ConfigError, never a silent ignore.  radial_nodes counts
+# Gauss-Legendre nodes on the bump's support, where each scenario fits its
+# radial rule; a profile sets the spectral range lambda_max only, and every
+# spectral rule is sized inside transforms from the Paley-Wiener type of its
+# integrand.
 _PROFILES = {
     "jeft-equivalence": {
         2: dict(radial_nodes=32, boundary_nodes=256,
@@ -431,21 +434,21 @@ _PROFILES = {
     },
     "inversion": {
         2: dict(radial_nodes=54, boundary_nodes=160,
-                lambda_max=24.0, bump_radius=2.0, bump_shift=0.4),
+                lambda_max=24.0, bump_radius=2.0, bump_shift=0.4, bump_alpha=0.0),
         3: dict(radial_nodes=76, boundary_theta=8, boundary_phi=16,
-                lambda_max=40.0, bump_radius=2.5),
+                lambda_max=40.0, bump_radius=2.5, bump_shift=0.0, bump_alpha=0.0),
     },
     "plancherel": {
         2: dict(radial_nodes=54, boundary_nodes=128,
                 lambda_max=24.0, bump_radius=2.0, bump_shift=0.4, bump_alpha=0.5),
         3: dict(radial_nodes=76, boundary_theta=8, boundary_phi=16,
-                lambda_max=40.0, bump_radius=2.5),
+                lambda_max=40.0, bump_radius=2.5, bump_shift=0.0, bump_alpha=0.0),
     },
     "kaverage-bridge": {
         2: dict(radial_nodes=90, boundary_nodes=256,
-                lambda_max=10.0, bump_radius=1.0, bump_shift=0.5),
+                lambda_max=10.0, bump_radius=1.0, bump_shift=0.5, bump_alpha=0.0),
         3: dict(radial_nodes=56, boundary_theta=24, boundary_phi=48,
-                lambda_max=6.0, bump_radius=1.0, bump_shift=0.5),
+                lambda_max=6.0, bump_radius=1.0, bump_shift=0.5, bump_alpha=0.0),
     },
     "functional-equation": {
         2: dict(radial_nodes=32, boundary_nodes=256,
@@ -454,15 +457,16 @@ _PROFILES = {
                 bump_radius=1.2, bump_shift=0.3, bump_alpha=0.6),
     },
     "asymptotic": {
-        2: dict(radial_nodes=30, boundary_nodes=64, bump_radius=2.0),
+        2: dict(radial_nodes=30, boundary_nodes=64,
+                bump_radius=2.0, bump_shift=0.0, bump_alpha=0.0),
         3: dict(radial_nodes=30, boundary_theta=12, boundary_phi=24,
-                bump_radius=2.0),
+                bump_radius=2.0, bump_shift=0.0, bump_alpha=0.0),
     },
     "eigen": {
         2: dict(radial_nodes=28, boundary_nodes=256,
-                bump_radius=1.2, bump_alpha=0.5),
+                bump_radius=1.2, bump_shift=0.0, bump_alpha=0.5),
         3: dict(radial_nodes=28, boundary_theta=24, boundary_phi=48,
-                bump_radius=1.2, bump_alpha=0.5),
+                bump_radius=1.2, bump_shift=0.0, bump_alpha=0.5),
     },
     "pw-recovery": {
         2: dict(radial_nodes=170, boundary_nodes=128),
@@ -472,32 +476,12 @@ _PROFILES = {
     "calibrate": {2: {}, 3: {}},
 }
 
-
-# The configuration keys each scenario reads besides _RUN_KEYS, which every
-# run reads; of the boundary keys each dimension reads its own
-# (_OTHER_DIM_KEYS are the other dimension's).  A key given to a scenario
-# that does not read it is a ConfigError, never a silent ignore.
 _RUN_KEYS = ("dim", "seed", "out_dir", "timing", "tolerances")
-_OTHER_DIM_KEYS = {2: ("boundary_theta", "boundary_phi"), 3: ("boundary_nodes",)}
-_GRID_KEYS = ("radial_nodes", "boundary_nodes", "boundary_theta", "boundary_phi")
-_BUMP_KEYS = ("bump_radius", "bump_shift", "bump_alpha")
-_READS = {
-    "inversion": _GRID_KEYS + ("lambda_max",) + _BUMP_KEYS,
-    "plancherel": _GRID_KEYS + ("lambda_max",) + _BUMP_KEYS,
-    "jeft-equivalence": _GRID_KEYS + _BUMP_KEYS,
-    "kaverage-bridge": _GRID_KEYS + ("lambda_max",) + _BUMP_KEYS,
-    "functional-equation": _GRID_KEYS + _BUMP_KEYS,
-    "asymptotic": _GRID_KEYS + _BUMP_KEYS,
-    "eigen": _GRID_KEYS + _BUMP_KEYS,
-    "pw-recovery": _GRID_KEYS,
-    "c-table": (),
-    "calibrate": (),
-}
 
 
 def scenario_keys(name: str, dim: int) -> tuple:
-    """The configuration keys scenario ``name`` reads at dimension ``dim``, besides _RUN_KEYS."""
-    return tuple(k for k in _READS[name] if k not in _OTHER_DIM_KEYS[dim])
+    """The configuration keys scenario ``name`` reads at dimension ``dim``, besides _RUN_KEYS: its profile's."""
+    return tuple(_PROFILES[name][dim])
 
 
 def check_keys_read(name: str, dim: int, keys) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ballfourier.geometry import Isometry, busemann_field, pairwise_dist
-from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction, azimuthal_layout, legendre_table
+from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction, legendre_table
 from ballfourier.spectral import spherical_phi
 from ballfourier.transforms import _support_data
 
@@ -60,7 +60,7 @@ def ktype_terms_magnitude(f: SampledFunction) -> np.ndarray:
     real lam, so the bound is sum_(l, m, i) |F_lm(i)| phi_0(r_i) |Y_lm(b)|,
     shape (m,).
     """
-    n_rows, n_phi = azimuthal_layout(f.boundary)
+    n_rows, n_phi = f.boundary.layout
     l_max = min(n_rows - 1, (n_phi - 1) // 2)
     ms = np.arange(-l_max, l_max + 1)
     mask = f.support_mask

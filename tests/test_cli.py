@@ -171,6 +171,16 @@ def test_cli_negative_bump_shift_exits_2(tmp_path, run_cli):
     assert not out.exists()
 
 
+def test_cli_negative_seed_exits_2(tmp_path, run_cli):
+    """numpy's default_rng rejects a negative seed; the configuration rejects it first, before any output."""
+    out = tmp_path / "ct"
+    r = run_cli("run", "c-table", "--dim", "2", "--seed", "-1", "--out", str(out))
+    assert r.returncode == 2
+    assert "seed must be nonnegative" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args,key",
     [

@@ -12,7 +12,6 @@ from ballfourier.grids import (
     BumpSpec,
     ConfigurationError,
     RadialGrid,
-    azimuthal_layout,
     k_average_profile,
     legendre_rule,
     legendre_rules,
@@ -130,8 +129,7 @@ def test_legendre_table_matches_scipy_lpmv():
     """Pbar_l^m = sqrt((2l + 1) (l - m)! / (l + m)!) P_l^m, Condon-Shortley phase, for m <= l <= 40.
 
     Measured within 1.4e-14 of scipy's lpmv on 101 points of [-1, 1],
-    relative to max(1, |value|); entries with l < m are exact zeros, and
-    m_max = 0 gives the m = 0 rows alone.
+    relative to max(1, |value|); entries with l < m are exact zeros.
     """
     x = np.linspace(-1.0, 1.0, 101)
     table = legendre_table(40, x)
@@ -141,7 +139,6 @@ def test_legendre_table_matches_scipy_lpmv():
             ref = lpmv(m, l, x) * np.sqrt((2 * l + 1) * factorial(l - m, exact=True) / factorial(l + m, exact=True))
             assert np.max(np.abs(table[m, l] - ref)) <= 5e-14 * max(1.0, np.max(np.abs(ref)))
         assert np.all(table[l + 1 :, l] == 0.0)
-    assert np.array_equal(legendre_table(40, x, 0), table[:1])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -387,18 +384,26 @@ def test_translate_bump_matches_composition():
     + [(BoundaryGrid.sphere(*rows), rows) for rows in ((1, 1), (1, 5), (2, 3), (5, 1), (7, 9), (24, 48))],
 )
 def test_azimuthal_layout_recognizes_constructor_grids(grid, layout):
-    assert azimuthal_layout(grid) == layout
+    """disk and sphere record their (n_rows, n_phi) azimuthal layout, and the directions follow it row by row."""
+    assert grid.layout == layout
+    n_rows, n_phi = layout
+    rows = grid.directions.reshape(n_rows, n_phi, grid.dim)
+    azimuth = np.arctan2(rows[..., 1], rows[..., 0]) % (2.0 * np.pi)
+    if grid.dim == 3:
+        assert np.all(rows[..., 2] == rows[:, :1, 2])
+    assert np.allclose(azimuth, 2.0 * np.pi * np.arange(n_phi) / n_phi, atol=1e-12)
 
 
 @pytest.mark.parametrize("grid", [BoundaryGrid.disk(16), BoundaryGrid.sphere(6, 8)])
 def test_azimuthal_layout_rejects_rotated_or_permuted_grids(grid):
+    """Only the constructors set a layout: rotated, permuted and hand-built grids carry None."""
     rot = random_rotation(np.random.default_rng(5), grid.dim)
     rotated = BoundaryGrid(grid.dim, grid.directions @ rot.matrix.T, grid.weights)
-    assert azimuthal_layout(rotated) is None
+    assert rotated.layout is None
     # a shift of the azimuth index, and a reversal of the direction order
     for perm in (np.roll(np.arange(len(grid)), 1), np.arange(len(grid))[::-1]):
         permuted = BoundaryGrid(grid.dim, grid.directions[perm], grid.weights[perm])
-        assert azimuthal_layout(permuted) is None
-    # a copy with identical directions is recognized: the test is on values, not identity
+        assert permuted.layout is None
+    # a copy built by hand carries None too, though its directions are the grid's
     copy = BoundaryGrid(grid.dim, grid.directions.copy(), grid.weights.copy())
-    assert azimuthal_layout(copy) == azimuthal_layout(grid)
+    assert copy.layout is None and grid.layout is not None

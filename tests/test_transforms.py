@@ -24,7 +24,6 @@ from ballfourier.grids import (
     BumpSpec,
     RadialGrid,
     SampledFunction,
-    azimuthal_layout,
     _affine,
     legendre_rule,
     sample_bump,
@@ -36,7 +35,9 @@ from ballfourier.transforms import (
     KAPPA,
     OVERFLOW_EXPONENT,
     TransformUsageError,
+    _funk_hecke,
     _lam_route,
+    _orbit_degree,
     _pw_degree,
     _pw_rule,
     _slices_chebyshev,
@@ -550,7 +551,7 @@ def chebyshev_cases(draw):
 def test_fft_slice_matches_dense_oracle(case):
     """The disk's FFT slice is the grid's own sum; the sphere's K-type slice has its own tests below."""
     f, lams = case
-    assert azimuthal_layout(f.boundary) is not None
+    assert f.boundary.layout is not None
     fast = boundary_slices(f, lams)
     dense, _ = dense_slice(f, lams, f.boundary.directions)
     assert fast.shape == dense.shape == (len(lams), len(f.boundary))
@@ -743,13 +744,12 @@ def test_pw_degree_rule_against_bessel_values():
 def test_lam_route_passes_other_calls_through_bit_for_bit(dim, disk_bumps, ball_bumps):
     """Complex lam, one lam and N + 1 >= n_lam real lam reach the routes unchanged."""
     centered, shifted = disk_bumps if dim == 2 else ball_bumps
-    layout = azimuthal_layout(shifted.boundary)
     bs = np.eye(dim)[:2]
     width = 6.0
     needed = _pw_degree(0.5 * width * shifted.support_radius) + 1
     at_threshold = np.linspace(0.5, 0.5 + width, needed).astype(complex)
     complex_lams = np.linspace(0.5, 0.5 + width, needed + 2) - 0.2j
-    grid_route = _slices_fft(shifted, at_threshold) if dim == 2 else _slices_ktype(shifted, at_threshold, *layout)
+    grid_route = _slices_fft(shifted, at_threshold) if dim == 2 else _slices_ktype(shifted, at_threshold)
     assert np.array_equal(boundary_slices(shifted, at_threshold), grid_route)
     # complex lam on a sphere grid take the grid's own sum, by the Chebyshev route
     if dim == 2:
@@ -898,7 +898,7 @@ def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
     """
     boundary = BoundaryGrid.sphere(*shape) if len(shape) == 2 else BoundaryGrid.disk(*shape)
     dim = boundary.dim
-    assert azimuthal_layout(boundary) is not None
+    assert boundary.layout is not None
     lams = [0.0, 2.7, 1.9 - 3.0j, 4.2 + 1.1j]
     if dim == 2:
         center = Isometry.translation([0.2, 0.5])
@@ -974,18 +974,97 @@ def test_ktype_slice_matches_a_fine_resample(shift, alpha, radius, bounds):
 
 
 def test_ktype_rule_matches_a_rule_of_twice_the_degree(ball_bumps, monkeypatch):
-    """The Gauss-Legendre rule of the Funk-Hecke coefficients is converged: doubling its degree moves no slice.
+    """The Funk-Hecke recurrence is converged at its start: doubling the start degree moves no slice.
 
-    Against the K-type terms' magnitudes (ktype_terms_magnitude), at lam up
-    to 60 on the shifted ball bump (support radius 1.6).
+    The start is the _orbit_degree shared with the K-orbit rule.  Against
+    the K-type terms' magnitudes (ktype_terms_magnitude), at lam up to 60 on
+    the shifted ball bump (support radius 1.6).
     """
     f = ball_bumps[1]
-    layout = azimuthal_layout(f.boundary)
     lams = np.array([0.0, 0.5, 3.0, 12.0, 30.0, 60.0])
-    got = _slices_ktype(f, lams, *layout)
-    monkeypatch.setattr(transforms, "_pw_degree", lambda omega: 2 * _pw_degree(omega))
-    doubled = _slices_ktype(f, lams, *layout)
+    got = _slices_ktype(f, lams)
+    doubled_calls = []
+
+    def doubled_degree(tau, lam):
+        doubled_calls.append(np.shape(lam))
+        return 2 * _orbit_degree(tau, lam)
+
+    monkeypatch.setattr(transforms, "_orbit_degree", doubled_degree)
+    doubled = _slices_ktype(f, lams)
+    assert doubled_calls == [(len(lams), 1)]
     assert np.all(np.abs(got - doubled) <= 1e-14 * ktype_terms_magnitude(f))
+
+
+def _mpmath_funk_hecke(lam: float, r: float, l: int) -> complex:
+    """k_l(lam, r) in d = 3 by mpmath (20 digits) in the Busemann value A.
+
+    With u = 1 - expm1(r - A) / (e^r sinh r), k_l = 1/2 int psi P_l du =
+    1 / (2 sinh r) int_{-r}^{r} e^{-i lam A} P_l(u(A)) dA, an entire
+    integrand, split into panels of at most two oscillations.
+    """
+    import mpmath
+
+    with mpmath.workdps(20):
+        sinh, grow = mpmath.sinh(r), mpmath.exp(r) * mpmath.sinh(r)
+        integrand = lambda a: mpmath.exp(-1j * lam * a) * mpmath.legendre(l, 1 - mpmath.expm1(r - a) / grow)
+        panels = mpmath.linspace(-r, r, int(np.ceil(lam * r / 2.0)) + 5)
+        return complex(mpmath.quad(integrand, panels) / (2 * sinh))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam, r", [(2.0, 1.0), (20.0, 2.5), (40.0, 3.0), (np.pi, 1.0), (0.0, 1e-3), (5.0, 1e-3)])
+def test_funk_hecke_matches_mpmath_in_d3(lam, r):
+    """k_l(lam, r), l in {0, 5, 23}, against mpmath, relative to sum |k_l| over every l to the start degree.
+
+    Measured within 8.4e-16 (and 7e-16 absolute).  At lam r = pi, k_0 =
+    phi_lam(r) vanishes; at r = 1e-3 the start degree (5 and 6) lies below
+    l_max = 23, which then starts the recurrence.
+    """
+    radii = np.array([r])
+    k = _funk_hecke(3, [lam], radii, 23)[0, 0]
+    scale = np.sum(np.abs(_funk_hecke(3, [lam], radii, int(_orbit_degree(np.tanh(0.5 * r), lam)))))
+    for l in (0, 5, 23):
+        assert abs(k[l] - _mpmath_funk_hecke(lam, r, l)) <= 1e-14 * scale, l
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [0.0, 0.7, 5.0, 20.0, 40.0])
+def test_funk_hecke_matches_the_kernels_fft_in_d2(lam):
+    """The d = 2 coefficients are the Fourier coefficients of psi(cos t) = (cosh r - cos t sinh r)^-s.
+
+    The reference is the FFT of psi on 2^16 angles, with the base as
+    1 + 2 sinh(r/2)^2 - cos t sinh r through log1p, against the first 41
+    coefficients (l_max = 40 lies above the start degree at r <= 0.1), relative
+    to the sum of |k_m| over every mode.  Measured within 2.9e-15 (5.7e-15
+    with the base cosh r - cos t sinh r rounded directly, whose rounding
+    the phase multiplies by lam); r = pi / lam is a zero of k_0 only in
+    d = 3.
+    """
+    n = 2**16
+    cos = np.cos(2.0 * np.pi * np.arange(n) / n)
+    for r in (1e-3, 0.1, 1.0, 2.0, 3.0) + ((np.pi / lam,) if lam else ()):
+        psi = np.exp(-(-1j * lam + 0.5) * np.log1p(2.0 * np.sinh(0.5 * r) ** 2 - cos * np.sinh(r)))
+        ref = np.fft.fft(psi) / n
+        k = _funk_hecke(2, [lam], np.array([r]), 40)[0, 0]
+        assert np.max(np.abs(k - ref[:41])) <= 1e-14 * np.sum(np.abs(ref)), r
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_funk_hecke_k0_is_the_spherical_function_and_each_entry_its_own(dim):
+    """k_0 = phi_lam(r) within 1e-14 of sum |k_l|, and a batch reads every (lam, r) as it reads alone, bit for bit.
+
+    lam = 0, r = 1e-3 and lam r = pi (a zero of phi_lam in d = 3) are among
+    the cases; k_0 measured within 1.9e-15 of sum |k_l|.
+    """
+    lams = np.array([0.0, 0.5, np.pi, 12.0, 30.0, 60.0])
+    radii = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 3.0])
+    k = _funk_hecke(dim, lams, radii, int(np.max(_orbit_degree(np.tanh(0.5 * radii), lams[:, None]))))
+    assert np.all(np.abs(k[..., 0] - spherical_phi(dim, lams, radii)) <= 1e-14 * np.sum(np.abs(k), axis=-1))
+    batch = _funk_hecke(dim, lams, radii, 23)
+    for i, lam in enumerate(lams):
+        for j, r in enumerate(radii):
+            assert np.array_equal(_funk_hecke(dim, [lam], radii[j : j + 1], 23)[0, 0], batch[i, j])
 
 
 def test_sampling_and_slice_memory_stay_within_a_multiple_of_the_samples():
@@ -1019,18 +1098,24 @@ def test_sampling_and_slice_memory_stay_within_a_multiple_of_the_samples():
 
 
 def test_rotated_grid_takes_chebyshev_route():
-    """A grid without an azimuthal layout takes the explicit-direction route, checked against the dense oracle."""
+    """A grid without a layout takes the explicit-direction route, checked against the dense oracle.
+
+    Both a rotated sphere grid and a copy of one built by hand carry no
+    layout, so both are summed over their own directions.
+    """
     spec = BumpSpec(dim=3, radius=1.0, center=Isometry.translation([0.3, 0.1, -0.2]), alpha=0.5)
     radial, boundary = ball_setup(n_r=24, r_max=3.0, n_theta=6, n_phi=10)
     rot = random_rotation(np.random.default_rng(8), 3)
     rotated = BoundaryGrid(3, boundary.directions @ rot.matrix.T, boundary.weights)
-    assert azimuthal_layout(rotated) is None
-    f = sample_bump(spec, radial, rotated)
+    copy = BoundaryGrid(3, boundary.directions.copy(), boundary.weights.copy())
     lams = [0.7, 2.0 - 1.0j]
-    got = boundary_slices(f, lams)
-    assert np.array_equal(got, _slices_chebyshev(f, np.array(lams, dtype=complex), rotated.directions))
-    ref, scale = dense_slice(f, lams, rotated.directions)
-    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    for grid in (rotated, copy):
+        assert grid.layout is None
+        f = sample_bump(spec, radial, grid)
+        got = boundary_slices(f, lams)
+        assert np.array_equal(got, _slices_chebyshev(f, np.array(lams, dtype=complex), grid.directions))
+        ref, scale = dense_slice(f, lams, grid.directions)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 def test_linearity_of_forward_transform(disk_bumps):
