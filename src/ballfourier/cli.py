@@ -97,11 +97,11 @@ def main(argv=None) -> int:
         # flags beat file values; the dimension decides the scenario grid profile
         given = read_config_file(args.config) if args.config else {}
         given.update(overrides)
-        base = scenario_base_config(name, parse_config(None, given).dim)
+        base = scenario_base_config(name, parse_config(given).dim)
         check_keys_read(name, base.dim, given)
         if tol_pairs:
             given["tolerances"] = tuple(tol_pairs)
-        return run_scenario(name, parse_config(None, given, base=base))
+        return run_scenario(name, parse_config(given, base=base))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,9 +19,8 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     dim: int = 3
     radial_nodes: int = 96  # Gauss-Legendre nodes on [0, support radius]
-    boundary_nodes: int = 256  # dim == 2
-    boundary_theta: int = 48  # dim == 3
-    boundary_phi: int = 96
+    # azimuth count: disk(n) in dim 2, sphere((n + 1) // 2, n) in dim 3
+    boundary_nodes: int = 256
     lambda_max: float = 24.0
     bump_radius: float = 1.0
     bump_shift: float = 0.0  # hyperbolic distance of the bump center from the origin
@@ -34,7 +33,7 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
-        for key in ("radial_nodes", "boundary_nodes", "boundary_theta", "boundary_phi"):
+        for key in ("radial_nodes", "boundary_nodes"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key.replace('_', '-')} must be positive")
         for key in ("lambda_max", "bump_radius", "bump_shift", "bump_alpha"):
@@ -89,11 +88,9 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def parse_config(path: str = None, overrides: dict = None, base: ScenarioConfig = None) -> ScenarioConfig:
-    """Resolve configuration: base defaults, then file values, then overrides."""
+def parse_config(overrides: dict = None, base: ScenarioConfig = None) -> ScenarioConfig:
+    """Resolve configuration: base defaults, then overrides (file values merged with flags by the caller)."""
     cfg = base if base is not None else ScenarioConfig()
-    if path:
-        cfg = replace(cfg, **read_config_file(path))
     if overrides:
         clean = {}
         for key, raw in overrides.items():

@@ -209,39 +209,33 @@ class BoundaryGrid:
 class BumpSpec:
     """Analytic compactly supported test function.
 
-    value(x) = profile(dist(c, x) / radius) * (1 + alpha * <rel, axis> / tanh(radius / 2))
+    value(x) = profile(dist(c, x) / radius) * (1 + alpha * rel_0 / tanh(radius / 2))
 
-    where c = center . origin, rel = center^{-1} x in ball coordinates and
-    profile(s) = exp(-1/(1-s^2)) for |s| < 1 (or the sharp indicator
-    1_{s<1} for the non-smooth control profile).  On the support
-    |rel| <= tanh(radius / 2), so the modulation spans [1 - alpha, 1 + alpha];
-    it is linear in rel, so the smooth bump is smooth at its centre too, and
-    it is the K-type of degree 1 about the centre.
+    where c = center . origin, rel = center^{-1} x in ball coordinates, rel_0
+    its first coordinate, and profile(s) = exp(-1/(1-s^2)) for |s| < 1 (or
+    the sharp indicator 1_{s<1} for the non-smooth control profile).  On the
+    support |rel| <= tanh(radius / 2), so the modulation spans
+    [1 - alpha, 1 + alpha]; it is linear in rel, so the smooth bump is smooth
+    at its centre too, and it is the K-type of degree 1 about the centre.
+    With a rotation R as the center's first move the modulation runs along
+    R e_1 about the centre.
     """
 
     dim: int
     radius: float
     center: Isometry = None
     alpha: float = 0.0
-    axis: np.ndarray = None
     profile: str = "smooth"
-    amplitude: float = 1.0
 
     def __post_init__(self):
+        if self.dim not in (2, 3):
+            raise ConfigurationError(f"bump dimension must be 2 or 3, got {self.dim!r}")
         if not self.radius > 0:
             raise ConfigurationError("bump radius must be positive")
         if self.center is None:
             object.__setattr__(self, "center", Isometry.identity(self.dim))
-        if self.axis is None:
-            a = np.zeros(self.dim)
-            a[0] = 1.0
-            object.__setattr__(self, "axis", a)
-        else:
-            a = np.asarray(self.axis, dtype=float)
-            norm = np.linalg.norm(a) if a.shape == (self.dim,) else 0.0
-            if not (np.isfinite(norm) and norm > 0.0):
-                raise ConfigurationError(f"bump axis must be a finite nonzero {self.dim}-vector, got {self.axis!r}")
-            object.__setattr__(self, "axis", a / norm)
+        if self.center.dim != self.dim:
+            raise ConfigurationError(f"bump center acts in dimension {self.center.dim}, not {self.dim}")
         if not abs(self.alpha) <= 1.0:
             raise ConfigurationError("angular modulation |alpha| must be <= 1")
         if self.profile not in ("smooth", "indicator"):
@@ -273,8 +267,8 @@ class BumpSpec:
         else:
             vals[inside] = 1.0
         if self.alpha != 0.0:
-            vals = vals * (1.0 + self.alpha * (rel @ self.axis) / np.tanh(0.5 * self.radius))
-        return (self.amplitude * vals).reshape(shape)
+            vals = vals * (1.0 + self.alpha * rel[:, 0] / np.tanh(0.5 * self.radius))
+        return vals.reshape(shape)
 
 
 @dataclass(eq=False)
@@ -327,6 +321,8 @@ def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> S
     is the value the whole-array evaluation gives, bit for bit.  The rows
     beyond the support, if any, are exact zeros.
     """
+    if spec.dim != boundary.dim:
+        raise ConfigurationError(f"a d = {spec.dim} bump cannot be sampled on a d = {boundary.dim} boundary grid")
     if spec.support_radius > radial.r_max:
         raise ConfigurationError(
             f"bump support radius {spec.support_radius:.3f} exceeds r_max {radial.r_max}"

@@ -23,10 +23,8 @@ import numpy as np
 
 from .geometry import busemann_field, half_root_sum
 from .grids import BoundaryGrid, RadialGrid, SampledFunction, _affine, legendre_rule, sample_bump
-# TransformRangeError is re-exported: the guard lives in boundary_slices.
 from .transforms import (
     OVERFLOW_EXPONENT,
-    TransformRangeError,
     TransformUsageError,
     _as_directions,
     _lam_batch,

@@ -70,10 +70,13 @@ class CheckResult:
         }
 
 
-def _boundary(cfg: ScenarioConfig) -> BoundaryGrid:
-    if cfg.dim == 2:
-        return BoundaryGrid.disk(cfg.boundary_nodes)
-    return BoundaryGrid.sphere(cfg.boundary_theta, cfg.boundary_phi)
+def _boundary(dim: int, n: int) -> BoundaryGrid:
+    """The boundary grid of n azimuths: disk(n), or in d = 3 sphere((n + 1) // 2, n).
+
+    The sphere route is exact to degree min(n_theta - 1, (n_phi - 1) // 2), so
+    n_phi = 2 n_theta is the balanced ratio.
+    """
+    return BoundaryGrid.disk(n) if dim == 2 else BoundaryGrid.sphere((n + 1) // 2, n)
 
 
 def _fitted(spec: BumpSpec, rule, boundary: BoundaryGrid) -> SampledFunction:
@@ -115,7 +118,7 @@ def _rel(a, b):
 
 
 def scenario_jeft_equivalence(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
     lams = rng.uniform(0.4, 3.2, 4)
     xs = _random_interior_points(rng, cfg.dim, 5, 0.1, 1.5)
     rows = []
@@ -154,12 +157,7 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
     tail = 0.0
     for li, frac in enumerate((0.5, 0.75, 1.0)):
         scale = 0.5 + 0.5 * frac
-        if cfg.dim == 2:
-            boundary = BoundaryGrid.disk(max(16, int(round(cfg.boundary_nodes * scale))))
-        else:
-            boundary = BoundaryGrid.sphere(
-                max(4, int(round(cfg.boundary_theta * scale))), max(8, int(round(cfg.boundary_phi * scale)))
-            )
+        boundary = _boundary(cfg.dim, max(16 if cfg.dim == 2 else 8, round(cfg.boundary_nodes * scale)))
         lmax = cfg.lambda_max * frac
         f = _fitted(spec, legendre_rule(max(16, int(round(cfg.radial_nodes * frac)))), boundary)
         results = invert(f, pts, lmax)
@@ -180,14 +178,14 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
 
 
 def scenario_plancherel(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
     tol = 1e-3 if cfg.dim == 3 else 1e-2
     rep = plancherel_residual(f, cfg.lambda_max)
-    kappa_dev = abs(rep.kappa_implied - rep.kappa) / rep.kappa
+    kappa_dev = abs(rep.kappa_implied - KAPPA) / KAPPA
     checks = [
         CheckResult("plancherel_residual", rep.residual, tol, rep.residual <= tol),
         CheckResult("kappa_consistency", kappa_dev, 1e-2, kappa_dev <= 1e-2,
-                    note=f"kappa={rep.kappa!r} implied={rep.kappa_implied!r}"),
+                    note=f"kappa={KAPPA!r} implied={rep.kappa_implied!r}"),
     ]
     rows = [(float(l), float(d), float(n)) for l, d, n in zip(rep.lams, rep.density, rep.slice_norms)]
     csv = serialize._csv(rows, ["lambda", "plancherel_density", "slice_norm_sq"])
@@ -195,7 +193,7 @@ def scenario_plancherel(cfg: ScenarioConfig, rng):
 
 
 def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
     checks = []
     rows = []
     for i in range(2):
@@ -208,7 +206,7 @@ def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
 
 
 def scenario_functional_equation(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
     gs, xs, lams = [], [], []
     for _ in range(5):
         gs.append(random_isometry(rng, cfg.dim, max_shift=0.4))
@@ -233,7 +231,7 @@ def scenario_functional_equation(cfg: ScenarioConfig, rng):
 
 
 def scenario_asymptotic(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
     b0 = np.zeros(cfg.dim)
     b0[0] = 1.0
     lam = 2.0 - 0.35j
@@ -259,7 +257,7 @@ def scenario_asymptotic(cfg: ScenarioConfig, rng):
 
 
 def scenario_eigen(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
     cases = [(1.0, 1.0)]
     for _ in range(4):
         cases.append((rng.uniform(0.6, 2.6), rng.uniform(0.6, 1.8)))
@@ -319,7 +317,7 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
             artifacts[f"type_estimate_{tag}.csv"] = serialize.type_estimate_to_csv(est)
     # holomorphy of the extension: mean-value circles at random centers
     spec = _bump_spec(cfg, alpha=0.3, shift=0.3, radius=1.0)
-    f = _fitted(spec, rule, _boundary(cfg))
+    f = _fitted(spec, rule, _boundary(cfg.dim, cfg.boundary_nodes))
     b = np.zeros(cfg.dim)
     b[0] = 1.0
     centers = [complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(10)]
@@ -371,7 +369,7 @@ def scenario_c_table(cfg: ScenarioConfig, rng):
 
 
 def scenario_calibrate(cfg: ScenarioConfig, rng):
-    kappa2 = calibrate_kappa(2)
+    kappa2 = calibrate_kappa()
     rows = [(2, kappa2), (3, KAPPA)]
     dev_analytic = abs(kappa2 - KAPPA) / KAPPA
     # held-out spread: kappa implied by inversion of an independent bump at
@@ -429,48 +427,48 @@ _PROFILES = {
     "jeft-equivalence": {
         2: dict(radial_nodes=32, boundary_nodes=256,
                 bump_radius=1.0, bump_shift=0.4, bump_alpha=0.6),
-        3: dict(radial_nodes=32, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=32, boundary_nodes=48,
                 bump_radius=1.0, bump_shift=0.4, bump_alpha=0.6),
     },
     "inversion": {
         2: dict(radial_nodes=54, boundary_nodes=160,
                 lambda_max=24.0, bump_radius=2.0, bump_shift=0.4, bump_alpha=0.0),
-        3: dict(radial_nodes=76, boundary_theta=8, boundary_phi=16,
+        3: dict(radial_nodes=76, boundary_nodes=16,
                 lambda_max=40.0, bump_radius=2.5, bump_shift=0.0, bump_alpha=0.0),
     },
     "plancherel": {
         2: dict(radial_nodes=54, boundary_nodes=128,
                 lambda_max=24.0, bump_radius=2.0, bump_shift=0.4, bump_alpha=0.5),
-        3: dict(radial_nodes=76, boundary_theta=8, boundary_phi=16,
+        3: dict(radial_nodes=76, boundary_nodes=16,
                 lambda_max=40.0, bump_radius=2.5, bump_shift=0.0, bump_alpha=0.0),
     },
     "kaverage-bridge": {
         2: dict(radial_nodes=90, boundary_nodes=256,
                 lambda_max=10.0, bump_radius=1.0, bump_shift=0.5, bump_alpha=0.0),
-        3: dict(radial_nodes=56, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=56, boundary_nodes=48,
                 lambda_max=6.0, bump_radius=1.0, bump_shift=0.5, bump_alpha=0.0),
     },
     "functional-equation": {
         2: dict(radial_nodes=32, boundary_nodes=256,
                 bump_radius=1.2, bump_shift=0.3, bump_alpha=0.6),
-        3: dict(radial_nodes=32, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=32, boundary_nodes=48,
                 bump_radius=1.2, bump_shift=0.3, bump_alpha=0.6),
     },
     "asymptotic": {
         2: dict(radial_nodes=30, boundary_nodes=64,
                 bump_radius=2.0, bump_shift=0.0, bump_alpha=0.0),
-        3: dict(radial_nodes=30, boundary_theta=12, boundary_phi=24,
+        3: dict(radial_nodes=30, boundary_nodes=24,
                 bump_radius=2.0, bump_shift=0.0, bump_alpha=0.0),
     },
     "eigen": {
         2: dict(radial_nodes=28, boundary_nodes=256,
                 bump_radius=1.2, bump_shift=0.0, bump_alpha=0.5),
-        3: dict(radial_nodes=28, boundary_theta=24, boundary_phi=48,
+        3: dict(radial_nodes=28, boundary_nodes=48,
                 bump_radius=1.2, bump_shift=0.0, bump_alpha=0.5),
     },
     "pw-recovery": {
         2: dict(radial_nodes=170, boundary_nodes=128),
-        3: dict(radial_nodes=128, boundary_theta=24, boundary_phi=48),
+        3: dict(radial_nodes=128, boundary_nodes=48),
     },
     "c-table": {2: {}, 3: {}},
     "calibrate": {2: {}, 3: {}},
@@ -514,7 +512,7 @@ def _error_note(exc: Exception) -> str:
     return f"{exc!r} at {tail}"
 
 
-def run_scenario(name: str, cfg: ScenarioConfig, out_dir=None) -> int:
+def run_scenario(name: str, cfg: ScenarioConfig) -> int:
     """Execute a scenario, write results.json and CSV artifacts, return exit code.
 
     Exit code 0 when all checks pass, 1 on any check failure; configuration
@@ -529,7 +527,7 @@ def run_scenario(name: str, cfg: ScenarioConfig, out_dir=None) -> int:
 
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario: {name}")
-    out = pathlib.Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = pathlib.Path(cfg.out_dir)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     try:

@@ -95,12 +95,15 @@ from .geometry import (
 )
 from .grids import (
     BoundaryGrid,
+    BumpSpec,
+    RadialGrid,
     SampledFunction,
     _affine,
     k_average_profile,
     legendre_rule,
     legendre_rules,
     legendre_table,
+    sample_bump,
 )
 from .spectral import (
     c_function,
@@ -799,25 +802,18 @@ def jeft_grid(f: SampledFunction, lams, xs) -> np.ndarray:
 class InversionResult:
     value: complex
     tail_fraction: float
-    truncated: bool
-    kappa: float
 
 
-def calibrate_kappa(dim: int) -> float:
-    """Oracle for KAPPA: the constant that makes a reference bump invert exactly.
+def calibrate_kappa() -> float:
+    """Oracle for KAPPA in d = 2: the constant that makes a reference bump invert exactly.
 
-    d = 3 returns KAPPA (sine-transform reduction of the radial inversion).
-    d = 2 requires exact inversion of a reference bump of radius 2.5 at the
+    It requires exact inversion of a reference bump of radius 2.5 at the
     origin, sampled on 104 Gauss-Legendre nodes over its support, against
     the density |c|^{-2} of the c-function fit at radii 12 and 14 (the
     oracle of the closed forms, not the closed form itself); it is a
     cross-check, not used by the transforms.  The spectral rule on [0, 30] is sized by _pw_rule from the
     type 2.5 of the bump's spherical transform.
     """
-    if dim == 3:
-        return KAPPA
-    from .grids import BumpSpec, RadialGrid, sample_bump
-
     spec = BumpSpec(dim=2, radius=2.5)
     boundary = BoundaryGrid.disk(8)  # radial reference bump: boundary size irrelevant
     ref = sample_bump(spec, RadialGrid.gauss_legendre(104, spec.support_radius), boundary)
@@ -839,7 +835,7 @@ def invert(f: SampledFunction, x, lam_max: float, kappa: float = KAPPA):
     of the batch.  The sweep evaluates jeft_grid once, on the union of the
     distinct rules, whose node counts one legendre_rules call builds.  The
     tail fraction is the second rule's share of the integral of
-    |integrand|, and a tail above 5e-3 marks the result as truncated.
+    |integrand|.
     Raises GeometryError unless every point satisfies |x| < 1 - BALL_TOL.
     """
     pts = np.atleast_2d(_interior(x, f.dim))
@@ -860,7 +856,7 @@ def invert(f: SampledFunction, x, lam_max: float, kappa: float = KAPPA):
         mass = np.sum(np.abs(head)) + np.sum(np.abs(tail))
         frac = float(np.sum(np.abs(tail)) / mass) if mass > 0 else 0.0
         value = complex(kappa * (np.sum(head) + np.sum(tail)))
-        results.append(InversionResult(value, frac, frac > 5e-3, kappa))
+        results.append(InversionResult(value, frac))
     return results
 
 
@@ -868,7 +864,6 @@ def invert(f: SampledFunction, x, lam_max: float, kappa: float = KAPPA):
 class PlancherelReport:
     lhs: float
     rhs: float
-    kappa: float
     residual: float
     kappa_implied: float
     lams: np.ndarray  # the spectral nodes
@@ -891,9 +886,9 @@ def plancherel_residual(f: SampledFunction, lam_max: float) -> PlancherelReport:
         slice_norms = (np.abs(boundary_slices(f, lams)) ** 2) @ f.boundary.weights
     rhs = float(np.sum(weights * dens * slice_norms))
     if lhs == 0.0:
-        return PlancherelReport(0.0, rhs, KAPPA, abs(rhs), 0.0, lams, dens, slice_norms)
+        return PlancherelReport(0.0, rhs, abs(rhs), 0.0, lams, dens, slice_norms)
     residual = abs(lhs - KAPPA * rhs) / lhs
-    return PlancherelReport(lhs, rhs, KAPPA, residual, lhs / rhs, lams, dens, slice_norms)
+    return PlancherelReport(lhs, rhs, residual, lhs / rhs, lams, dens, slice_norms)
 
 
 def kaverage_bridge_residual(f: SampledFunction, g: Isometry, lam_max: float) -> float:

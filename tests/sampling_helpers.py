@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
-from ballfourier.geometry import Isometry, busemann_field, pairwise_dist
+from ballfourier.geometry import Isometry, Rotation, busemann_field, pairwise_dist
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction, legendre_table
 from ballfourier.spectral import spherical_phi
 from ballfourier.transforms import _support_data
@@ -25,6 +25,24 @@ def unit(v) -> np.ndarray:
     """v scaled to norm 1: a boundary direction."""
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def center_along(axis, center: Isometry = None) -> Isometry:
+    """``center`` (default the identity) after a rotation R with R e_1 = axis / |axis|.
+
+    A bump about it is modulated along the axis: with moves (R, T) it reads
+    rel = R^-1 T^-1 x, so rel_0 = <T^-1 x, R e_1>.  R is the Householder
+    reflection taking e_1 to the axis with its second column negated.
+    """
+    a = unit(axis)
+    dim = len(a)
+    w = np.eye(dim)[0] - a
+    rot = np.eye(dim)
+    if np.linalg.norm(w) > 0.0:
+        rot = rot - 2.0 * np.outer(w, w) / (w @ w)
+        rot[:, 1] *= -1.0
+    moves = center.moves if center is not None else ()
+    return Isometry((Rotation(rot),) + moves, dim)
 
 
 def bracket(x, b) -> float:

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from ballfourier.config import ConfigError, ScenarioConfig, parse_config
+from ballfourier.config import ConfigError, ScenarioConfig, parse_config, read_config_file
 from ballfourier import scenarios
+from ballfourier.grids import BoundaryGrid
 from ballfourier.scenarios import list_scenarios, run_scenario, scenario_base_config
+from ballfourier.transforms import InversionResult
 
 
 @pytest.fixture
@@ -28,14 +30,14 @@ def run_cli(cli_env):
 def test_empty_config_gives_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("# nothing here\n\n")
-    cfg = parse_config(str(path))
+    cfg = parse_config(read_config_file(str(path)))
     assert cfg == ScenarioConfig()
 
 
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("dim = 2\nradial-nodes = 48\n")
-    cfg = parse_config(str(path), {"dim": 3})
+    cfg = parse_config({**read_config_file(str(path)), "dim": 3})
     assert cfg.dim == 3
     assert cfg.radial_nodes == 48
 
@@ -44,35 +46,35 @@ def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("frobnicate = 1\n")
     with pytest.raises(ConfigError, match="frobnicate"):
-        parse_config(str(path))
+        read_config_file(str(path))
 
 
 def test_malformed_value_names_key():
     with pytest.raises(ConfigError, match="radial-nodes"):
-        parse_config(None, {"radial-nodes": "many"})
+        parse_config({"radial-nodes": "many"})
 
 
 def test_validation_names_key():
     with pytest.raises(ConfigError, match="radial-nodes"):
-        parse_config(None, {"radial_nodes": 0})
+        parse_config({"radial_nodes": 0})
 
 
 def test_negative_bump_shift_rejected():
     with pytest.raises(ConfigError, match="bump-shift"):
-        parse_config(None, {"bump-shift": "-1"})
+        parse_config({"bump-shift": "-1"})
 
 
 def test_removed_r_max_config_key_rejected(tmp_path):
     path = tmp_path / "old.cfg"
     path.write_text("r_max = 6.0\n")
     with pytest.raises(ConfigError, match="unknown configuration key: r_max"):
-        parse_config(str(path))
+        read_config_file(str(path))
 
 
 def test_config_file_comments_and_floats(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("lambda-max = 12.5  # spectral cutoff\nout_dir = results\n")
-    cfg = parse_config(str(path))
+    cfg = parse_config(read_config_file(str(path)))
     assert cfg.lambda_max == 12.5
     assert cfg.out_dir == "results"
 
@@ -131,7 +133,7 @@ def test_tol_override_never_passes_a_failed_verdict(tmp_path, monkeypatch, tol):
         return [scenarios._verdict("refinement_monotone", False)], {}
 
     monkeypatch.setitem(scenarios.SCENARIOS, "inversion", failing)
-    cfg = parse_config(None, {"out_dir": str(tmp_path), "dim": "2", "timing": "zero",
+    cfg = parse_config({"out_dir": str(tmp_path), "dim": "2", "timing": "zero",
                               "tolerances": (("refinement_monotone", float(tol)),)})
     assert run_scenario("inversion", cfg) == 1
     (check,) = json.loads((tmp_path / "results.json").read_text())["checks"]
@@ -160,6 +162,21 @@ def test_cli_removed_r_max_flag_exits_2(tmp_path, run_cli):
     r = run_cli("run", "jeft-equivalence", "--dim", "2", "--r-max", "6", "--out", str(out))
     assert r.returncode == 2
     assert "--r-max" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["boundary-theta", "boundary-phi"])
+def test_cli_removed_sphere_boundary_keys_exit_2(tmp_path, run_cli, key):
+    """boundary-nodes sizes the sphere too; the old polar and azimuth keys are unknown as flags and file keys."""
+    out = tmp_path / "eigen"
+    r = run_cli("run", "eigen", "--dim", "3", f"--{key}", "12", "--out", str(out))
+    assert r.returncode == 2
+    assert f"--{key}" in r.stderr
+    path = tmp_path / "old.cfg"
+    path.write_text(f"{key} = 12\n")
+    r = run_cli("run", "eigen", "--dim", "3", "--config", str(path), "--out", str(out))
+    assert r.returncode == 2
+    assert f"unknown configuration key: {key}" in r.stderr
     assert not out.exists()
 
 
@@ -255,7 +272,7 @@ def test_run_scenario_records_numeric_errors_as_failed_checks(tmp_path):
     # bump radius 120 passes config validation, but |Im lam| * support =
     # 0.35 * 120 of the scenario's lam = 2 - 0.35i exceeds the overflow
     # guard of boundary_slices, which raises inside the run
-    cfg = parse_config(None, {"bump_radius": "120", "radial_nodes": "64", "out_dir": str(tmp_path / "x"),
+    cfg = parse_config({"bump_radius": "120", "radial_nodes": "64", "out_dir": str(tmp_path / "x"),
                               "dim": "2", "timing": "zero"})
     assert run_scenario("asymptotic", cfg) == 1
     (check,) = json.loads((tmp_path / "x" / "results.json").read_text())["checks"]
@@ -268,7 +285,7 @@ def test_scenario_error_note_names_the_raising_function(tmp_path, monkeypatch):
         return _failing_step(cfg.dim)
 
     monkeypatch.setitem(scenarios.SCENARIOS, "eigen", raise_deep)
-    code = run_scenario("eigen", parse_config(None, {"out_dir": str(tmp_path), "dim": "2", "timing": "zero"}))
+    code = run_scenario("eigen", parse_config({"out_dir": str(tmp_path), "dim": "2", "timing": "zero"}))
     assert code == 1
     (check,) = json.loads((tmp_path / "results.json").read_text())["checks"]
     assert check["name"] == "scenario_error"
@@ -324,8 +341,8 @@ def test_scenarios_read_exactly_their_declared_keys(dim):
          "bump-alpha, bump-radius, bump-shift"),
         (("calibrate", "--dim", "2", "--radial-nodes", "10"), "radial-nodes"),
         (("c-table", "--dim", "3", "--lambda-max", "5"), "lambda-max"),
-        (("eigen", "--dim", "2", "--boundary-theta", "12"), "boundary-theta"),
-        (("eigen", "--dim", "3", "--boundary-nodes", "64"), "boundary-nodes"),
+        (("asymptotic", "--dim", "3", "--lambda-max", "5"), "lambda-max"),
+        (("calibrate", "--dim", "3", "--boundary-nodes", "64"), "boundary-nodes"),
     ],
 )
 def test_cli_key_the_scenario_does_not_read_exits_2(tmp_path, run_cli, args, unread):
@@ -364,3 +381,49 @@ def test_residual_scenarios_take_one_slice_call(name, monkeypatch):
     checks, _ = scenarios.SCENARIOS[name](scenario_base_config(name, 2), np.random.default_rng(1))
     assert all(c.passed for c in checks)
     assert calls == [5 if name == "eigen" else 6]
+
+
+# The explicit grids each scenario profile sampled on before one boundary key
+# sized both dimensions: (disk count, sphere (n_theta, n_phi)).
+_EXPLICIT_GRIDS = {
+    "jeft-equivalence": (256, (24, 48)),
+    "inversion": (160, (8, 16)),
+    "plancherel": (128, (8, 16)),
+    "kaverage-bridge": (256, (24, 48)),
+    "functional-equation": (256, (24, 48)),
+    "asymptotic": (64, (12, 24)),
+    "eigen": (256, (24, 48)),
+    "pw-recovery": (128, (24, 48)),
+}
+
+
+def _same_grid(a, b) -> bool:
+    return np.array_equal(a.directions, b.directions) and np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_profile_boundary_grids_are_the_explicit_grids_bit_for_bit(dim):
+    """boundary_nodes n gives disk(n), or sphere((n + 1) // 2, n) in d = 3: every profile's grid, bit for bit."""
+    for name in list_scenarios():
+        cfg = scenario_base_config(name, dim)
+        if name not in _EXPLICIT_GRIDS:
+            assert "boundary_nodes" not in scenarios.scenario_keys(name, dim)
+            continue
+        disk, sphere = _EXPLICIT_GRIDS[name]
+        explicit = BoundaryGrid.disk(disk) if dim == 2 else BoundaryGrid.sphere(*sphere)
+        assert _same_grid(scenarios._boundary(dim, cfg.boundary_nodes), explicit), name
+
+
+@pytest.mark.parametrize("dim, levels", [(2, [120, 140, 160]), (3, [(6, 12), (7, 14), (8, 16)])])
+def test_inversion_levels_sample_the_explicit_grids_bit_for_bit(dim, levels, monkeypatch):
+    """The three refinement levels of inversion sample on disk(120, 140, 160) or sphere 6 x 12, 7 x 14, 8 x 16."""
+    grids = []
+
+    def recorded(spec, radial, boundary):
+        grids.append(boundary)
+
+    monkeypatch.setattr(scenarios, "sample_bump", recorded)
+    monkeypatch.setattr(scenarios, "invert", lambda f, pts, lam_max: [InversionResult(0j, 0.0)] * len(pts))
+    scenarios.scenario_inversion(scenario_base_config("inversion", dim), np.random.default_rng(1))
+    explicit = [BoundaryGrid.disk(n) if dim == 2 else BoundaryGrid.sphere(*n) for n in levels]
+    assert len(grids) == 3 and all(_same_grid(a, b) for a, b in zip(grids, explicit))

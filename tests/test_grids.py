@@ -19,7 +19,7 @@ from ballfourier.grids import (
     sample_bump,
 )
 from ballfourier.spectral import spherical_phi
-from sampling_helpers import translate_bump, zero_function
+from sampling_helpers import center_along, translate_bump, zero_function
 
 
 def smooth_profile(r, R):
@@ -116,13 +116,24 @@ def test_bump_value_at_origin():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"axis": axis} for axis in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1.0, 0.0, 0.0], [[1.0, 0.0]])]
+    [{"dim": 4}, {"dim": 1}, {"dim": 2.5}]
+    + [{"center": center} for center in (Isometry.translation([0.1, 0.2, 0.0]), center_along([0.0, 0.0, 1.0]))]
     + [{"radius": np.nan}, {"alpha": np.nan}],
 )
 def test_bump_rejects_bad_axis_radius_or_alpha(kwargs):
-    """A zero, non-finite or misshapen axis, or a NaN radius or alpha, would give NaN, zero or misshapen values."""
+    """A dimension other than 2 or 3, a center (which carries the modulation axis R e_1) acting in
+    another dimension, or a NaN radius or alpha would give misshapen, failing or NaN values."""
     with pytest.raises(ConfigurationError):
         BumpSpec(**{"dim": 2, "radius": 1.0, "alpha": 0.5, **kwargs})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sample_bump_rejects_a_boundary_grid_of_another_dimension(dim):
+    """A d = 2 bump on a sphere grid (or d = 3 on a disk) is a ConfigurationError, not numpy's reshape error."""
+    spec = BumpSpec(dim=dim, radius=1.0, alpha=0.5)
+    boundary = BoundaryGrid.sphere(4, 8) if dim == 2 else BoundaryGrid.disk(16)
+    with pytest.raises(ConfigurationError, match="boundary grid"):
+        sample_bump(spec, RadialGrid.gauss_legendre(8, 1.0), boundary)
 
 
 def test_legendre_table_matches_scipy_lpmv():
@@ -143,34 +154,35 @@ def test_legendre_table_matches_scipy_lpmv():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_modulated_bump_centre_value_does_not_depend_on_the_direction_of_approach(dim):
-    """At the bump's centre the modulation is 1 from every side, so the value is amplitude e^-1."""
-    spec = BumpSpec(dim=dim, radius=1.3, center=Isometry.translation(np.linspace(0.3, -0.2, dim)), alpha=0.8,
-                    axis=np.arange(1.0, dim + 1.0), amplitude=2.0)
+    """At the bump's centre the modulation is 1 from every side, so the value is e^-1."""
+    center = center_along(np.arange(1.0, dim + 1.0), Isometry.translation(np.linspace(0.3, -0.2, dim)))
+    spec = BumpSpec(dim=dim, radius=1.3, center=center, alpha=0.8)
     rng = np.random.default_rng(4)
     dirs = rng.standard_normal((20, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for t in (1e-6, 1e-9):
         vals = spec(apply_array(spec.center, t * dirs))
-        assert np.max(np.abs(vals - 2.0 * np.exp(-1.0))) <= 2.0 * t
+        assert np.max(np.abs(vals - np.exp(-1.0))) <= t
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_modulated_bump_is_differentiable_across_its_centre(dim):
     """Central differences along lines through the centre converge to the modulation's slope.
 
-    On the line t -> center . (t v) the profile is even in t, so the
-    derivative at t = 0 is amplitude e^-1 alpha <v, axis> / tanh(radius / 2).
-    A modulation by the direction of center^-1 x jumps there and makes the
-    quotients grow like 1 / h.
+    The center is (R, T) with T a translation.  On the line t -> T . (t v)
+    the profile is even in t, so the derivative at t = 0 is
+    e^-1 alpha <v, R e_1> / tanh(radius / 2).  A modulation by the direction
+    of center^-1 x jumps there and makes the quotients grow like 1 / h.
     """
-    spec = BumpSpec(dim=dim, radius=1.3, center=Isometry.translation(np.linspace(0.3, -0.2, dim)), alpha=0.8,
-                    axis=np.arange(1.0, dim + 1.0))
+    shift = Isometry.translation(np.linspace(0.3, -0.2, dim))
+    spec = BumpSpec(dim=dim, radius=1.3, center=center_along(np.arange(1.0, dim + 1.0), shift), alpha=0.8)
+    axis = spec.center.moves[0].matrix[:, 0]
     rng = np.random.default_rng(5)
     for v in rng.standard_normal((5, dim)):
         v /= np.linalg.norm(v)
-        slope = np.exp(-1.0) * spec.alpha * (v @ spec.axis) / np.tanh(0.5 * spec.radius)
+        slope = np.exp(-1.0) * spec.alpha * (v @ axis) / np.tanh(0.5 * spec.radius)
         for h in (1e-3, 1e-4, 1e-5):
-            g = spec(apply_array(spec.center, np.outer([h, -h], v)))
+            g = spec(apply_array(shift, np.outer([h, -h], v)))
             assert abs((g[0] - g[1]) / (2.0 * h) - slope) <= 10.0 * h
 
 
@@ -198,8 +210,8 @@ def test_centered_unmodulated_bump_is_radial():
     "spec,boundary",
     [
         (BumpSpec(dim=2, radius=1.0, center=Isometry.translation([0.3, -0.2])), BoundaryGrid.disk(64)),
-        (BumpSpec(dim=2, radius=1.2, center=Isometry.translation([0.2, 0.1]), alpha=0.7,
-                  axis=[1.0, 2.0], amplitude=3.0), BoundaryGrid.disk(96)),
+        (BumpSpec(dim=2, radius=1.2, center=center_along([1.0, 2.0], Isometry.translation([0.2, 0.1])), alpha=0.7),
+         BoundaryGrid.disk(96)),
         (BumpSpec(dim=2, radius=0.8, center=Isometry.translation([0.4, 0.0]), profile="indicator"),
          BoundaryGrid.disk(64)),
         (BumpSpec(dim=3, radius=1.0, center=Isometry.translation([0.2, 0.1, -0.3]), alpha=-0.5),
@@ -232,8 +244,8 @@ def test_blocked_sample_bump_matches_whole_array_bit_for_bit(dim):
     from ballfourier.geometry import BLOCK
 
     boundary = BoundaryGrid.disk(4096) if dim == 2 else BoundaryGrid.sphere(32, 64)
-    center = Isometry.translation(np.linspace(0.3, -0.2, dim))
-    spec = BumpSpec(dim=dim, radius=1.2, center=center, alpha=0.7, axis=np.arange(1.0, dim + 1.0))
+    center = center_along(np.arange(1.0, dim + 1.0), Isometry.translation(np.linspace(0.3, -0.2, dim)))
+    spec = BumpSpec(dim=dim, radius=1.2, center=center, alpha=0.7)
     rows = BLOCK // len(boundary)
     for n_r in (1, rows, rows + 1, 3 * rows + 5):
         radial = RadialGrid.gauss_legendre(n_r, spec.support_radius)
