@@ -201,6 +201,15 @@ class BoundaryGrid:
             weights[sl] = w_mu[i] / (2.0 * n_phi)
         return BoundaryGrid(3, dirs, weights, (n_theta, n_phi))
 
+    @staticmethod
+    def with_azimuths(dim: int, n: int) -> "BoundaryGrid":
+        """The grid of n azimuths: disk(n), or in d = 3 sphere((n + 1) // 2, n).
+
+        The sphere's K-type route is exact to degree min(n_theta - 1,
+        (n_phi - 1) // 2), so n_phi = 2 n_theta is the balanced ratio.
+        """
+        return BoundaryGrid.disk(n) if dim == 2 else BoundaryGrid.sphere((n + 1) // 2, n)
+
     def __len__(self):
         return len(self.weights)
 

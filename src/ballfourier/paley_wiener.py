@@ -25,7 +25,6 @@ from .geometry import busemann_field, half_root_sum
 from .grids import BoundaryGrid, RadialGrid, SampledFunction, _affine, legendre_rule, sample_bump
 from .transforms import (
     OVERFLOW_EXPONENT,
-    TransformUsageError,
     _as_directions,
     _lam_batch,
     boundary_slices,
@@ -57,12 +56,10 @@ def holomorphy_circle_residual(f: SampledFunction, center, b):
     one, giving n residuals of shape (n,).  ``b`` is one boundary direction,
     a d-vector or a (1, d) array; TransformUsageError for any other number
     of directions or a norm off 1 by more than 1e-12 (``_as_directions``).
-    All rings and centers share one forward-slice call, which takes the
-    Chebyshev route of boundary_slices.
+    All rings and centers share one boundary_slices call at b: its
+    Chebyshev route, or its radial route for a K-invariant input.
     """
-    bs = _as_directions(b, f.dim)
-    if len(bs) != 1:
-        raise TransformUsageError(f"expected one boundary direction, got {len(bs)}")
+    bs = _as_directions(b, f.dim, count=1)
     centers = _lam_batch(center).astype(complex)
     angles = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     rings = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * angles)
@@ -108,8 +105,8 @@ def _centered_profile(f: SampledFunction):
     The Gauss-Legendre rule of ``f.radial`` is rescaled from its range
     [0, r_max], the support [0, support_radius] in every scenario, to
     [0, bump radius], so the profile gets every node of the input's rule
-    and no rule is built.  One boundary direction, e_1 with weight 1 (the
-    grid of disk(1) and sphere(1, 1)), suffices: the profile is radial.
+    and no radial rule is built.  One boundary direction, e_1 with weight
+    1 (the grid of one azimuth), suffices: the profile is radial.
     Built once per estimate_type call (see _imaginary_axis_log_magnitudes);
     other inputs get None.
     """
@@ -118,8 +115,7 @@ def _centered_profile(f: SampledFunction):
         return None
     scale = spec.radius / f.radial.r_max
     radial = RadialGrid(f.radial.nodes * scale, f.radial.weights * scale, spec.radius)
-    boundary = BoundaryGrid(f.dim, np.eye(f.dim)[:1], np.ones(1))
-    return sample_bump(replace(spec, center=None), radial, boundary)
+    return sample_bump(replace(spec, center=None), radial, BoundaryGrid.with_azimuths(f.dim, 1))
 
 
 def _imaginary_axis_log_magnitudes(f: SampledFunction, sigmas: np.ndarray, bs: np.ndarray, profile) -> np.ndarray:
@@ -170,7 +166,7 @@ def estimate_type(f: SampledFunction, boundary_points=None) -> TypeEstimate:
     ``boundary_points`` defaults to a small probe grid; given ones are unit
     vectors of shape (m, d), or raise TransformUsageError on either route.
     An unmodulated bump is read through its descriptor and the nodes of its
-    radial rule, never its samples, and no quadrature rule is built for it.
+    radial rule, never its samples, and no radial rule is built for it.
     """
     bs = _default_probe_points(f.dim) if boundary_points is None else _as_directions(boundary_points, f.dim)
     rho = half_root_sum(f.dim)
@@ -221,20 +217,12 @@ class DecayReport:
 def decay_report(f: SampledFunction, b) -> DecayReport:
     """Windowed sups of (1 + lam)^N |fhat(lam, b)| over the last two dyadic windows of [0, 48].
 
-    For K-invariant inputs the slice equals the spherical transform and the
-    radial path is used: the product grid's angular rule aliases once the
-    kernel bandwidth ~ lam * support exceeds its node count, and real-axis
-    tails sit far below that noise floor.  ``b`` is one unit vector, checked
-    on both paths (TransformUsageError).
+    fhat is boundary_slices at b, which takes the spherical transform for a
+    K-invariant input.  ``b`` is one unit vector (TransformUsageError).
     """
-    bs = _as_directions(b, f.dim)
-    if len(bs) != 1:
-        raise TransformUsageError(f"decay_report takes one boundary point, got {len(bs)}")
+    bs = _as_directions(b, f.dim, count=1)
     lam, _ = _affine(legendre_rule(_DECAY_NODES), 0.0, _DECAY_LAM_MAX)
-    try:  # spherical_transform scans the samples for K-invariance once
-        mags = np.abs(spherical_transform(f, lam))
-    except TransformUsageError:
-        mags = np.abs(boundary_slices(f, lam, bs)[:, 0])
+    mags = np.abs(boundary_slices(f, lam, bs)[:, 0])
     lo = (lam >= 0.25 * _DECAY_LAM_MAX) & (lam < 0.5 * _DECAY_LAM_MAX)
     hi = lam >= 0.5 * _DECAY_LAM_MAX
     orders = tuple(range(_DECAY_MAX_ORDER + 1))

@@ -70,17 +70,9 @@ class CheckResult:
         }
 
 
-def _boundary(dim: int, n: int) -> BoundaryGrid:
-    """The boundary grid of n azimuths: disk(n), or in d = 3 sphere((n + 1) // 2, n).
-
-    The sphere route is exact to degree min(n_theta - 1, (n_phi - 1) // 2), so
-    n_phi = 2 n_theta is the balanced ratio.
-    """
-    return BoundaryGrid.disk(n) if dim == 2 else BoundaryGrid.sphere((n + 1) // 2, n)
-
-
-def _fitted(spec: BumpSpec, rule, boundary: BoundaryGrid) -> SampledFunction:
-    """spec sampled on the Gauss-Legendre rule (x, w) of legendre_rule mapped onto its support."""
+def _fitted(spec: BumpSpec, rule, azimuths: int) -> SampledFunction:
+    """spec sampled on legendre_rule's (x, w) mapped onto its support and the grid of ``azimuths`` azimuths."""
+    boundary = BoundaryGrid.with_azimuths(spec.dim, azimuths)
     return sample_bump(spec, RadialGrid.from_legendre(rule, spec.support_radius), boundary)
 
 
@@ -118,7 +110,7 @@ def _rel(a, b):
 
 
 def scenario_jeft_equivalence(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), cfg.boundary_nodes)
     lams = rng.uniform(0.4, 3.2, 4)
     xs = _random_interior_points(rng, cfg.dim, 5, 0.1, 1.5)
     rows = []
@@ -157,9 +149,9 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
     tail = 0.0
     for li, frac in enumerate((0.5, 0.75, 1.0)):
         scale = 0.5 + 0.5 * frac
-        boundary = _boundary(cfg.dim, max(16 if cfg.dim == 2 else 8, round(cfg.boundary_nodes * scale)))
+        azimuths = max(16 if cfg.dim == 2 else 8, round(cfg.boundary_nodes * scale))
         lmax = cfg.lambda_max * frac
-        f = _fitted(spec, legendre_rule(max(16, int(round(cfg.radial_nodes * frac)))), boundary)
+        f = _fitted(spec, legendre_rule(max(16, int(round(cfg.radial_nodes * frac)))), azimuths)
         results = invert(f, pts, lmax)
         errs = [_rel(r.value, t) for r, t in zip(results, truths)]
         level_errs.append(max(errs))
@@ -178,7 +170,7 @@ def scenario_inversion(cfg: ScenarioConfig, rng):
 
 
 def scenario_plancherel(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), cfg.boundary_nodes)
     tol = 1e-3 if cfg.dim == 3 else 1e-2
     rep = plancherel_residual(f, cfg.lambda_max)
     kappa_dev = abs(rep.kappa_implied - KAPPA) / KAPPA
@@ -193,7 +185,7 @@ def scenario_plancherel(cfg: ScenarioConfig, rng):
 
 
 def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), cfg.boundary_nodes)
     checks = []
     rows = []
     for i in range(2):
@@ -206,7 +198,7 @@ def scenario_kaverage_bridge(cfg: ScenarioConfig, rng):
 
 
 def scenario_functional_equation(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), cfg.boundary_nodes)
     gs, xs, lams = [], [], []
     for _ in range(5):
         gs.append(random_isometry(rng, cfg.dim, max_shift=0.4))
@@ -231,7 +223,7 @@ def scenario_functional_equation(cfg: ScenarioConfig, rng):
 
 
 def scenario_asymptotic(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), cfg.boundary_nodes)
     b0 = np.zeros(cfg.dim)
     b0[0] = 1.0
     lam = 2.0 - 0.35j
@@ -257,7 +249,7 @@ def scenario_asymptotic(cfg: ScenarioConfig, rng):
 
 
 def scenario_eigen(cfg: ScenarioConfig, rng):
-    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), _boundary(cfg.dim, cfg.boundary_nodes))
+    f = _fitted(_bump_spec(cfg), legendre_rule(cfg.radial_nodes), cfg.boundary_nodes)
     cases = [(1.0, 1.0)]
     for _ in range(4):
         cases.append((rng.uniform(0.6, 2.6), rng.uniform(0.6, 1.8)))
@@ -300,12 +292,11 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     artifacts = {}
     rule = legendre_rule(cfg.radial_nodes)
     # estimate_type reads only the descriptor and the radial rule of an
-    # unmodulated bump, so one boundary direction carries all it needs
-    one_direction = BoundaryGrid.disk(1) if cfg.dim == 2 else BoundaryGrid.sphere(1, 1)
+    # unmodulated bump, so one boundary direction (one azimuth) carries all it needs
     for radius in (1.0, 2.0, 3.0):
         for shift in (0.0, 1.0):
             spec = _bump_spec(cfg, alpha=0.0, shift=shift, radius=radius)
-            f = _fitted(spec, rule, one_direction)
+            f = _fitted(spec, rule, 1)
             est = estimate_type(f)
             target = spec.support_radius
             rec = abs(est.radius_estimate - target) / target
@@ -317,7 +308,7 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
             artifacts[f"type_estimate_{tag}.csv"] = serialize.type_estimate_to_csv(est)
     # holomorphy of the extension: mean-value circles at random centers
     spec = _bump_spec(cfg, alpha=0.3, shift=0.3, radius=1.0)
-    f = _fitted(spec, rule, _boundary(cfg.dim, cfg.boundary_nodes))
+    f = _fitted(spec, rule, cfg.boundary_nodes)
     b = np.zeros(cfg.dim)
     b[0] = 1.0
     centers = [complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(10)]
@@ -326,8 +317,8 @@ def scenario_pw_recovery(cfg: ScenarioConfig, rng):
     # real-axis decay: smooth passes all orders, the rough profile must fail one.
     # Both bumps are centred, so decay_report reads only their radial profile
     # and one boundary direction carries it
-    smooth = _fitted(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), rule, one_direction)
-    rough = _fitted(BumpSpec(dim=cfg.dim, radius=2.0, profile="indicator"), rule, one_direction)
+    smooth = _fitted(_bump_spec(cfg, alpha=0.0, shift=0.0, radius=2.0), rule, 1)
+    rough = _fitted(BumpSpec(dim=cfg.dim, radius=2.0, profile="indicator"), rule, 1)
     rep_s = decay_report(smooth, b)
     rep_r = decay_report(rough, b)
     checks.append(_verdict("decay_smooth_passes", rep_s.passed))
@@ -375,7 +366,7 @@ def scenario_calibrate(cfg: ScenarioConfig, rng):
     # held-out spread: kappa implied by inversion of an independent bump at
     # independent points must match the calibrated value
     spec = BumpSpec(dim=2, radius=2.0, center=Isometry.translation([np.tanh(0.25), 0.0]))
-    f = _fitted(spec, legendre_rule(54), BoundaryGrid.disk(128))
+    f = _fitted(spec, legendre_rule(54), 128)
     pts = np.array(
         [apply_array(spec.center, polar_to_point(s, np.eye(2)[0]).coords) for s in (0.0, 0.5, 1.0)]
     )

@@ -25,8 +25,11 @@ The Laplace-Beltrami stencil depends on the dimension only through the
 boundary sphere S^{d-1}: it is built on the d - 1 orthonormal tangent
 vectors at omega = x/|x| (_tangent_frame).
 
-The forward slice has three routes, all picked in boundary_slices:
+The forward slice has four routes, all picked in boundary_slices:
 
+- for a K-invariant (radial) input it is the spherical transform at every
+  requested direction, exact in b, where a grid's sum aliases the kernel's
+  angular bandwidth (Helgason, Groups and Geometric Analysis, Ch. IV);
 - at the directions of a disk grid it is the grid's own sum as an exact FFT
   convolution over the angle, whose kernel is folded by its reflection
   (_slices_fft);
@@ -179,21 +182,22 @@ def _interior(x, dim: int = None) -> np.ndarray:
 
 
 def _lam_batch(lam) -> np.ndarray:
-    """lam as a 1-D array, a scalar as a batch of one; TransformUsageError for ndim >= 2."""
+    """lam as a 1-D array, a scalar as a batch of one; TransformUsageError for ndim >= 2 or a non-finite lam."""
     lams = np.atleast_1d(lam)
-    if lams.ndim != 1:
-        raise TransformUsageError(f"lam must be a scalar or a 1-D array, got shape {lams.shape}")
+    if lams.ndim != 1 or not np.all(np.isfinite(lams)):
+        raise TransformUsageError(f"lam must be a finite scalar or 1-D array, got shape {lams.shape}: {lams}")
     return lams
 
 
-def _as_directions(b, dim: int) -> np.ndarray:
+def _as_directions(b, dim: int, count: int = None) -> np.ndarray:
     """Boundary directions as an (m, dim) array, one direction given as a dim-vector.
 
-    Raises TransformUsageError unless every row has unit norm within 1e-12.
+    Raises TransformUsageError unless every row has unit norm within 1e-12,
+    and unless m == count when ``count`` is given.
     """
     bs = np.atleast_2d(_as_coords(b))
-    if bs.ndim != 2 or bs.shape[1] != dim:
-        raise TransformUsageError(f"directions must have shape (m, {dim}), got {bs.shape}")
+    if bs.ndim != 2 or bs.shape[1] != dim or count not in (None, len(bs)):
+        raise TransformUsageError(f"directions must have shape ({count or 'm'}, {dim}), got {bs.shape}")
     if np.any(np.abs(np.linalg.norm(bs, axis=1) - 1.0) > _UNIT_TOL):
         raise TransformUsageError("directions must be unit vectors")
     return bs
@@ -215,11 +219,15 @@ def helgason_forward(f: SampledFunction, lam: complex, b):
 def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     """Forward transform on a lam grid in one pass: values of shape (n_lam, m).
 
-    The one place that picks the slice route.  First the lam route
-    (``_lam_route``): more real lam than the Paley-Wiener degree rule needs
-    on [min lam, max lam] are interpolated from the slices at its
-    Chebyshev-Lobatto nodes; any other lam pass through.  Then, for the lam
-    that are evaluated:
+    The one place that picks the slice route.  A K-invariant input
+    (``f.is_radial()``) takes ``spherical_transform`` at every direction,
+    for any directions and lam: exact in b, where a grid's angular rule
+    aliases once the kernel's bandwidth, about lam support_radius, exceeds
+    its node count, a floor far above real-axis tails and flat-front
+    limits.  Other inputs first take the lam route (``_lam_route``): more
+    real lam than the Paley-Wiener degree rule needs on [min lam, max lam]
+    are interpolated from the slices at its Chebyshev-Lobatto nodes; any
+    other lam pass through.  Then, for the lam that are evaluated:
 
     - ``bs=None`` on a grid built by ``BoundaryGrid.disk`` (its
       ``layout`` is set): the grid's own sum as an exact circular
@@ -236,10 +244,10 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
       magnitudes (5e-14 measured).
 
     A scalar lam is one spectral value.  Raises TransformUsageError for lam
-    of ndim >= 2 and unless ``bs`` has shape (m, d) (one direction may be
-    given as a d-vector) with rows of unit norm within 1e-12, and
-    TransformRangeError when max |Im lam| * support_radius exceeds
-    OVERFLOW_EXPONENT.
+    of ndim >= 2 or not finite and unless ``bs`` has shape (m, d) (one
+    direction may be given as a d-vector) with rows of unit norm within
+    1e-12, and TransformRangeError when max |Im lam| * support_radius
+    exceeds OVERFLOW_EXPONENT, on every route.
     """
     lams = _lam_batch(lams).astype(complex)
     growth = np.max(np.abs(lams.imag), initial=0.0) * f.support_radius
@@ -248,9 +256,11 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
             f"|Im lam| * support = {growth:.1f} exceeds the overflow guard {OVERFLOW_EXPONENT}"
         )
     grid = bs is None and f.boundary.layout is not None
+    bs = _as_directions(f.boundary.directions if bs is None else bs, f.dim)
+    if f.is_radial():
+        return np.repeat(spherical_transform(f, lams)[:, None], len(bs), axis=1)
     if grid and f.dim == 2:
         return _lam_route(lambda l: _slices_fft(f, l), lams, f.support_radius)
-    bs = _as_directions(f.boundary.directions if bs is None else bs, f.dim)
     if not grid:
         return _lam_route(lambda l: _slices_chebyshev(f, l, bs), lams, f.support_radius)
 
@@ -346,7 +356,7 @@ def _orbit_rule(dim: int, tau: float, lam) -> BoundaryGrid:
             f"the K-orbit of radius |x| = {tau} at lam = {lam} needs a rule of {size} points, "
             f"more than {_ORBIT_MAX_POINTS}"
         )
-    return BoundaryGrid.disk(n + 1) if dim == 2 else BoundaryGrid.sphere(n // 2 + 1, n + 1)
+    return BoundaryGrid.with_azimuths(dim, n + 1)
 
 
 def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
@@ -356,7 +366,7 @@ def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
     and each value is an entire function of lam of exponential type at most
     ``radius`` (Paley-Wiener): a sum of c_j e^{-i lam B_j} with |B_j| <=
     ``radius`` and lam-independent c_j.  ``lams`` is a 1-D array.  When they
-    are real, finite and number more than N + 1, with N = _pw_degree(omega)
+    are real and number more than N + 1, with N = _pw_degree(omega)
     and omega = (max lam - min lam) radius / 2, the values come from the
     N + 1 Chebyshev-Lobatto points of [min lam, max lam] by the second-kind
     barycentric formula (Berrut and Trefethen, SIAM Review 46, 2004), with
@@ -368,7 +378,7 @@ def _lam_route(evaluate, lams: np.ndarray, radius: float) -> np.ndarray:
     per-lam spherical transforms.  Every other call is evaluate(lams)
     itself, bit for bit.
     """
-    if np.any(lams.imag) or not np.all(np.isfinite(lams)):
+    if np.any(lams.imag):
         return evaluate(lams)
     lo, hi = float(np.min(lams.real)), float(np.max(lams.real))
     n = _pw_degree(0.5 * (hi - lo) * radius)
@@ -880,10 +890,7 @@ def plancherel_residual(f: SampledFunction, lam_max: float) -> PlancherelReport:
     lhs = float(np.sum(f.node_weights() * np.abs(f.values) ** 2))
     lams, weights = _pw_rule(0.0, lam_max, 2.0 * f.support_radius, f.dim)
     dens = plancherel_density_table(f.dim, lams)
-    if f.is_radial():
-        slice_norms = np.abs(spherical_transform(f, lams)) ** 2
-    else:
-        slice_norms = (np.abs(boundary_slices(f, lams)) ** 2) @ f.boundary.weights
+    slice_norms = (np.abs(boundary_slices(f, lams)) ** 2) @ f.boundary.weights
     rhs = float(np.sum(weights * dens * slice_norms))
     if lhs == 0.0:
         return PlancherelReport(0.0, rhs, abs(rhs), 0.0, lams, dens, slice_norms)
@@ -965,19 +972,23 @@ def asymptotic_limit_residual(f: SampledFunction, lam: complex, b0, t_list) -> A
 
     Requires Im(lam) < 0; real lam is shifted to lam - 1e-3 i (regularity
     condition of the limit), in which case the convergence rate e^{2 Im(lam) t}
-    is correspondingly slow.
+    is correspondingly slow.  Im(lam) > 0, where the limit does not exist,
+    raises TransformUsageError.  For a radial input fhat and jeft both take
+    the spherical transform.
     """
     lam = complex(lam)
+    if lam.imag > 0.0:
+        raise TransformUsageError(f"the flat-front limit needs Im lam <= 0, got lam = {lam}")
     if lam.imag == 0.0:
         lam = lam - 1e-3j
     rho = half_root_sum(f.dim)
     ts = tuple(float(t) for t in t_list)
-    c = c_function(f.dim, lam)
-    target = c * helgason_forward(f, lam, _as_coords(b0, f.dim))
+    b0 = _as_coords(b0, f.dim)
+    fhat = helgason_forward(f, lam, b0)  # refuses a non-finite lam before c_function sees it
+    target = c_function(f.dim, lam) * fhat
     res = np.empty(len(ts))
     for i, t in enumerate(ts):
-        x_t = polar_to_point(t, _as_coords(b0, f.dim))
-        val = np.exp((-1j * lam + rho) * t) * jeft(f, lam, x_t.coords)
+        val = np.exp((-1j * lam + rho) * t) * jeft(f, lam, polar_to_point(t, b0).coords)
         res[i] = abs(val - target)
     return AsymptoticReport(ts, res, float(abs(target)))
 

@@ -45,6 +45,11 @@ def center_along(axis, center: Isometry = None) -> Isometry:
     return Isometry((Rotation(rot),) + moves, dim)
 
 
+def same_grid(a: BoundaryGrid, b: BoundaryGrid) -> bool:
+    """True when two boundary grids have the same directions, weights and layout, bit for bit."""
+    return a.layout == b.layout and np.array_equal(a.directions, b.directions) and np.array_equal(a.weights, b.weights)
+
+
 def bracket(x, b) -> float:
     """The Busemann bracket at one interior point x and one unit direction b: one entry of busemann_field."""
     return float(busemann_field(np.atleast_2d(x), np.atleast_2d(b))[0, 0])

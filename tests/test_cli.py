@@ -12,6 +12,7 @@ from ballfourier import scenarios
 from ballfourier.grids import BoundaryGrid
 from ballfourier.scenarios import list_scenarios, run_scenario, scenario_base_config
 from ballfourier.transforms import InversionResult
+from sampling_helpers import same_grid
 
 
 @pytest.fixture
@@ -397,10 +398,6 @@ _EXPLICIT_GRIDS = {
 }
 
 
-def _same_grid(a, b) -> bool:
-    return np.array_equal(a.directions, b.directions) and np.array_equal(a.weights, b.weights)
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_profile_boundary_grids_are_the_explicit_grids_bit_for_bit(dim):
     """boundary_nodes n gives disk(n), or sphere((n + 1) // 2, n) in d = 3: every profile's grid, bit for bit."""
@@ -411,7 +408,7 @@ def test_profile_boundary_grids_are_the_explicit_grids_bit_for_bit(dim):
             continue
         disk, sphere = _EXPLICIT_GRIDS[name]
         explicit = BoundaryGrid.disk(disk) if dim == 2 else BoundaryGrid.sphere(*sphere)
-        assert _same_grid(scenarios._boundary(dim, cfg.boundary_nodes), explicit), name
+        assert same_grid(BoundaryGrid.with_azimuths(dim, cfg.boundary_nodes), explicit), name
 
 
 @pytest.mark.parametrize("dim, levels", [(2, [120, 140, 160]), (3, [(6, 12), (7, 14), (8, 16)])])
@@ -426,4 +423,4 @@ def test_inversion_levels_sample_the_explicit_grids_bit_for_bit(dim, levels, mon
     monkeypatch.setattr(scenarios, "invert", lambda f, pts, lam_max: [InversionResult(0j, 0.0)] * len(pts))
     scenarios.scenario_inversion(scenario_base_config("inversion", dim), np.random.default_rng(1))
     explicit = [BoundaryGrid.disk(n) if dim == 2 else BoundaryGrid.sphere(*n) for n in levels]
-    assert len(grids) == 3 and all(_same_grid(a, b) for a, b in zip(grids, explicit))
+    assert len(grids) == 3 and all(same_grid(a, b) for a, b in zip(grids, explicit))

@@ -19,7 +19,7 @@ from ballfourier.grids import (
     sample_bump,
 )
 from ballfourier.spectral import spherical_phi
-from sampling_helpers import center_along, translate_bump, zero_function
+from sampling_helpers import center_along, same_grid, translate_bump, zero_function
 
 
 def smooth_profile(r, R):
@@ -107,6 +107,16 @@ def test_boundary_grid_mass():
     sph = BoundaryGrid.sphere(48, 96)
     assert np.sum(sph.weights) == pytest.approx(1.0, abs=1e-13)
     assert np.allclose(np.linalg.norm(sph.directions, axis=1), 1.0, atol=1e-14)
+
+
+def test_grid_of_n_azimuths_is_disk_or_balanced_sphere_bit_for_bit():
+    """with_azimuths(d, n) is disk(n), or sphere((n + 1) // 2, n), with its layout; one azimuth is e_1 with weight 1."""
+    for n in range(1, 61):
+        assert same_grid(BoundaryGrid.with_azimuths(2, n), BoundaryGrid.disk(n))
+        assert same_grid(BoundaryGrid.with_azimuths(3, n), BoundaryGrid.sphere((n + 1) // 2, n))
+    for dim in (2, 3):
+        one = BoundaryGrid.with_azimuths(dim, 1)
+        assert np.array_equal(one.directions, np.eye(dim)[:1]) and np.array_equal(one.weights, np.ones(1))
 
 
 def test_bump_value_at_origin():

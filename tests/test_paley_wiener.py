@@ -132,10 +132,12 @@ def test_type_estimate_of_unmodulated_bump_reads_no_samples(dim, shift):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_type_estimate_builds_no_legendre_rule(dim, monkeypatch):
-    """The centred profile is sampled on the input's own radial rule, rescaled; no rule is built.
+    """The centred profile is sampled on the input's own radial rule, rescaled; no radial rule is built.
 
     The probe points are passed in, because the default d=3 probe set is
     BoundaryGrid.sphere(3, 4), whose 3-node polar rule is built per call.
+    The profile's grid of one azimuth is sphere(1, 1) in d=3, whose 1-node
+    polar rule is the only rule built.
     """
     import ballfourier.grids as grids
 
@@ -153,7 +155,7 @@ def test_type_estimate_builds_no_legendre_rule(dim, monkeypatch):
     est = estimate_type(f, boundary_points=probes)
     if dim == 2:
         estimate_type(f)
-    assert calls == []
+    assert calls == ([] if dim == 2 else [1])
     assert abs(est.radius_estimate - spec.support_radius) <= 0.05 * spec.support_radius
 
 

@@ -87,6 +87,11 @@ def sampled_sum(f, g):
     return SampledFunction(f.dim, f.radial, f.boundary, f.values + g.values, support)
 
 
+def radial_row(f, lams, m):
+    """spherical_transform(f, lams) at each of m directions: the slices of boundary_slices for a K-invariant f."""
+    return np.repeat(spherical_transform(f, lams)[:, None], m, axis=1)
+
+
 @pytest.fixture(scope="module")
 def disk_bumps():
     radial, boundary = disk_setup()
@@ -121,13 +126,39 @@ def test_zero_function_transforms_to_zero():
 
 @pytest.mark.parametrize("setup", ["disk", "ball"])
 def test_radial_transform_is_boundary_independent(setup, disk_bumps, ball_bumps):
+    """boundary_slices of a K-invariant input is spherical_transform at every direction, bit for bit.
+
+    On the grid and at given directions, for real and complex lam, one lam
+    and many (the lam route of spherical_transform); helgason_forward takes
+    the same values.
+    """
     f = disk_bumps[0] if setup == "disk" else ball_bumps[0]
-    for lam in (0.7, 2.0):
-        sl = boundary_slices(f, [lam])[0]
-        scale = np.max(np.abs(sl))
-        assert np.max(np.abs(sl - sl.mean())) <= 1e-9 * scale
-        ft = spherical_transform(f, [lam])[0]
-        assert abs(sl.mean() - ft) <= 1e-9 * abs(ft)
+    bs = np.array([np.eye(f.dim)[0], np.ones(f.dim) / np.sqrt(f.dim)])
+    for lams in ([0.7], [2.0], [2.0 - 0.35j, 5.0 + 3.0j], np.linspace(0.0, 24.0, 300)):
+        assert np.array_equal(boundary_slices(f, lams), radial_row(f, lams, len(f.boundary)))
+        assert np.array_equal(boundary_slices(f, lams, bs), radial_row(f, lams, len(bs)))
+    assert helgason_forward(f, 2.0 - 0.35j, bs[1]) == spherical_transform(f, [2.0 - 0.35j])[0]
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, np.nan), -np.inf])
+def test_non_finite_lam_raises_usage_error(lam, disk_bumps, ball_bumps):
+    """A lam that is not finite is refused by every call that takes a lam batch, on every route."""
+    centered, shifted = disk_bumps
+    calls = [
+        lambda: boundary_slices(shifted, [1.0, lam]),
+        lambda: boundary_slices(ball_bumps[1], [lam]),
+        lambda: boundary_slices(shifted, [lam], np.eye(2)[:1]),
+        lambda: boundary_slices(centered, [lam]),
+        lambda: spherical_transform(centered, lam),
+        lambda: jeft_direct(shifted, [lam], [[0.2, 0.1]]),
+        lambda: jeft_grid(shifted, [lam], [[0.2, 0.1]]),
+        lambda: functional_equation_residual(shifted, [Isometry.identity(2)], [[0.2, 0.1]], [lam]),
+        lambda: eigen_equation_residual(shifted, [lam], [[0.2, 0.1]]),
+        lambda: asymptotic_limit_residual(shifted, lam, [1.0, 0.0], (6.0,)),
+    ]
+    for call in calls:
+        with pytest.raises(TransformUsageError, match="finite"):
+            call()
 
 
 def test_spherical_transform_rejects_non_radial(disk_bumps):
@@ -548,10 +579,17 @@ def chebyshev_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(slice_cases())
 def test_fft_slice_matches_dense_oracle(case):
-    """The disk's FFT slice is the grid's own sum; the sphere's K-type slice has its own tests below."""
+    """The disk's FFT slice is the grid's own sum; the sphere's K-type slice has its own tests below.
+
+    A draw whose samples are K-invariant on its grid takes the radial route
+    of boundary_slices; there the FFT route is called itself.
+    """
     f, lams = case
     assert f.boundary.layout is not None
     fast = boundary_slices(f, lams)
+    if f.is_radial():
+        assert np.array_equal(fast, radial_row(f, lams, len(f.boundary)))
+        fast = _slices_fft(f, np.asarray(lams, dtype=complex))
     dense, _ = dense_slice(f, lams, f.boundary.directions)
     assert fast.shape == dense.shape == (len(lams), len(f.boundary))
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -560,9 +598,16 @@ def test_fft_slice_matches_dense_oracle(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(chebyshev_cases())
 def test_chebyshev_slice_matches_dense_sum(case):
-    """The panelled Chebyshev route against the dense sum, relative to sum |c_j e^{z B_j}|."""
+    """The panelled Chebyshev route against the dense sum, relative to sum |c_j e^{z B_j}|.
+
+    A draw whose samples are K-invariant on its grid takes the radial route
+    of boundary_slices; there the Chebyshev route is called itself.
+    """
     f, lams, bs = case
     got = boundary_slices(f, lams, bs)
+    if f.is_radial():
+        assert np.array_equal(got, radial_row(f, lams, len(bs)))
+        got = _slices_chebyshev(f, np.asarray(lams, dtype=complex), bs)
     ref, scale = dense_slice(f, lams, bs)
     assert got.shape == (len(lams), len(bs))
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
@@ -893,7 +938,10 @@ def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
     and its slice is checked against the dense sum of the same bump on
     sphere(32, 64), which resolves the kernel's harmonics to
     tanh(1/2)^63 < 1e-21.  Complex lam take the Chebyshev route, the grid's
-    own sum, checked against the dense sum on the grid.
+    own sum, checked against the dense sum on the grid.  On the sphere grids
+    with n_theta = 1 or n_phi <= 2 the samples are K-invariant, so
+    boundary_slices takes its radial route, and the grid routes are called
+    themselves.
     """
     boundary = BoundaryGrid.sphere(*shape) if len(shape) == 2 else BoundaryGrid.disk(*shape)
     dim = boundary.dim
@@ -908,6 +956,14 @@ def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
     radial = RadialGrid.gauss_legendre(8, spec.support_radius + 0.5)
     f = sample_bump(spec, radial, boundary)
     fast = boundary_slices(f, lams)
+    if f.is_radial():
+        assert np.array_equal(fast, radial_row(f, lams, len(boundary)))
+        grid_lams = np.asarray(lams, dtype=complex)
+        if dim == 2:
+            fast = _slices_fft(f, grid_lams)
+        else:
+            real, cplx = grid_lams[:2], grid_lams[2:]
+            fast = np.concatenate([_slices_ktype(f, real), _slices_chebyshev(f, cplx, boundary.directions)])
     dense, _ = dense_slice(f, lams, boundary.directions)
     if dim == 3:
         fine = sample_bump(spec, radial, BoundaryGrid.sphere(32, 64))
@@ -1515,6 +1571,36 @@ def test_asymptotic_limit_decreasing_and_small(dim):
     rep = asymptotic_limit_residual(f, 2.0 - 0.35j, np.eye(dim)[0], (6.0, 8.0, 10.0))
     assert np.all(np.diff(rep.residuals) < 0)
     assert rep.residuals[-1] <= 1e-3 * rep.target_magnitude
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flat_front_limit_of_a_radial_bump_to_second_term(dim):
+    """On the asymptotic profile's grids the two-term extrapolation lies within 1e-7 of c(lam) fhat(lam, b0).
+
+    jeft takes spherical_transform times phi_lam(t) for the radial bump, and
+    so does the target, through boundary_slices: measured 1.26e-8 (d = 2)
+    and 2.63e-8 (d = 3).  With the grid's own sum as the target, d = 3 read
+    1.05e-5, the target's own error on 12 x 24.
+    """
+    f = sample_bump(BumpSpec(dim=dim, radius=2.0), RadialGrid.from_legendre(legendre_rule(30), 2.0),
+                    BoundaryGrid.with_azimuths(dim, 64 if dim == 2 else 24))
+    lam, rho = 2.0 - 0.35j, 0.5 * (dim - 1)
+    e1 = np.eye(dim)[0]
+    v8, v10 = (np.exp((-1j * lam + rho) * t) * jeft(f, lam, polar_to_point(t, e1)) for t in (8.0, 10.0))
+    q = np.exp(-2j * lam * 2.0)
+    target = c_function(dim, lam) * helgason_forward(f, lam, e1)
+    assert abs((v10 - q * v8) / (1.0 - q) - target) <= 1e-7 * abs(target)
+
+
+def test_asymptotic_limit_rejects_lam_in_the_upper_half_plane():
+    """Im lam > 0 has no flat-front limit: refused, where residuals of 16.7, 67.8 and 275 were returned."""
+    radial, boundary = disk_setup(64, 12.0, 64)
+    f = sample_bump(BumpSpec(dim=2, radius=2.0), radial, boundary)
+    with pytest.raises(TransformUsageError, match="Im lam"):
+        asymptotic_limit_residual(f, 2.0 + 0.35j, [1.0, 0.0], (6.0, 8.0, 10.0))
+    # real lam is still shifted to lam - 1e-3 i
+    shifted = asymptotic_limit_residual(f, 2.0 - 1e-3j, [1.0, 0.0], (6.0,))
+    assert np.array_equal(asymptotic_limit_residual(f, 2.0, [1.0, 0.0], (6.0,)).residuals, shifted.residuals)
 
 
 def test_asymptotic_limit_zero_function():
