@@ -33,16 +33,15 @@ The forward slice has four routes, all picked in boundary_slices:
 - at the directions of a disk grid it is the grid's own sum as an exact FFT
   convolution over the angle, whose kernel is folded by its reflection
   (_slices_fft);
-- at the directions of a sphere grid, for real lam, it is the samples'
-  spherical harmonics (K-types) times the Funk-Hecke coefficients of the
-  kernel, exact in b for samples of the grid's own degree, where the grid's
-  sum aliases the kernel's angular bandwidth (_slices_ktype).  The
+- at the directions of a sphere grid, real or complex lam, it is the
+  samples' spherical harmonics (K-types) times the Funk-Hecke coefficients
+  of the kernel, exact in b for samples of the grid's own degree, where the
+  grid's sum aliases the kernel's angular bandwidth (_slices_ktype).  The
   coefficients are Helgason's generalized spherical functions, from one
   three-term recurrence in the degree run backward (_funk_hecke): one
   exponential per support row and lam;
-- at explicit directions, those of any other grid, or complex lam on a
-  sphere grid, it is a panelled Chebyshev series in the Busemann value
-  (_slices_chebyshev):
+- at explicit directions, or those of any other grid, it is a panelled
+  Chebyshev series in the Busemann value (_slices_chebyshev):
   P = ceil(max|z| range(B) / 2) equal panels per direction,
   z = -i lam + rho, and N = 20 moments per panel built once per call, so
   each lam costs N + 1 + P exponentials per direction.  Against the dense
@@ -182,10 +181,10 @@ def _interior(x, dim: int = None) -> np.ndarray:
 
 
 def _lam_batch(lam) -> np.ndarray:
-    """lam as a 1-D array, a scalar as a batch of one; TransformUsageError for ndim >= 2 or a non-finite lam."""
+    """lam as a 1-D array, a scalar as a batch of one; TransformUsageError for ndim >= 2, no lam or a non-finite lam."""
     lams = np.atleast_1d(lam)
-    if lams.ndim != 1 or not np.all(np.isfinite(lams)):
-        raise TransformUsageError(f"lam must be a finite scalar or 1-D array, got shape {lams.shape}: {lams}")
+    if lams.ndim != 1 or len(lams) == 0 or not np.all(np.isfinite(lams)):
+        raise TransformUsageError(f"lam must be a finite scalar or non-empty 1-D array, got shape {lams.shape}: {lams}")
     return lams
 
 
@@ -233,18 +232,19 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
       ``layout`` is set): the grid's own sum as an exact circular
       convolution by FFT, with the kernel exponentiated on the half of the
       angles its reflection leaves (``_slices_fft``);
-    - ``bs=None`` on a grid built by ``BoundaryGrid.sphere``, real lam:
-      the samples' spherical harmonics times the Funk-Hecke coefficients of
-      the kernel from their recurrence (``_slices_ktype``), exact in b for
-      samples of the grid's degree;
-    - an explicit ``bs``, a grid with no ``layout`` (rotated, permuted or
-      built by hand), or complex lam on a sphere grid:
-      panelled Chebyshev sums in the Busemann value (``_slices_chebyshev``),
-      within 1e-13 of the dense sum relative to the sum of the terms'
-      magnitudes (5e-14 measured).
+    - ``bs=None`` on a grid built by ``BoundaryGrid.sphere``, real or
+      complex lam: the samples' spherical harmonics times the Funk-Hecke
+      coefficients of the kernel from their recurrence (``_slices_ktype``),
+      exact in b for samples of the grid's degree;
+    - an explicit ``bs``, or a grid with no ``layout`` (rotated, permuted
+      or built by hand): panelled Chebyshev sums in the Busemann value
+      (``_slices_chebyshev``), within 1e-13 of the dense sum relative to
+      the sum of the terms' magnitudes (5e-14 measured).
+
+    The route depends on the input and the directions only, never on lam.
 
     A scalar lam is one spectral value.  Raises TransformUsageError for lam
-    of ndim >= 2 or not finite and unless ``bs`` has shape (m, d) (one
+    of ndim >= 2, empty or not finite and unless ``bs`` has shape (m, d) (one
     direction may be given as a d-vector) with rows of unit norm within
     1e-12, and TransformRangeError when max |Im lam| * support_radius
     exceeds OVERFLOW_EXPONENT, on every route.
@@ -259,20 +259,10 @@ def boundary_slices(f: SampledFunction, lams, bs=None) -> np.ndarray:
     bs = _as_directions(f.boundary.directions if bs is None else bs, f.dim)
     if f.is_radial():
         return np.repeat(spherical_transform(f, lams)[:, None], len(bs), axis=1)
-    if grid and f.dim == 2:
-        return _lam_route(lambda l: _slices_fft(f, l), lams, f.support_radius)
     if not grid:
         return _lam_route(lambda l: _slices_chebyshev(f, l, bs), lams, f.support_radius)
-
-    def sphere_slices(l):
-        out = np.empty((len(l), len(bs)), dtype=complex)
-        real = l.imag == 0
-        out[real] = _slices_ktype(f, l[real])
-        if not np.all(real):
-            out[~real] = _slices_chebyshev(f, l[~real], bs)
-        return out
-
-    return _lam_route(sphere_slices, lams, f.support_radius)
+    route = _slices_fft if f.dim == 2 else _slices_ktype
+    return _lam_route(lambda l: route(f, l), lams, f.support_radius)
 
 
 def _pw_degree(omega: float) -> int:
@@ -517,10 +507,11 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray) -> np.ndarray:
     directions, whose Busemann values are shared by every lam, and each
     chunk adds its part of the convolution to the accumulated FFT.
 
-    Exact K-type coefficients, as _slices_ktype takes on the sphere, would
-    make the slice exact in b here too, but the kernel's Fourier
-    coefficients need 2L + 2 samples per row, L the degree of _orbit_rule at
-    the largest support radius (L ~ 700 at R ~ 3), against n // 2 + 1.
+    K-type coefficients, as _slices_ktype takes on the sphere, would make
+    the slice exact in b here too, and _funk_hecke(2, ...) gives them by
+    the same recurrence; the disk keeps the grid's sum for cost: the
+    recurrence route measured 0.112 s against 0.064 s for this one on the
+    h2-spectral-sweep workload.
     """
     n = len(f.boundary)
     half = n // 2 + 1
@@ -565,17 +556,21 @@ def _funk_hecke(dim: int, lams, radii, l_max: int) -> np.ndarray:
     algorithm) on the ratios q_l = k_l / k_(l-1), from q = 0 above the start
     max(L, l_max), L = _orbit_degree(tanh(r/2), lam), where |k_l| has fallen
     below 2^-52 of the kernel.  The same loop sums sum_l w_l k_l / k_0 by
-    Horner's rule, w_l = 2l + 1 in d = 3 and 1, 2, 2, ... in d = 2, and
-    psi(1) = sum_l w_l k_l = e^{s r} fixes k_0; k_0 itself, which vanishes
-    at lam r = n pi in d = 3, is never divided by.  Every (lam, r) takes its
-    own start and the operations it takes alone, so its coefficients do not
-    depend on the rest of the call.  Measured within 8.4e-16 of sum_l |k_l|
-    against mpmath in d = 3 and 2.9e-15 against the FFT of psi in d = 2
-    (tests).
+    Horner's rule, w_l = 2l + 1 in d = 3 and 1, 2, 2, ... in d = 2, and psi
+    at the end where |psi| peaks fixes k_0: psi(1) = sum_l w_l k_l = e^{s r}
+    when Re s >= 0, and psi(-1) = sum_l (-1)^l w_l k_l = e^{-s r} when
+    Re s < 0 (Im lam < -rho), where the sum at u = 1 would cancel by about
+    e^{2 |Re s| r}.  k_0 itself, which vanishes at lam r = n pi in d = 3, is
+    never divided by.  Every (lam, r) takes its own start and the operations
+    it takes alone, so its coefficients do not depend on the rest of the
+    call.  Measured within 8.4e-16 of sum_l |k_l| against mpmath in d = 3
+    and 2.9e-15 against the FFT of psi in d = 2 at real lam, and within
+    1.4e-15 and 2.4e-15 at complex lam with Re s of either sign (tests).
     """
     rho = half_root_sum(dim)
     lams = np.asarray(lams, dtype=complex)[:, None]
     s = -1j * lams + rho
+    end = np.where(s.real < 0.0, -1.0, 1.0)  # u of the end where |psi| peaks
     coth = 1.0 / np.tanh(radii)
     start = np.maximum(_orbit_degree(np.tanh(0.5 * radii), lams), l_max)
     top = np.max(start, initial=0)
@@ -583,19 +578,19 @@ def _funk_hecke(dim: int, lams, radii, l_max: int) -> np.ndarray:
     q, h = np.zeros(start.shape, dtype=complex), np.zeros(start.shape, dtype=complex)
     table = np.empty(start.shape + (l_max + 1,), dtype=complex)
     for l in range(top, 0, -1):
-        h = (2.0 * l + 1.0 if dim == 3 else 2.0) + q * h
+        h = (2.0 * l + 1.0 if dim == 3 else 2.0) + end * q * h
         q = (l - 1.0 + s) / ((2.0 * l + 2.0 * rho - 1.0) * coth - (l + 2.0 * rho - s) * q)
         if l > first:
             idle = l > start
             q[idle], h[idle] = 0.0, 0.0
         if l <= l_max:
             table[..., l] = q
-    table[..., 0] = np.exp(s * radii) / (1.0 + q * h)
+    table[..., 0] = np.exp(end * s * radii) / (1.0 + end * q * h)
     return np.cumprod(table, axis=-1)
 
 
 def _slices_ktype(f: SampledFunction, lams: np.ndarray) -> np.ndarray:
-    """boundary_slices on the directions of ``BoundaryGrid.sphere`` by K-types (Funk-Hecke), real lam.
+    """boundary_slices on the directions of ``BoundaryGrid.sphere`` by K-types (Funk-Hecke), real or complex lam.
 
     The kernel e^{z A} (z = -i lam + rho) of a sample tanh(r_i/2) omega
     against b depends only on u = <omega, b>, so by Funk-Hecke (Helgason,
@@ -618,17 +613,20 @@ def _slices_ktype(f: SampledFunction, lams: np.ndarray) -> np.ndarray:
     grid's own sum aliases the kernel's angular bandwidth, about
     lam sinh r.  Each lam takes the operations it takes alone, so its slice
     does not depend on the other lam of the call.  At complex lam the
-    kernel peaks by e^{|Im lam| r}, and the truncated harmonics read worse
-    than the grid's own sum on coarse grids (14 against 0.07 relative at
-    lam = 5 + 29i on 8 x 16), so boundary_slices sends those to the grid's
-    sum.
+    kernel peaks by e^{|Im lam| r}; against the same bump sampled on
+    64 x 128 (3 bumps, the 8 x 16, 12 x 24 and 24 x 48 grids, Re s of both
+    signs) the route read at most 1.13 times the grid sum's error (1.01 on
+    24 x 48), and 3.6e-2 against 0.76 at lam = 5 + 29i on 8 x 16, where the
+    grid aliases the kernel (tests); on a bump of radius 0.5 at distance 1,
+    which 8 x 16 does not resolve, both read 0.1 to 0.2 (1.6 times at
+    4.2 + 1.1i).  One complex lam on 24 x 48 costs what a real one does.
     """
     n_rows, n_phi = f.boundary.layout
     l_max = min(n_rows - 1, (n_phi - 1) // 2)
     mask = f.support_mask
     out = np.zeros((len(lams), n_rows, n_phi), dtype=complex)
     radii = f.radial.nodes[mask]
-    if len(radii) == 0 or len(lams) == 0:
+    if len(radii) == 0:
         return out.reshape(len(lams), n_rows * n_phi)
     ms = np.arange(-l_max, l_max + 1)
     # Y_lm on the polar rows for signed m, (m, row, l)

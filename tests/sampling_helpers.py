@@ -74,14 +74,14 @@ def dense_slice(f: SampledFunction, lams, bs):
     return np.einsum("i,kij->kj", wv, kernels), np.einsum("i,kij->kj", np.abs(wv), np.abs(kernels))
 
 
-def ktype_terms_magnitude(f: SampledFunction) -> np.ndarray:
-    """A bound on the magnitudes of the terms the K-type slice sums, for real lam, at each direction of f's sphere grid.
+def ktype_terms_magnitude(f: SampledFunction, lam: complex = 0.0) -> np.ndarray:
+    """A bound on the magnitudes of the terms the K-type slice sums at lam, at each direction of f's sphere grid.
 
     The slice at b is sum_(l, m, i) F_lm(i) k_l(lam, tau_i) Y_lm(b), with
     F_lm(i) the harmonics of support row i's weighted samples and
-    |k_l(lam, tau_i)| <= 1/2 int |e^{(-i lam + rho) A}| du = phi_0(r_i) for
-    real lam, so the bound is sum_(l, m, i) |F_lm(i)| phi_0(r_i) |Y_lm(b)|,
-    shape (m,).
+    |k_l(lam, tau_i)| <= 1/2 int |e^{(-i lam + rho) A}| du = phi_{i Im lam}(r_i),
+    phi_0(r_i) for real lam, so the bound is
+    sum_(l, m, i) |F_lm(i)| phi_{i Im lam}(r_i) |Y_lm(b)|, shape (m,).
     """
     n_rows, n_phi = f.boundary.layout
     l_max = min(n_rows - 1, (n_phi - 1) // 2)
@@ -90,8 +90,8 @@ def ktype_terms_magnitude(f: SampledFunction) -> np.ndarray:
     ylm = legendre_table(l_max, f.boundary.directions[::n_phi, 2])[np.abs(ms)]
     wv = (f.node_weights()[mask] * f.values[mask]).reshape(-1, n_rows, n_phi)
     harmonics = np.abs(np.einsum("mla,iam->lmi", ylm, np.fft.fft(wv, axis=-1)[..., ms % n_phi]))
-    phi0 = spherical_phi(3, 0.0, f.radial.nodes[mask]).real
-    return np.repeat(np.einsum("lmi,i,mla->a", harmonics, phi0, np.abs(ylm)), n_phi)
+    phi = spherical_phi(3, 1j * abs(np.imag(lam)), f.radial.nodes[mask]).real
+    return np.repeat(np.einsum("lmi,i,mla->a", harmonics, phi, np.abs(ylm)), n_phi)
 
 
 def direct_convolution(f: SampledFunction, lams, xs):

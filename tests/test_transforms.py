@@ -161,6 +161,26 @@ def test_non_finite_lam_raises_usage_error(lam, disk_bumps, ball_bumps):
             call()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["disk grid", "sphere grid", "directions", "radial", "spherical_transform", "jeft_direct", "jeft_grid"],
+)
+def test_empty_lam_batch_raises_usage_error(entry, disk_bumps, ball_bumps):
+    """No lam is refused by every call that takes a lam batch, as a non-finite lam is, on every route."""
+    centered, shifted = disk_bumps
+    calls = {
+        "disk grid": lambda: boundary_slices(shifted, []),
+        "sphere grid": lambda: boundary_slices(ball_bumps[1], np.array([], dtype=complex)),
+        "directions": lambda: boundary_slices(shifted, [], np.eye(2)[:1]),
+        "radial": lambda: boundary_slices(centered, []),
+        "spherical_transform": lambda: spherical_transform(centered, []),
+        "jeft_direct": lambda: jeft_direct(shifted, [], [[0.2, 0.1]]),
+        "jeft_grid": lambda: jeft_grid(shifted, [], [[0.2, 0.1]]),
+    }
+    with pytest.raises(TransformUsageError, match="non-empty"):
+        calls[entry]()
+
+
 def test_spherical_transform_rejects_non_radial(disk_bumps):
     with pytest.raises(TransformUsageError):
         spherical_transform(disk_bumps[1], [1.0])
@@ -785,23 +805,27 @@ def test_pw_degree_rule_against_bessel_values():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_lam_route_passes_other_calls_through_bit_for_bit(dim, disk_bumps, ball_bumps):
-    """Complex lam, one lam and N + 1 >= n_lam real lam reach the routes unchanged."""
+def test_lam_route_passes_other_calls_through_bit_for_bit(dim, disk_bumps, ball_bumps, monkeypatch):
+    """Complex lam, one lam and N + 1 >= n_lam real lam reach the routes unchanged.
+
+    On a layout grid every batch, a mixed real and complex one included,
+    takes the grid's route and never calls the Chebyshev route.
+    """
     centered, shifted = disk_bumps if dim == 2 else ball_bumps
     bs = np.eye(dim)[:2]
     width = 6.0
     needed = _pw_degree(0.5 * width * shifted.support_radius) + 1
     at_threshold = np.linspace(0.5, 0.5 + width, needed).astype(complex)
     complex_lams = np.linspace(0.5, 0.5 + width, needed + 2) - 0.2j
-    grid_route = _slices_fft(shifted, at_threshold) if dim == 2 else _slices_ktype(shifted, at_threshold)
-    assert np.array_equal(boundary_slices(shifted, at_threshold), grid_route)
-    # complex lam on a sphere grid take the grid's own sum, by the Chebyshev route
-    if dim == 2:
-        grid_route = _slices_fft(shifted, complex_lams)
-    else:
-        grid_route = _slices_chebyshev(shifted, complex_lams, shifted.boundary.directions)
-    assert np.array_equal(boundary_slices(shifted, complex_lams), grid_route)
-    for lams in (at_threshold, complex_lams):
+    mixed = np.array([1.3, 5.0 - 8.0j, 0.5 + 2.0j])
+    grid_route = _slices_fft if dim == 2 else _slices_ktype
+    chebyshev_calls = []
+    monkeypatch.setattr(transforms, "_slices_chebyshev", lambda *args: chebyshev_calls.append(args))
+    for lams in (at_threshold, complex_lams, mixed):
+        assert np.array_equal(boundary_slices(shifted, lams), grid_route(shifted, lams))
+        assert chebyshev_calls == []
+    monkeypatch.undo()
+    for lams in (at_threshold, complex_lams, mixed):
         assert np.array_equal(boundary_slices(shifted, lams, bs), _slices_chebyshev(shifted, lams, bs))
     mask = centered.support_mask
     weighted = (centered.radial_weights() * centered.radial_profile())[mask]
@@ -931,17 +955,16 @@ def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
 
     ``shape`` is (n,) of a disk grid, where the FFT kernel folded by its
     azimuth reflection is checked against the dense sum of a shifted,
-    modulated bump, or (n_theta, n_phi) of a sphere grid.  There real lam
-    take the K-type route, exact for samples of angular degree <= l_max =
-    min(n_theta - 1, (n_phi - 1) // 2): a centred bump modulated along the
-    polar axis has degree 1 (0 unmodulated, on the grids with l_max = 0),
-    and its slice is checked against the dense sum of the same bump on
-    sphere(32, 64), which resolves the kernel's harmonics to
-    tanh(1/2)^63 < 1e-21.  Complex lam take the Chebyshev route, the grid's
-    own sum, checked against the dense sum on the grid.  On the sphere grids
-    with n_theta = 1 or n_phi <= 2 the samples are K-invariant, so
-    boundary_slices takes its radial route, and the grid routes are called
-    themselves.
+    modulated bump, or (n_theta, n_phi) of a sphere grid.  There every lam,
+    real or complex, takes the K-type route, exact for samples of angular
+    degree <= l_max = min(n_theta - 1, (n_phi - 1) // 2): a centred bump
+    modulated along the polar axis has degree 1 (0 unmodulated, on the grids
+    with l_max = 0), and its slice is checked against the dense sum of the
+    same bump on sphere(32, 64), which resolves the kernel's harmonics to
+    tanh(1/2)^63 < 1e-21 (times e^{|Im lam|} at complex lam).  On the sphere
+    grids with n_theta = 1 or n_phi <= 2 the samples are K-invariant, so
+    boundary_slices takes its radial route, and the grid route is called
+    itself.
     """
     boundary = BoundaryGrid.sphere(*shape) if len(shape) == 2 else BoundaryGrid.disk(*shape)
     dim = boundary.dim
@@ -958,16 +981,9 @@ def test_folded_fft_slice_matches_dense_on_small_and_odd_grids(shape):
     fast = boundary_slices(f, lams)
     if f.is_radial():
         assert np.array_equal(fast, radial_row(f, lams, len(boundary)))
-        grid_lams = np.asarray(lams, dtype=complex)
-        if dim == 2:
-            fast = _slices_fft(f, grid_lams)
-        else:
-            real, cplx = grid_lams[:2], grid_lams[2:]
-            fast = np.concatenate([_slices_ktype(f, real), _slices_chebyshev(f, cplx, boundary.directions)])
-    dense, _ = dense_slice(f, lams, boundary.directions)
-    if dim == 3:
-        fine = sample_bump(spec, radial, BoundaryGrid.sphere(32, 64))
-        dense[:2] = dense_slice(fine, lams[:2], boundary.directions)[0]
+        fast = (_slices_fft if dim == 2 else _slices_ktype)(f, np.asarray(lams, dtype=complex))
+    oracle = f if dim == 2 else sample_bump(spec, radial, BoundaryGrid.sphere(32, 64))
+    dense, _ = dense_slice(oracle, lams, boundary.directions)
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -991,52 +1007,80 @@ def test_fft_slice_over_several_row_chunks_matches_dense(boundary):
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
+_COMPLEX_LAMS = [2.0 - 0.35j, 4.2 + 1.1j, 0.5 + 2.0j, 1.9 - 3.0j, 5.0 - 8.0j, -8j, 12.0 - 1.0j]
+_SPHERES = [(8, 16), (12, 24), (24, 48)]
+
+
 @pytest.mark.parametrize(
-    "shift, alpha, radius, bounds",
-    [(0.4, 0.6, 1.0, (1e-5, 1e-5, 1e-3, 4e-3)), (0.3, 0.6, 1.2, (1e-7, 1e-7, 1e-4, 4e-3))],
-    ids=["jeft-equivalence", "functional-equation"],
+    "shift, alpha, radius, shapes, fine, lams, bounds, ratio",
+    [
+        (0.4, 0.6, 1.0, [(24, 48)], (96, 192), [0.5, 2.0, 10.0, 20.0] + _COMPLEX_LAMS,
+         [(1e-5, 1e-5, 1e-3, 4e-3, 1e-5, 1e-4, 1e-5, 1e-5, 1e-4, 1e-4, 1e-3)], 1.02),
+        (0.3, 0.6, 1.2, [(24, 48)], (96, 192), [0.5, 2.0, 10.0, 20.0] + _COMPLEX_LAMS,
+         [(1e-7, 1e-7, 1e-4, 4e-3, 1e-7, 1e-6, 1e-6, 1e-7, 1e-6, 1e-6, 1e-4)], 1.02),
+        (0.2, 0.5, 1.0, _SPHERES, (64, 128), _COMPLEX_LAMS + [5.0 + 29.0j], [1e-1, 1e-3, 1e-5], 1.5),
+        (0.4, 0.3, 2.0, _SPHERES, (64, 128), _COMPLEX_LAMS, [1e-1, 1e-2, 1e-3], 1.5),
+        (0.6, 0.0, 1.5, _SPHERES, (64, 128), _COMPLEX_LAMS, [1.0, 1e-1, 1e-3], 1.5),
+    ],
+    ids=["jeft-equivalence", "functional-equation", "small", "large", "unmodulated"],
 )
-def test_ktype_slice_matches_a_fine_resample(shift, alpha, radius, bounds):
-    """K-type slices on the 24 x 48 sphere against the same bump sampled on 96 x 192.
+def test_ktype_slice_matches_a_fine_resample(shift, alpha, radius, shapes, fine, lams, bounds, ratio):
+    """K-type slices on coarse spheres against the same bump sampled on a fine one.
 
     The reference is the Chebyshev route's sum over the fine grid at 16 of
-    the coarse grid's directions, for lam 0.5, 2, 10 and 20.  The coarse
-    route truncates the samples to degree 23; the grid's own sum (the dense
-    oracle at the same directions) also aliases the kernel's angular
-    bandwidth, about lam sinh r.  Measured errors relative to max |reference|:
-    2.7e-6, 3.3e-6, 2.0e-4, 9.8e-4 (jeft-equivalence bump) and 1.5e-8,
-    3.0e-8, 4.7e-5, 1.0e-3 (functional-equation bump), against 2.8e-2 and
-    1.4e-1 for the grid's own sum at lam = 20.  The bounds are those
-    measurements rounded up to the next power of ten (the last to 4e-3).
-    Below lam = 20 both errors are the samples' own truncation: the route
-    read at most 0.5% above the grid's own sum (4.66e-5 against 4.64e-5),
-    and may not read more than 2% above it.
+    each coarse grid's directions.  The coarse route truncates the samples
+    to degree l_max; the grid's own sum (the dense oracle at the same
+    directions) also aliases the kernel's angular bandwidth, about
+    lam sinh r, and at complex lam its peak e^{|Im lam| r}.  The complex
+    lam have Re s > 0 (4.2 + 1.1i, 0.5 + 2i, 5 + 29i, where
+    |Im lam| support_radius <= 40), Re s < 0 (1.9 - 3i, 5 - 8i, -8i) and
+    Re s about 0 (2 - 0.35i, 12 - i).  Errors are relative to
+    max |reference|, and the bounds are the measurements rounded up to the
+    next power of ten (lam = 20 to 4e-3).
+
+    On 24 x 48 against 96 x 192 at lam 0.5, 2, 10, 20 and the complex lam:
+    2.7e-6, 3.3e-6, 2.0e-4, 9.8e-4, then 2.5e-6 ... 1.2e-4
+    (jeft-equivalence bump), and 1.5e-8, 3.0e-8, 4.7e-5, 1.0e-3, then
+    2.4e-8 ... 3.5e-5 (functional-equation bump), against 2.8e-2 and
+    1.4e-1 for the grid's own sum at lam = 20.  Below lam = 20 both errors
+    are the samples' own truncation: the route read at most 0.5% above the
+    grid's own sum (4.66e-5 against 4.64e-5) and may not read 2% above it.
+
+    On 8 x 16, 12 x 24 and 24 x 48 against 64 x 128 (which a 48 x 96
+    resample meets within 1.4e-5), worst over the complex lam: 3.6e-2,
+    1.6e-4, 9.6e-6 (small bump), 3.4e-2, 1.7e-3, 1.0e-4 (large) and 0.47,
+    4.1e-2, 6.9e-4 (unmodulated), each at 12 - i or 5 + 29i, where the
+    grid's own sum read up to 0.76, 14 and 16.  The route read at most 1.125
+    times the grid's own sum (1.9 - 3i, unmodulated on 8 x 16, 3.4e-5
+    against 3.0e-5), 1.01 times on 24 x 48, and may not read 1.5 times it.
     """
     center = Isometry.translation([np.tanh(0.5 * shift), 0.0, 0.0])
     spec = BumpSpec(dim=3, radius=radius, center=center_along([0.3, 0.5, 0.8], center), alpha=alpha)
     radial = RadialGrid.gauss_legendre(32, spec.support_radius)
-    coarse = BoundaryGrid.sphere(24, 48)
-    f = sample_bump(spec, radial, coarse)
-    idx = np.random.default_rng(5).choice(len(coarse), 16, replace=False)
-    lams = np.array([0.5, 2.0, 10.0, 20.0])
-    fine = sample_bump(spec, radial, BoundaryGrid.sphere(96, 192))
-    ref = _slices_chebyshev(fine, lams.astype(complex), coarse.directions[idx])
-    scale = np.max(np.abs(ref), axis=1)
-    err = np.max(np.abs(boundary_slices(f, lams)[:, idx] - ref), axis=1) / scale
-    grid_sum_err = np.max(np.abs(dense_slice(f, lams, coarse.directions[idx])[0] - ref), axis=1) / scale
-    assert np.all(err <= np.array(bounds))
-    assert np.all(err <= grid_sum_err * 1.02)
+    lams = np.array(lams, dtype=complex)
+    fine = sample_bump(spec, radial, BoundaryGrid.sphere(*fine))
+    for shape, bound in zip(shapes, bounds):
+        coarse = BoundaryGrid.sphere(*shape)
+        f = sample_bump(spec, radial, coarse)
+        idx = np.random.default_rng(5).choice(len(coarse), 16, replace=False)
+        ref = _slices_chebyshev(fine, lams, coarse.directions[idx])
+        scale = np.max(np.abs(ref), axis=1)
+        err = np.max(np.abs(boundary_slices(f, lams)[:, idx] - ref), axis=1) / scale
+        grid_sum_err = np.max(np.abs(dense_slice(f, lams, coarse.directions[idx])[0] - ref), axis=1) / scale
+        assert np.all(err <= np.array(bound)), shape
+        assert np.all(err <= ratio * grid_sum_err), shape
 
 
 def test_ktype_rule_matches_a_rule_of_twice_the_degree(ball_bumps, monkeypatch):
     """The Funk-Hecke recurrence is converged at its start: doubling the start degree moves no slice.
 
     The start is the _orbit_degree shared with the K-orbit rule.  Against
-    the K-type terms' magnitudes (ktype_terms_magnitude), at lam up to 60 on
-    the shifted ball bump (support radius 1.6).
+    the K-type terms' magnitudes at each lam (ktype_terms_magnitude), at
+    real lam up to 60 and complex lam with Re s of both signs on the
+    shifted ball bump (support radius 1.6).
     """
     f = ball_bumps[1]
-    lams = np.array([0.0, 0.5, 3.0, 12.0, 30.0, 60.0])
+    lams = np.array([0.0, 0.5, 3.0, 12.0, 30.0, 60.0, 5.0 - 8.0j, -8j, 1.9 - 3.0j, 0.5 + 2.0j, 5.0 + 20.0j])
     got = _slices_ktype(f, lams)
     doubled_calls = []
 
@@ -1047,10 +1091,11 @@ def test_ktype_rule_matches_a_rule_of_twice_the_degree(ball_bumps, monkeypatch):
     monkeypatch.setattr(transforms, "_orbit_degree", doubled_degree)
     doubled = _slices_ktype(f, lams)
     assert doubled_calls == [(len(lams), 1)]
-    assert np.all(np.abs(got - doubled) <= 1e-14 * ktype_terms_magnitude(f))
+    scale = np.array([ktype_terms_magnitude(f, lam) for lam in lams])
+    assert np.all(np.abs(got - doubled) <= 1e-14 * scale)
 
 
-def _mpmath_funk_hecke(lam: float, r: float, l: int) -> complex:
+def _mpmath_funk_hecke(lam: complex, r: float, l: int) -> complex:
     """k_l(lam, r) in d = 3 by mpmath (20 digits) in the Busemann value A.
 
     With u = 1 - expm1(r - A) / (e^r sinh r), k_l = 1/2 int psi P_l du =
@@ -1062,18 +1107,26 @@ def _mpmath_funk_hecke(lam: float, r: float, l: int) -> complex:
     with mpmath.workdps(20):
         sinh, grow = mpmath.sinh(r), mpmath.exp(r) * mpmath.sinh(r)
         integrand = lambda a: mpmath.exp(-1j * lam * a) * mpmath.legendre(l, 1 - mpmath.expm1(r - a) / grow)
-        panels = mpmath.linspace(-r, r, int(np.ceil(lam * r / 2.0)) + 5)
+        panels = mpmath.linspace(-r, r, int(np.ceil(abs(lam) * r / 2.0)) + 5)
         return complex(mpmath.quad(integrand, panels) / (2 * sinh))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("lam, r", [(2.0, 1.0), (20.0, 2.5), (40.0, 3.0), (np.pi, 1.0), (0.0, 1e-3), (5.0, 1e-3)])
+@pytest.mark.parametrize(
+    "lam, r",
+    [(2.0, 1.0), (20.0, 2.5), (40.0, 3.0), (np.pi, 1.0), (0.0, 1e-3), (5.0, 1e-3)]
+    + [(-8j, 3.0), (5.0 - 8.0j, 3.0), (1.9 - 3.0j, 1.0), (0.5 + 2.0j, 2.5)],
+)
 def test_funk_hecke_matches_mpmath_in_d3(lam, r):
     """k_l(lam, r), l in {0, 5, 23}, against mpmath, relative to sum |k_l| over every l to the start degree.
 
-    Measured within 8.4e-16 (and 7e-16 absolute).  At lam r = pi, k_0 =
-    phi_lam(r) vanishes; at r = 1e-3 the start degree (5 and 6) lies below
-    l_max = 23, which then starts the recurrence.
+    Measured within 8.4e-16 (and 7e-16 absolute) at real lam and 1.4e-15
+    at complex lam.  At lam r = pi, k_0 = phi_lam(r) vanishes; at r = 1e-3
+    the start degree (5 and 6) lies below l_max = 23, which then starts the
+    recurrence.  At lam = -8i the kernel is the polynomial
+    (cosh r - u sinh r)^7, so k_l = 0 past l = 7.  Where Re s < 0 a k_0
+    fixed by psi(1), the kernel's smallest value, read up to 19 times
+    sum |k_l| off.
     """
     radii = np.array([r])
     k = _funk_hecke(3, [lam], radii, 23)[0, 0]
@@ -1083,7 +1136,9 @@ def test_funk_hecke_matches_mpmath_in_d3(lam, r):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("lam", [0.0, 0.7, 5.0, 20.0, 40.0])
+@pytest.mark.parametrize(
+    "lam", [0.0, 0.7, 5.0, 20.0, 40.0] + [-8j, 5.0 - 8.0j, 1.9 - 3.0j, 5.0 + 29.0j, 0.5 + 2.0j, 2.0 - 0.35j]
+)
 def test_funk_hecke_matches_the_kernels_fft_in_d2(lam):
     """The d = 2 coefficients are the Fourier coefficients of psi(cos t) = (cosh r - cos t sinh r)^-s.
 
@@ -1093,11 +1148,15 @@ def test_funk_hecke_matches_the_kernels_fft_in_d2(lam):
     to the sum of |k_m| over every mode.  Measured within 2.9e-15 (5.7e-15
     with the base cosh r - cos t sinh r rounded directly, whose rounding
     the phase multiplies by lam); r = pi / lam is a zero of k_0 only in
-    d = 3.
+    d = 3.  The complex lam have Re s of both signs, s = -i lam + rho (Re s
+    < 0 for the first three), and take the radii with |Im lam| r <= 40:
+    measured within 2.4e-15, where a k_0 fixed by psi(1) read up to 0.20 off
+    at Re s < 0.
     """
     n = 2**16
     cos = np.cos(2.0 * np.pi * np.arange(n) / n)
-    for r in (1e-3, 0.1, 1.0, 2.0, 3.0) + ((np.pi / lam,) if lam else ()):
+    radii = (1e-3, 0.1, 1.0, 2.0, 3.0) + ((np.pi / lam,) if np.isreal(lam) and lam else ())
+    for r in (r for r in radii if abs(np.imag(lam)) * r <= 40.0):
         psi = np.exp(-(-1j * lam + 0.5) * np.log1p(2.0 * np.sinh(0.5 * r) ** 2 - cos * np.sinh(r)))
         ref = np.fft.fft(psi) / n
         k = _funk_hecke(2, [lam], np.array([r]), 40)[0, 0]
@@ -1110,9 +1169,12 @@ def test_funk_hecke_k0_is_the_spherical_function_and_each_entry_its_own(dim):
     """k_0 = phi_lam(r) within 1e-14 of sum |k_l|, and a batch reads every (lam, r) as it reads alone, bit for bit.
 
     lam = 0, r = 1e-3 and lam r = pi (a zero of phi_lam in d = 3) are among
-    the cases; k_0 measured within 1.9e-15 of sum |k_l|.
+    the cases; k_0 measured within 1.9e-15 of sum |k_l| at real lam and
+    8.2e-15 at complex lam, where a k_0 fixed by psi(1) read up to 530
+    (d = 2) and 19 (d = 3) times sum |k_l| off at Re s < 0.  The complex
+    lam keep |Im lam| r <= 40 at r <= 3.
     """
-    lams = np.array([0.0, 0.5, np.pi, 12.0, 30.0, 60.0])
+    lams = np.array([0.0, 0.5, np.pi, 12.0, 30.0, 60.0, -8j, 5.0 - 8.0j, 1.9 - 3.0j, 0.5 + 2.0j, 12.0 - 1.0j])
     radii = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 3.0])
     k = _funk_hecke(dim, lams, radii, int(np.max(_orbit_degree(np.tanh(0.5 * radii), lams[:, None]))))
     assert np.all(np.abs(k[..., 0] - spherical_phi(dim, lams, radii)) <= 1e-14 * np.sum(np.abs(k), axis=-1))
@@ -1120,6 +1182,35 @@ def test_funk_hecke_k0_is_the_spherical_function_and_each_entry_its_own(dim):
     for i, lam in enumerate(lams):
         for j, r in enumerate(radii):
             assert np.array_equal(_funk_hecke(dim, [lam], radii[j : j + 1], 23)[0, 0], batch[i, j])
+
+
+def _pochhammer(a: complex, n: int) -> np.ndarray:
+    """(a)_l = a (a + 1) ... (a + l - 1) for l = 0 .. n, by a plain product."""
+    out = np.ones(n + 1, dtype=complex)
+    for l in range(1, n + 1):
+        out[l] = out[l - 1] * (a + l - 1)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam", [1.3, 2.7, 12.0, 5.0 - 8.0j, 1.9 - 3.0j, 0.5 + 2.0j, 2.0 - 0.35j])
+def test_funk_hecke_keeps_the_paley_wiener_symmetry(dim, lam):
+    """k_l(-lam, r) = R_l(lam) k_l(lam, r), R_l = (rho + i lam)_l / (rho - i lam)_l, for l <= 23.
+
+    The symmetry condition of the Paley-Wiener theorem on the K-types
+    (Helgason, Groups and Geometric Analysis, Ch. IV): the ratio does not
+    depend on r.  Relative to sum_l (|k_l(lam)| + |k_l(-lam)|) at r in
+    {0.4, 1.1, 2.0}; measured within 2.2e-15, where a k_0 fixed by psi(1)
+    read 6.9e-5 (d = 2) and 3.6e-6 (d = 3) at lam = 5 - 8i.  One of lam
+    and -lam has Re s < 0 at every complex lam here.
+    """
+    rho = 0.5 * (dim - 1)
+    radii = np.array([0.4, 1.1, 2.0])
+    k = _funk_hecke(dim, [lam, -lam], radii, 23)
+    ratio = _pochhammer(rho + 1j * lam, 23) / _pochhammer(rho - 1j * lam, 23)
+    scale = np.sum(np.abs(k[0]) + np.abs(k[1]), axis=-1, keepdims=True)
+    assert np.all(np.abs(k[1] - ratio * k[0]) <= 1e-14 * scale)
 
 
 def test_sampling_and_slice_memory_stay_within_a_multiple_of_the_samples():
