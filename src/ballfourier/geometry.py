@@ -16,7 +16,12 @@ import numpy as np
 BALL_TOL = 1e-12
 # Entries per block of every temporary sized samples x directions, samples x
 # coordinates or lam x radii: 1 MB of complex values, which stays in cache
-# and keeps a temporary's size independent of the grid's.
+# and keeps a temporary's size independent of the grid's.  Loops over the
+# samples size their blocks from it by their largest temporary: sample_bump
+# takes about BLOCK // d samples (a float per coordinate), is_radial
+# BLOCK // 2 (a complex deviation each), and the support blocks of the
+# explicit-direction slice and jeft_direct BLOCK // 8, where their 21-row
+# Chebyshev table stays at 1.4 MB.
 BLOCK = 2**16
 
 
@@ -36,6 +41,32 @@ def _as_coords(x, dim=None):
     if dim is not None and c.shape[-1] != dim:
         raise GeometryError(f"expected dimension {dim}, got {c.shape[-1]}")
     return c
+
+
+def _squared_norms(xs: np.ndarray) -> np.ndarray:
+    """|x|^2 of each point of a coordinate array (..., d), summed one axis at a time.
+
+    The values of np.sum(xs * xs, axis=-1), whose square root is
+    np.linalg.norm(xs, axis=-1); numpy's reduction over an axis of length
+    2 or 3 costs about ten times as much.
+    """
+    out = xs[..., 0] * xs[..., 0]
+    for c in range(1, xs.shape[-1]):
+        out += xs[..., c] * xs[..., c]
+    return out
+
+
+def _interior(x, dim: int = None) -> np.ndarray:
+    """The coordinates of one point or of an array of points (..., d), as given.
+
+    Raises GeometryError unless every point satisfies |x| < 1 - BALL_TOL, the
+    rule of ``Point``; a NaN coordinate fails it too.
+    """
+    coords = _as_coords(x, dim)
+    norms = np.sqrt(_squared_norms(np.atleast_2d(coords)))
+    if not np.all(norms < 1.0 - BALL_TOL):
+        raise GeometryError(f"points must lie strictly inside the unit ball; got |x| up to {np.max(norms)}")
+    return coords
 
 
 class Point:
@@ -177,7 +208,7 @@ def pairwise_dist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         np.subtract.outer(xs[:, c], ys[:, c], out=diff)
         np.square(diff, out=diff)
         d2 += diff
-    d2 /= np.multiply.outer(1.0 - np.sum(xs * xs, axis=1), 1.0 - np.sum(ys * ys, axis=1))
+    d2 /= np.multiply.outer(1.0 - _squared_norms(xs), 1.0 - _squared_norms(ys))
     np.sqrt(d2, out=d2)
     np.arcsinh(d2, out=d2)
     d2 *= 2.0
@@ -196,7 +227,7 @@ def busemann_field(xs: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     bs = np.asarray(bs, dtype=float)
-    x2 = np.sum(xs * xs, axis=1)
+    x2 = _squared_norms(xs)
     out = xs @ bs.T
     out *= 2.0
     np.subtract(x2[:, None], out, out=out)

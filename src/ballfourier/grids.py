@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BLOCK, Isometry, apply_array, dist, sphere_area, volume_weight
+from .geometry import BLOCK, Isometry, _interior, apply_array, dist, sphere_area, volume_weight
 
 # Relative spread across the boundary below which samples count as radial.
 _RADIAL_TOL = 1e-10
@@ -261,8 +261,13 @@ class BumpSpec:
         return self.center_offset + self.radius
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at coordinate array (..., dim)."""
-        pts = np.asarray(points, dtype=float)
+        """Evaluate at coordinate array (..., dim).
+
+        Raises GeometryError unless every point satisfies |x| < 1 - BALL_TOL
+        (``geometry._interior``): a point on or outside the unit sphere, or
+        with a NaN coordinate, has no value.
+        """
+        pts = _interior(points, self.dim)
         shape = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
         rel = apply_array(self.center.inverse(), flat)
@@ -304,7 +309,10 @@ class SampledFunction:
         return self.radial_weights()[:, None] * self.boundary.weights[None, :]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Off-grid evaluation through the analytic descriptor (required)."""
+        """Off-grid evaluation through the analytic descriptor (required).
+
+        Raises GeometryError unless every point satisfies |x| < 1 - BALL_TOL.
+        """
         if self.bump is None:
             raise ConfigurationError(
                 "off-grid evaluation requires an analytic bump descriptor"
@@ -312,10 +320,21 @@ class SampledFunction:
         return self.bump(points)
 
     def is_radial(self) -> bool:
-        """True when samples are boundary-independent (K-invariant function)."""
-        spread = np.max(np.abs(self.values - self.values.mean(axis=1, keepdims=True)))
-        scale = max(1.0, np.max(np.abs(self.values)))
-        return bool(spread <= _RADIAL_TOL * scale)
+        """True when samples are boundary-independent (K-invariant function).
+
+        Every row's largest deviation from its mean over the boundary must be
+        at most _RADIAL_TOL times max(1, max |value|).  The rows are scanned
+        in blocks of about BLOCK // 2 samples, so that the largest temporary,
+        a block's complex deviations, holds about BLOCK floats; the running
+        maxima propagate NaN, so a NaN sample makes the input non-radial.
+        """
+        step = max(1, BLOCK // (2 * self.values.shape[1]))
+        spread, peak = 0.0, 1.0
+        for i in range(0, len(self.values), step):
+            rows = self.values[i : i + step]
+            peak = np.maximum(peak, np.max(np.abs(rows)))
+            spread = np.maximum(spread, np.max(np.abs(rows - rows.mean(axis=1, keepdims=True))))
+        return bool(spread <= _RADIAL_TOL * peak)
 
     def radial_profile(self) -> np.ndarray:
         return self.values.mean(axis=1)
@@ -325,10 +344,12 @@ def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> S
     """Sample a bump on the product grid; its support must fit inside the rule's [0, r_max].
 
     Only the support rows are evaluated, at the coordinates tanh(r/2) omega,
-    in row blocks of about BLOCK samples: the coordinates and the
-    temporaries of the bump's evaluation stay block-sized, and each sample
-    is the value the whole-array evaluation gives, bit for bit.  The rows
-    beyond the support, if any, are exact zeros.
+    in row blocks of about BLOCK // d samples, so that the largest
+    temporaries, the block's coordinates and their images under the
+    bump's centre, hold about BLOCK floats each; each sample is the value
+    the whole-array evaluation gives, bit for bit.  Every block is checked
+    against |x| < 1 - BALL_TOL (``BumpSpec.__call__``).  The rows beyond the
+    support, if any, are exact zeros.
     """
     if spec.dim != boundary.dim:
         raise ConfigurationError(f"a d = {spec.dim} bump cannot be sampled on a d = {boundary.dim} boundary grid")
@@ -340,7 +361,7 @@ def sample_bump(spec: BumpSpec, radial: RadialGrid, boundary: BoundaryGrid) -> S
     f = SampledFunction(spec.dim, radial, boundary, values, spec.support_radius, bump=spec)
     rows = np.flatnonzero(f.support_mask)
     t = np.tanh(0.5 * radial.nodes[rows])
-    step = max(1, BLOCK // len(boundary))
+    step = max(1, BLOCK // (len(boundary) * boundary.dim))
     for i in range(0, len(rows), step):
         values[rows[i : i + step]] = spec(t[i : i + step, None, None] * boundary.directions)
     return f

@@ -70,10 +70,16 @@ within 7e-16 of numpy's complex exp relative to |e^{z B}|.
 
 Every temporary sized samples x directions is built in blocks of about
 geometry.BLOCK entries, whatever the grid: the FFT slice takes its radial
-rows, the Chebyshev slice its directions and poisson its points in chunks
-of that size, and the K-type slice builds nothing larger than the
-samples, so the peak memory of a call follows the number of samples and of
-output values, not samples x directions.
+rows and poisson its points in chunks of that size, and the K-type slice
+builds nothing larger than the samples, so the peak memory of a call
+follows the number of samples and of output values, not samples x
+directions.  The Chebyshev slice and jeft_direct read the nonzero support
+samples in row blocks (_support_blocks) and their directions or points in
+chunks of about BLOCK values a block (_panelled_moments), so on that route
+no array but the samples is sized by the samples: on the pw-recovery d = 3
+grid (2.25 MiB of samples) the slice at one direction over the 330
+complex lam of the holomorphy circles peaks 2.3 MiB above entry, against
+10.5 MiB over the whole support at once (tracemalloc).
 
 spherical_transform, jeft_direct, invert and the residuals take batches
 and return batches: a scalar lam or a single point is a batch of one, and
@@ -89,7 +95,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    BALL_TOL,
     BLOCK,
     GeometryError,
     Isometry,
@@ -101,6 +106,7 @@ from .geometry import (
     point_to_polar,
     polar_to_point,
     _as_coords,
+    _interior,
 )
 from .grids import (
     BoundaryGrid,
@@ -138,8 +144,6 @@ OVERFLOW_EXPONENT = 40.0
 # coefficients 2 I_m(z h) of e^{z h x} fall below 1e-19 by m = 20.
 _CHEB_ORDER = 20
 _LOBATTO = np.cos(np.pi * np.arange(_CHEB_ORDER + 1) / _CHEB_ORDER)
-# Samples per block of the Chebyshev moment table.
-_MOMENT_BLOCK = 8192
 # Largest allowed | |b| - 1 | of an explicit direction.
 _UNIT_TOL = 1e-12
 # Most points of an _orbit_rule (24 MB of coordinates).  Its degree grows
@@ -158,33 +162,35 @@ class TransformRangeError(ValueError):
     """Requested spectral parameter violates the overflow guard."""
 
 
-def _support_data(f: SampledFunction):
-    """Points and weight x value of the nonzero samples in the support rows.
+def _support_rows(f: SampledFunction) -> int:
+    """Support rows per block of _support_blocks: about BLOCK // 8 samples, at least one row.
 
-    A zero sample adds 0 to every kernel sum, so dropping it is exact.  The
-    coordinates tanh(r/2) omega are masked one axis at a time: gathering
-    whole (n_support, m, d) points by the mask is a loop of length d per
-    sample.
+    A block's Chebyshev table (_add_moments), N + 1 = 21 floats a sample,
+    then stays at 1.4 MB.
     """
-    mask = f.support_mask
-    vals = f.values[mask]
-    keep = vals != 0
-    t = np.tanh(0.5 * f.radial.nodes[mask])[:, None]
-    pts = np.stack([(t * f.boundary.directions[:, c])[keep] for c in range(f.dim)], axis=1)
-    return pts, (f.radial_weights()[mask][:, None] * f.boundary.weights)[keep] * vals[keep]
+    return max(1, BLOCK // (8 * len(f.boundary)))
 
 
-def _interior(x, dim: int = None) -> np.ndarray:
-    """The coordinates of one point or of an (n, d) array of points, as given.
+def _support_blocks(f: SampledFunction):
+    """Row blocks of the nonzero support samples: (points (n, d), weight x value (n,)) per block.
 
-    Raises GeometryError unless every point satisfies |x| < 1 - BALL_TOL, the
-    rule of ``Point``; a NaN coordinate fails it too.
+    A zero sample adds 0 to every kernel sum, so dropping it is exact, and a
+    block without a nonzero sample is skipped.  Each block holds
+    _support_rows(f) support rows, so no array of the iteration is sized by
+    the samples.  The coordinates tanh(r/2) omega are masked one axis at a
+    time: gathering whole (rows, m, d) points by the mask is a loop of
+    length d per sample.
     """
-    coords = _as_coords(x, dim)
-    norms = np.linalg.norm(np.atleast_2d(coords), axis=-1)
-    if not np.all(norms < 1.0 - BALL_TOL):
-        raise GeometryError(f"points must lie strictly inside the unit ball; got |x| up to {np.max(norms)}")
-    return coords
+    rows = np.flatnonzero(f.support_mask)
+    t = np.tanh(0.5 * f.radial.nodes[rows])[:, None]
+    weights = f.radial_weights()[rows][:, None]
+    step = _support_rows(f)
+    for i in range(0, len(rows), step):
+        vals = f.values[rows[i : i + step]]
+        keep = vals != 0
+        if np.any(keep):
+            pts = np.stack([(t[i : i + step] * f.boundary.directions[:, c])[keep] for c in range(f.dim)], axis=1)
+            yield pts, (weights[i : i + step] * f.boundary.weights)[keep] * vals[keep]
 
 
 def _lam_batch(lam) -> np.ndarray:
@@ -417,26 +423,22 @@ def _slices_chebyshev(f: SampledFunction, lams: np.ndarray, bs: np.ndarray) -> n
     (2 I_m(w), below 1e-19 at m = N = 20 for |w| <= 1), computed as the DCT-I
     of e^{w cos(pi k / N)} at the N + 1 Lobatto points through an FFT.  The
     lam-independent moments M_(m,p) = sum_{j in p} c_j T_m(x_j) are built
-    once per direction by the three-term recurrence, so each lam costs
-    N + 1 + P exponentials instead of one per sample.  |e^{z B}| varies by at
+    once per direction by the three-term recurrence (_add_moments), so each
+    lam costs N + 1 + P exponentials instead of one per sample.  |e^{z B}| varies by at
     most e^2 on a panel, which keeps the rounding near machine precision; one
     interval over the whole range loses digits like e^{|Re z| h}.  The
-    Busemann values are built for chunks of about BLOCK samples x directions.
+    support is read in blocks and the Busemann values are built for chunks
+    of about BLOCK samples x directions (_panelled_moments).
     """
-    pts, wv = _support_data(f)
-    out = np.zeros((len(lams), len(bs)), dtype=complex)
-    if len(pts) == 0:
-        return out
     z = -1j * lams + half_root_sum(f.dim)
     z_max = float(np.max(np.abs(z)))
-    wv_pairs = np.ascontiguousarray(wv, dtype=complex).view(float).reshape(-1, 2)
-    step = max(1, BLOCK // len(pts))
-    for i in range(0, len(bs), step):
-        for k, B in enumerate(np.ascontiguousarray(busemann_field(pts, bs[i : i + step]).T)):
-            lo, h, moments = _panel_moments(B, z_max, wv_pairs)
-            centres = lo + (2.0 * np.arange(moments.shape[1]) + 1.0) * h
-            coef = _chebyshev_coefficients(np.exp(np.outer(z * h, _LOBATTO)))
-            out[:, i + k] = np.sum(np.exp(np.outer(z, centres)) * (coef @ moments), axis=1)
+    out = np.zeros((len(lams), len(bs)), dtype=complex)
+    for k, lo, h, moments in _panelled_moments(
+        f, bs, lambda chunk, pts: np.ascontiguousarray(busemann_field(pts, chunk).T), z_max
+    ):
+        centres = lo + (2.0 * np.arange(moments.shape[1]) + 1.0) * h
+        coef = _chebyshev_coefficients(np.exp(np.outer(z * h, _LOBATTO)))
+        out[:, k] = np.sum(np.exp(np.outer(z, centres)) * (coef @ moments), axis=1)
     return out
 
 
@@ -451,45 +453,84 @@ def _chebyshev_coefficients(vals: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _panel_moments(s: np.ndarray, rate: float, weights: np.ndarray):
-    """Panels of [min s, max s] and the moments of the weights on them: (lo, h, moments).
+def _panelled_moments(f: SampledFunction, targets: np.ndarray, field, rate: float):
+    """Panels and moments of the support's weights in each target's field values: yields (k, lo, h, moments).
 
-    The range is split into P = ceil(rate (max s - min s) / 2) equal panels
-    of half-width h, so rate h <= 1; panel p has centre lo + (2p + 1) h, and
-    x_j in [-1, 1] is s_j's offset from its panel's centre in half-widths.
-    The moments sum_{j in p} c_j T_m(x_j) for m <= _CHEB_ORDER have shape
-    (N + 1, P).  ``weights`` holds the complex c_j as (re, im) pairs, shape
-    (n, 2).  The samples are sorted by panel once and taken in blocks of
-    _MOMENT_BLOCK: T_m(x) of a block comes from the three-term recurrence,
-    and each run of one panel within it adds one real matrix product of its
-    columns of T against its weights.  The blocks keep T at 1.4 MB; a whole
-    (N + 1, n) table raised the peak memory of pw-recovery d=3 by 5 MB.
+    ``field(chunk, pts)`` gives the (k, n) values s_j, Busemann values or
+    distances, of a chunk of k targets at n support points.  Target k gets
+    the _panels of its [min s, max s] and the moments sum_{j in p} c_j
+    T_m(x_j) of the weights c_j on them, shape (N + 1, P) (_add_moments).
+    The targets go in chunks of about BLOCK values per support block, and
+    each chunk reads the support twice through _support_blocks: the first
+    pass finds every target's range, so its panels are those of the whole
+    support, and the second adds each block's moments.  No array is sized by
+    the samples; the field is evaluated twice.  A support without a nonzero
+    sample yields nothing.
     """
-    lo, hi = float(s.min()), float(s.max())
+    per_block = min(np.count_nonzero(f.support_mask), _support_rows(f)) * len(f.boundary)
+    step = max(1, BLOCK // max(per_block, 1))
+    for i in range(0, len(targets), step):
+        chunk = targets[i : i + step]
+        lo, hi = np.full(len(chunk), np.inf), np.full(len(chunk), -np.inf)
+        seen = False
+        for pts, _ in _support_blocks(f):
+            vals = field(chunk, pts)
+            np.minimum(lo, vals.min(axis=1), out=lo)
+            np.maximum(hi, vals.max(axis=1), out=hi)
+            seen = True
+        if not seen:
+            return
+        panels = [_panels(a, b, rate) for a, b in zip(lo, hi)]
+        moments = [np.zeros((n, _CHEB_ORDER + 1, 2)) for _, _, n in panels]
+        for pts, wv in _support_blocks(f):
+            vals = field(chunk, pts)
+            for k, ((a, h, _), acc) in enumerate(zip(panels, moments)):
+                _add_moments(acc, vals[k], a, h, wv)
+        for k, ((a, h, _), acc) in enumerate(zip(panels, moments)):
+            yield i + k, a, h, acc.view(complex)[..., 0].T
+
+
+def _panels(lo: float, hi: float, rate: float):
+    """Equal panels of [lo, hi] for the growth rate ``rate``: (lo, h, P).
+
+    P = ceil(rate (hi - lo) / 2) panels of half-width h, so rate h <= 1;
+    panel p has centre lo + (2p + 1) h.
+    """
     n_panels = max(1, int(np.ceil(rate * (hi - lo) / 2.0)))
-    h = max((hi - lo) / (2.0 * n_panels), np.finfo(float).tiny)
+    return float(lo), max((hi - lo) / (2.0 * n_panels), np.finfo(float).tiny), n_panels
+
+
+def _add_moments(moments: np.ndarray, s: np.ndarray, lo: float, h: float, weights: np.ndarray) -> None:
+    """Add one block's moments sum_{j in p} c_j T_m(x_j) to ``moments``, shape (P, N + 1, 2).
+
+    s_j lies in the panels of _panels(lo, hi, rate) with P = len(moments),
+    and x_j in [-1, 1] is its offset from its panel's centre in
+    half-widths; ``weights`` holds the complex c_j, and ``moments`` their
+    sums as (re, im) pairs.  The block is sorted by panel, T_m(x) for
+    m <= _CHEB_ORDER comes from the three-term recurrence, and each run of
+    one panel adds one real matrix product of its columns of T against its
+    weights.  Every temporary is sized by the block: N + 1 = 21 floats a
+    sample for T.
+    """
+    n_panels = len(moments)
     # x from the offset in half-widths: s - centre would lose x to the
     # rounding of the centre when h is a few ulps of s
     u = (s - lo) / h
     panel = np.minimum((0.5 * u).astype(np.intp), n_panels - 1)
     x = u - (2 * panel + 1)
     order = np.argsort(panel, kind="stable")
-    x, panel, weights = x[order], panel[order], weights[order]
-    moments = np.zeros((n_panels, _CHEB_ORDER + 1, 2))
-    table = np.empty((_CHEB_ORDER + 1, min(len(x), _MOMENT_BLOCK)))
-    for s in range(0, len(x), _MOMENT_BLOCK):
-        xb, pb, wb = x[s : s + _MOMENT_BLOCK], panel[s : s + _MOMENT_BLOCK], weights[s : s + _MOMENT_BLOCK]
-        T = table[:, : len(xb)]
-        T[0] = 1.0
-        T[1] = xb
-        x2 = 2.0 * xb
-        for m in range(1, _CHEB_ORDER):
-            np.multiply(x2, T[m], out=T[m + 1])
-            T[m + 1] -= T[m - 1]
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(pb)) + 1, [len(xb)]])
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            moments[pb[a]] += T[:, a:b] @ wb[a:b]
-    return lo, h, moments.view(complex)[..., 0].T
+    x, panel = x[order], panel[order]
+    w = weights[order].view(float).reshape(-1, 2)
+    T = np.empty((_CHEB_ORDER + 1, len(x)))
+    T[0] = 1.0
+    T[1] = x
+    x2 = 2.0 * x
+    for m in range(1, _CHEB_ORDER):
+        np.multiply(x2, T[m], out=T[m + 1])
+        T[m + 1] -= T[m - 1]
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(panel)) + 1, [len(x)]])
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        moments[panel[a]] += T[:, a:b] @ w[a:b]
 
 
 def _real_times_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -500,8 +541,13 @@ def _real_times_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(b, dtype=complex).view(float)).view(complex)
 
 
-def _exp_kernel(z: complex, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _exp_kernel(z: complex, B: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
     """e^{z B} for a complex scalar z and a real array B, written into the complex array ``out``.
+
+    ``scratch`` holds the three real temporaries, float arrays of B's shape
+    owned by the caller, so that a caller exponentiating one block at many
+    z, or many blocks, allocates them once; None allocates them for this
+    call.  The values do not depend on it.
 
     numpy's complex exp is a scalar loop, while its float64 exp and tan are
     SIMD loops (its float64 cos and sin are scalar ones), so the phase comes
@@ -517,11 +563,12 @@ def _exp_kernel(z: complex, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     4.0e-16 of mpmath for z = +-i lam + rho, |Re lam| <= 200, and
     |B| <= 10 (tests).
     """
-    t = np.multiply(0.5 * z.imag, B)
+    t, a, q = np.empty((3,) + B.shape) if scratch is None else scratch
+    np.multiply(0.5 * z.imag, B, out=t)
     np.tan(t, out=t)
-    a = np.multiply(z.real, B)
+    np.multiply(z.real, B, out=a)
     np.exp(a, out=a)
-    q = np.multiply(t, t)
+    np.multiply(t, t, out=q)
     q += 1.0
     np.divide(a, q, out=q)
     q += q
@@ -566,12 +613,16 @@ def _slices_fft(f: SampledFunction, lams: np.ndarray) -> np.ndarray:
     rho = half_root_sum(f.dim)
     acc = np.zeros((len(lams), n), dtype=complex)
     step = max(1, BLOCK // n)
+    # the kernel and _exp_kernel's scratch, reused by every chunk and lam
+    size = half * min(step, len(first))
+    kernel_buf, scratch_buf = np.empty(size, dtype=complex), np.empty((3, size))
     for i in range(0, len(first), step):
         B = np.ascontiguousarray(busemann_field(first[i : i + step], f.boundary.directions[:half]).T)
         g = g_hat[:, :, i : i + step]
-        kernel = np.empty(B.shape, dtype=complex)  # (half, rows)
+        kernel = kernel_buf[: B.size].reshape(B.shape)  # (half, rows)
+        scratch = [row[: B.size].reshape(B.shape) for row in scratch_buf]
         for k, lam in enumerate(lams):
-            _exp_kernel(-1j * lam + rho, B, kernel)
+            _exp_kernel(-1j * lam + rho, B, kernel, scratch)
             k_hat = _real_times_complex(cosine, kernel).reshape(half, -1, 1)
             acc[k, :half] += (g[:half] @ k_hat)[:, 0, 0]
             acc[k, half:] += (g[half:] @ k_hat[n - half : 0 : -1])[:, 0, 0]
@@ -711,14 +762,16 @@ def poisson(F, boundary: BoundaryGrid, lam: complex, x):
     # dot product, which rounds differently from the rows of a matrix product
     n_blocks = max(1, len(pts) // max(2, BLOCK // max(len(boundary), 1)))
     edges = [len(pts) * j // n_blocks for j in range(n_blocks + 1)]
-    kernel = np.empty((-(-len(pts) // n_blocks), len(boundary)), dtype=complex)  # reused by every block and lam
+    # the kernel and _exp_kernel's scratch, reused by every block and lam
+    kernel = np.empty((-(-len(pts) // n_blocks), len(boundary)), dtype=complex)
+    scratch = np.empty((3,) + kernel.shape)
     # a point within rounding of a direction gives log(0); the check below raises
     with np.errstate(divide="ignore", invalid="ignore"):
         for a, b in zip(edges[:-1], edges[1:]):
             B = busemann_field(pts[a:b], boundary.directions)
             block = kernel[: b - a]
             for k, (l, row) in enumerate(zip(lams, np.atleast_2d(F))):
-                _exp_kernel(1j * complex(l) + rho, B, block)
+                _exp_kernel(1j * complex(l) + rho, B, block, scratch[:, : b - a])
                 vals[k, a:b] = block @ (boundary.weights * row)
     if not np.all(np.isfinite(vals)):
         raise GeometryError(
@@ -786,12 +839,13 @@ def jeft_direct(f: SampledFunction, lam, x):
     The value at x is sum_j c_j phi_lam(s_j), s_j = d(x, y_j): the sum of
     _slices_chebyshev with phi_lam(s) in place of e^{z B}.  phi_lam combines
     e^{(+-i lam - rho) s} (Helgason, Groups and Geometric Analysis, Ch. IV),
-    so the panels of _panel_moments take rate = max over the call's lam of
+    so the panels of _panelled_moments take rate = max over the call's lam of
     |(|Re lam|) + i (|Im lam| + rho)|, the larger of |+-i lam - rho|.  Each
     point takes its own panels of [min s, max s] and its lam-independent
-    moments, so its value does not depend on the other points of the call;
-    then one spherical_phi call for all lam at its P (N + 1) panel nodes, the
-    DCT-I of those values and one product with the moments.  Against the
+    moments, so its value does not depend on the other points of the call
+    (the distances of a chunk of points are elementwise); then one
+    spherical_phi call for all lam at its P (N + 1) panel nodes, the DCT-I
+    of those values and one product with the moments.  Against the
     per-sample sum (one phi_lam per sample and lam, the tests' oracle) it
     measured within 7e-16 of sum |c_j| on the seed-1 jeft-equivalence
     inputs, and within 7e-15 of sum |c_j| phi_{i Im lam}(s_j), a bound on
@@ -800,14 +854,9 @@ def jeft_direct(f: SampledFunction, lam, x):
     """
     pts = np.atleast_2d(_interior(x, f.dim))
     lams = _lam_batch(lam).astype(complex)
-    support, wv = _support_data(f)
     out = np.zeros((len(lams), len(pts)), dtype=complex)
-    if len(support) == 0:
-        return out
     rate = float(np.max(np.abs(np.abs(lams.real) + 1j * (np.abs(lams.imag) + half_root_sum(f.dim))), initial=0.0))
-    wv_pairs = np.ascontiguousarray(wv, dtype=complex).view(float).reshape(-1, 2)
-    for i, p in enumerate(pts):
-        lo, h, moments = _panel_moments(pairwise_dist(p[None], support)[0], rate, wv_pairs)
+    for i, lo, h, moments in _panelled_moments(f, pts, pairwise_dist, rate):
         # lo + h (2p + 1 + cos) >= lo >= 0, as spherical_phi requires
         nodes = lo + h * (2.0 * np.arange(moments.shape[1])[:, None] + 1.0 + _LOBATTO)
         coef = _chebyshev_coefficients(spherical_phi(f.dim, lams, nodes))

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from ballfourier.geometry import Isometry, Rotation, busemann_field, pairwise_dist
 from ballfourier.grids import BoundaryGrid, BumpSpec, RadialGrid, SampledFunction, legendre_table
 from ballfourier.spectral import spherical_phi
-from ballfourier.transforms import _support_data
+from ballfourier.transforms import _support_blocks
+
+
+def support_arrays(f: SampledFunction):
+    """The blocks of _support_blocks concatenated: points (n, d) and weight x value (n,) of every nonzero support sample."""
+    blocks = list(_support_blocks(f))
+    if not blocks:
+        return np.empty((0, f.dim)), np.empty(0, dtype=complex)
+    return np.concatenate([p for p, _ in blocks]), np.concatenate([w for _, w in blocks])
 
 
 def zero_function(dim: int, radial: RadialGrid, boundary: BoundaryGrid) -> SampledFunction:
@@ -107,7 +115,7 @@ def direct_convolution(f: SampledFunction, lams, xs):
     arrays have shape (n_lam, n_x).  Each lam takes one spherical_phi call
     over the whole (n_x, n_samples) distance matrix.
     """
-    pts, wv = _support_data(f)
+    pts, wv = support_arrays(f)
     D = pairwise_dist(np.atleast_2d(xs), pts)
     vals, bound = [], []
     for lam in np.atleast_1d(lams).astype(complex):

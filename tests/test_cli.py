@@ -270,15 +270,17 @@ def test_cli_reproducible_outputs(tmp_path, run_cli):
 
 
 def test_run_scenario_records_numeric_errors_as_failed_checks(tmp_path):
-    # bump radius 120 passes config validation, but |Im lam| * support =
-    # 0.35 * 120 of the scenario's lam = 2 - 0.35i exceeds the overflow
-    # guard of boundary_slices, which raises inside the run
+    # bump radius 120 passes config validation, but the outer radial nodes
+    # of its support, r > 37, have tanh(r / 2) = 1 in floating point, so
+    # sample_bump raises inside the run on grid points on the unit sphere
+    # (a support that fits inside the ball cannot reach the overflow guard
+    # of the scenario's lam = 2 - 0.35i, which needs 0.35 * support > 40)
     cfg = parse_config({"bump_radius": "120", "radial_nodes": "64", "out_dir": str(tmp_path / "x"),
                               "dim": "2", "timing": "zero"})
     assert run_scenario("asymptotic", cfg) == 1
     (check,) = json.loads((tmp_path / "x" / "results.json").read_text())["checks"]
     assert check["name"] == "scenario_error"
-    assert check["note"].startswith("TransformRangeError(")
+    assert check["note"].startswith("GeometryError('points must lie strictly inside the unit ball")
 
 
 def test_scenario_error_note_names_the_raising_function(tmp_path, monkeypatch):

@@ -1,12 +1,15 @@
 """Quadrature grids, bump sampling and integral plumbing."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import factorial, lpmv
 
-from ballfourier.geometry import Isometry, apply_array, busemann_field, random_rotation
+from ballfourier import grids
+from ballfourier.geometry import GeometryError, Isometry, apply_array, busemann_field, random_rotation
 from ballfourier.grids import (
     BoundaryGrid,
     BumpSpec,
@@ -216,6 +219,52 @@ def test_centered_unmodulated_bump_is_radial():
     assert np.all(f.values[~f.support_mask, :] == 0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_is_radial_keeps_the_whole_array_verdict(dim, monkeypatch):
+    """is_radial over row blocks against the whole-array rule, on radial, non-radial and NaN-sample inputs.
+
+    With BLOCK = 2 x 3 x m the 40 rows make 13 blocks of three rows and a
+    partial one.  Each input departs from radial in one row: by a spread or
+    a NaN sample in a late block, or a NaN sample in the first block,
+    before thirteen radial ones.  A NaN sample makes the input non-radial,
+    as in the whole-array rule.
+    """
+    boundary = BoundaryGrid.disk(64) if dim == 2 else BoundaryGrid.sphere(6, 12)
+    f = sample_bump(BumpSpec(dim=dim, radius=1.5), RadialGrid.gauss_legendre(40, 1.5), boundary)
+
+    def whole_array_rule(values):
+        spread = np.max(np.abs(values - values.mean(axis=1, keepdims=True)))
+        return bool(spread <= 1e-10 * max(1.0, np.max(np.abs(values))))
+
+    cases = {"radial": f.values.copy()}
+    for name, row, value in [("spread", 37, 1e-6), ("nan", 37, np.nan), ("nan first", 1, np.nan)]:
+        values = f.values.copy()
+        values[row, 5] += value
+        cases[name] = values
+    monkeypatch.setattr(grids, "BLOCK", 2 * 3 * len(boundary))
+    verdicts = {name: replace(f, values=values).is_radial() for name, values in cases.items()}
+    assert verdicts == {name: whole_array_rule(values) for name, values in cases.items()}
+    assert verdicts == {"radial": True, "spread": False, "nan": False, "nan first": False}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_bump_and_evaluate_refuse_points_off_the_ball(alpha):
+    """BumpSpec and SampledFunction.evaluate raise GeometryError at a point on or outside the unit sphere or with a NaN coordinate.
+
+    A point inside the ball beside them does not help: the whole call raises.
+    """
+    spec = BumpSpec(dim=2, radius=1.0, center=Isometry.translation([0.2, 0.0]), alpha=alpha)
+    f = sample_bump(spec, RadialGrid.gauss_legendre(16, spec.support_radius), BoundaryGrid.disk(16))
+    for bad in ([2.0, 0.0], [1.0, 0.0], [np.nan, 0.0], [0.0, 1.0 - 1e-13]):
+        for call in (spec, f.evaluate):
+            with pytest.raises(GeometryError):
+                call(np.array(bad))
+            with pytest.raises(GeometryError):
+                call(np.array([[0.1, 0.0], bad]))
+    assert spec(np.array([0.2, 0.0])) > 0.0
+    assert f.evaluate(np.array([[0.2, 0.0], [0.9, 0.0]])).shape == (2,)
+
+
 @pytest.mark.parametrize(
     "spec,boundary",
     [
@@ -256,7 +305,7 @@ def test_blocked_sample_bump_matches_whole_array_bit_for_bit(dim):
     boundary = BoundaryGrid.disk(4096) if dim == 2 else BoundaryGrid.sphere(32, 64)
     center = center_along(np.arange(1.0, dim + 1.0), Isometry.translation(np.linspace(0.3, -0.2, dim)))
     spec = BumpSpec(dim=dim, radius=1.2, center=center, alpha=0.7)
-    rows = BLOCK // len(boundary)
+    rows = BLOCK // (len(boundary) * dim)
     for n_r in (1, rows, rows + 1, 3 * rows + 5):
         radial = RadialGrid.gauss_legendre(n_r, spec.support_radius)
         f = sample_bump(spec, radial, boundary)

@@ -44,7 +44,6 @@ from ballfourier.transforms import (
     _slices_chebyshev,
     _slices_fft,
     _slices_ktype,
-    _support_data,
     asymptotic_limit_residual,
     boundary_slices,
     calibrate_kappa,
@@ -67,6 +66,7 @@ from sampling_helpers import (
     dense_slice,
     direct_convolution,
     ktype_terms_magnitude,
+    support_arrays,
     translate_bump,
     unit_vectors,
     zero_function,
@@ -377,19 +377,30 @@ def test_jeft_direct_radial_case_matches_spherical_transform(disk_bumps):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_support_data_is_masked_full_support_bit_for_bit(dim, disk_bumps, ball_bumps):
-    """Nonzero samples of the support rows only, against the masked full-support arrays."""
+def test_support_data_is_masked_full_support_bit_for_bit(dim, disk_bumps, ball_bumps, monkeypatch):
+    """The support blocks, concatenated, against the masked full-support arrays: nonzero samples of the support rows only.
+
+    Once at the default BLOCK and once with BLOCK patched to 8 x 3 x m,
+    where the blocks hold three support rows and the support spans several
+    of them; no block is empty or holds more than its rows' samples.
+    """
     shifted = (disk_bumps if dim == 2 else ball_bumps)[1]
     # nonzero values beyond the support radius are not part of the support
     beyond = SampledFunction(dim, shifted.radial, shifted.boundary, shifted.values + 1.0, 1.0)
-    for f in (shifted, beyond):
-        mask = f.support_mask
-        vals = f.values[mask]
-        keep = vals != 0
-        pts, wv = _support_data(f)
-        coords = np.tanh(0.5 * f.radial.nodes[mask])[:, None, None] * f.boundary.directions
-        assert np.array_equal(pts, coords[keep])
-        assert np.array_equal(wv, (f.node_weights()[mask] * vals)[keep])
+    for rows in (None, 3):
+        if rows is not None:
+            monkeypatch.setattr(transforms, "BLOCK", 8 * rows * len(shifted.boundary))
+        for f in (shifted, beyond):
+            mask = f.support_mask
+            vals = f.values[mask]
+            keep = vals != 0
+            blocks = list(transforms._support_blocks(f))
+            pts, wv = support_arrays(f)
+            coords = np.tanh(0.5 * f.radial.nodes[mask])[:, None, None] * f.boundary.directions
+            assert np.array_equal(pts, coords[keep])
+            assert np.array_equal(wv, (f.node_weights()[mask] * vals)[keep])
+            assert all(0 < len(w) <= transforms._support_rows(f) * len(f.boundary) for _, w in blocks)
+            assert rows is None or (transforms._support_rows(f) == rows and len(blocks) > 2)
     assert 0 < len(wv) < np.count_nonzero(beyond.values)
 
 
@@ -577,7 +588,8 @@ def _random_samples(n_r: int, boundary: BoundaryGrid, rng) -> SampledFunction:
 def test_chebyshev_slice_over_several_direction_chunks_matches_dense_sum(boundary):
     """Explicit directions filling three direction chunks of the Chebyshev slice, minus and plus one.
 
-    A chunk holds BLOCK // n_samples directions; the random samples are
+    A chunk holds BLOCK // (samples of one support block) directions, and
+    the 20,480 samples span three support blocks; the random samples are
     bounded away from zero, so none is dropped and every direction's sum
     carries weight.
     """
@@ -585,7 +597,9 @@ def test_chebyshev_slice_over_several_direction_chunks_matches_dense_sum(boundar
 
     rng = np.random.default_rng(29)
     f = _random_samples(20480 // len(boundary), boundary, rng)
-    step = BLOCK // f.values.size
+    rows = transforms._support_rows(f)
+    assert 2 * rows < len(f.radial) < 3 * rows
+    step = BLOCK // (rows * len(boundary))
     lams = [2.7, 1.9 - 0.5j]
     for n_b in (3 * step - 1, 3 * step, 3 * step + 1):
         bs = rng.standard_normal((n_b, boundary.dim))
@@ -1254,33 +1268,101 @@ def test_funk_hecke_keeps_the_paley_wiener_symmetry(dim, lam):
 
 
 def test_sampling_and_slice_memory_stay_within_a_multiple_of_the_samples():
-    """Traced peaks of sample_bump and of a 6-lam grid slice on the pw-recovery d=3 grid.
+    """Traced peaks on the pw-recovery d=3 grid, in multiples of the samples' bytes.
 
     128 radial nodes on the support and the 24 x 48 sphere: 2.25 MiB of
-    samples.  With every temporary in blocks of BLOCK entries the peaks
-    measured 4.6 (sample_bump) and 3.0 (boundary_slices) times the samples'
-    bytes; with whole-array temporaries they were 9.1 and 23.  Both must
-    stay under 6 times.
+    samples.  The peaks, above the memory in use on entry (sample_bump's
+    includes the samples it returns), measured against whole-support
+    temporaries:
+
+    - sample_bump: 1.9 times, against 3.7 with blocks of BLOCK samples;
+    - a 6-lam grid slice (K-types): 4.1 times;
+    - the explicit-direction slice at one direction over the 330 complex
+      lam of the holomorphy circles: 1.03 times, against 4.7;
+    - jeft_direct at 3 points and 2 lam: 1.1 times, against 4.7;
+    - is_radial: 0.33 times, against 1.5.
+
+    The bounds are 3, 6, 1.5, 1.5 and 0.5 times.
     """
     import tracemalloc
+
+    from ballfourier.paley_wiener import _CIRCLE_NODES, _CIRCLE_RADIUS
 
     spec = BumpSpec(dim=3, radius=1.0, center=Isometry.translation([np.tanh(0.15), 0.0, 0.0]), alpha=0.3)
     radial = RadialGrid.from_legendre(legendre_rule(128), spec.support_radius)
     boundary = BoundaryGrid.sphere(24, 48)
-    lams = np.linspace(0.5, 3.0, 6)
+    rng = np.random.default_rng(1)
+    centers = rng.uniform(0.3, 3.0, 10) + 1j * rng.uniform(-2.0, 2.0, 10)
+    circles = (centers[:, None] + _CIRCLE_RADIUS * np.exp(2j * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES)).ravel()
+    lams = np.append(circles, centers)
+    pts = np.array([[0.1, 0.2, 0.0], [0.5, -0.3, 0.2], [0.0, 0.0, 0.9]])
+    peaks = {}
     tracemalloc.start()
     try:
         f = sample_bump(spec, radial, boundary)
-        sampled = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        boundary_slices(f, lams)
-        sliced = tracemalloc.get_traced_memory()[1] - before
+        peaks["sample_bump"] = tracemalloc.get_traced_memory()[1]
+        for name, call in [
+            ("grid slice", lambda: boundary_slices(f, np.linspace(0.5, 3.0, 6))),
+            ("explicit slice", lambda: boundary_slices(f, lams, np.eye(3)[:1])),
+            ("jeft_direct", lambda: jeft_direct(f, [0.7, 2.0 - 0.5j], pts)),
+            ("is_radial", f.is_radial),
+        ]:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert f.values.nbytes == 128 * 1152 * 16
-    assert sampled <= 6 * f.values.nbytes
-    assert sliced <= 6 * f.values.nbytes
+    assert f.values.nbytes == 128 * 1152 * 16 and len(lams) == 330
+    bounds = {"sample_bump": 3.0, "grid slice": 6.0, "explicit slice": 1.5, "jeft_direct": 1.5, "is_radial": 0.5}
+    for name, bound in bounds.items():
+        assert peaks[name] <= bound * f.values.nbytes, (name, peaks[name] / f.values.nbytes)
+
+
+def _blocked_panels(monkeypatch, block, call):
+    """call() with transforms.BLOCK = block, and the (lo, h, P) of every _panels call it made."""
+    panels = []
+    real = transforms._panels
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "BLOCK", block)
+        m.setattr(transforms, "_panels", lambda *args: panels.append(real(*args)) or panels[-1])
+        return call(), panels
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_support_matches_one_block_with_identical_panels(dim, monkeypatch):
+    """_slices_chebyshev and jeft_direct over support blocks of three rows against one block holding the whole support.
+
+    With BLOCK = 8 x 3 x m the 40 support rows make 13 blocks of three rows
+    and a partial one of one row, and the 10 directions or points two
+    chunks of 8 and 2; BLOCK = 2^40 holds everything in one block and one
+    chunk.  The shifted bump is zero on part of its rows, so some blocks
+    drop samples.  Every target takes the same panels, and the values
+    differ only by summation order: within 1e-15 of sum_j |c_j e^{z B_j}|
+    (slice) or of sum_j |c_j| phi_{i Im lam}(s_j) (jeft_direct).
+    """
+    boundary = BoundaryGrid.disk(64) if dim == 2 else BoundaryGrid.sphere(6, 12)
+    spec = BumpSpec(dim=dim, radius=1.0, center=center_along(np.ones(dim), Isometry.translation(np.full(dim, 0.2))),
+                    alpha=0.6)
+    f = sample_bump(spec, RadialGrid.gauss_legendre(40, spec.support_radius), boundary)
+    rng = np.random.default_rng(31)
+    bs = rng.standard_normal((10, dim))
+    bs /= np.linalg.norm(bs, axis=1, keepdims=True)
+    xs = np.tanh(0.5 * rng.uniform(0.0, 3.0, 10))[:, None] * bs[::-1]
+    lams = np.array([0.7, 3.2, 1.9 - 0.5j, 4.0 + 0.3j])
+    rows = 3
+    small = 8 * rows * len(boundary)
+    for call, (ref_vals, scale) in [
+        (lambda: _slices_chebyshev(f, lams, bs), dense_slice(f, lams, bs)),
+        (lambda: jeft_direct(f, lams, xs), direct_convolution(f, lams, xs)),
+    ]:
+        whole, whole_panels = _blocked_panels(monkeypatch, 2**40, call)
+        blocked, blocked_panels = _blocked_panels(monkeypatch, small, call)
+        assert len(whole_panels) == 10 and blocked_panels == whole_panels
+        assert np.all(np.abs(blocked - whole) <= 1e-15 * scale)
+        assert np.all(np.abs(blocked - ref_vals) <= 1e-13 * scale)
+    monkeypatch.setattr(transforms, "BLOCK", small)
+    assert transforms._support_rows(f) == rows and np.count_nonzero(f.support_mask) % rows == 1
 
 
 def test_rotated_grid_takes_chebyshev_route():
